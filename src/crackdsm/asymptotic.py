@@ -5,7 +5,9 @@ logarithmic leading term, plus a tangential-derivative correction at second
 order).  The predictors are the matching closed-form shapes of the indicator
 maps: J0 combinations for a single direction, J0*Js cosine series for a few
 directions, and the Lambda = J0^2 + J1^2 envelope difference for a band of
-wavenumbers.
+wavenumbers.  The cosine series are summed exactly by the Jacobi-Anger identity
+J0(z) + 2 sum_{s>=1} i^s J_s(z) cos(s psi) = e^{iz cos psi}, so only J0, J1 and
+plane waves e^{ik (c_m - x).d} remain.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InputMismatchError
 from .imaging import ImagingGrid, IndicatorMap, observation_directions
 from .scene import crack_tangent, require_valid
-from .specfun import MAX_ORDER, bessel_j_orders, lambda_envelope
+from .specfun import bessel_j_orders, lambda_envelope
 
 
 def _log_weight(half_length):
@@ -116,36 +118,23 @@ def predict_structure2(scene, k, d, grid):
     return IndicatorMap.from_raw(grid, np.abs(phi1 + phi2))
 
 
-def _offset_angles(offs_to_center):
-    """Angles varphi_m of c_m - x (zero where coincident)."""
-    return np.arctan2(-offs_to_center[:, 1], -offs_to_center[:, 0])
+def predict_aif(scene, k, incident_angles, grid):
+    """Few-direction map shape |sum_m w_m J0(k r_m) sum_l e^{ik (c_m - x).d_l}|.
 
-
-def predict_aif(scene, k, incident_angles, grid, terms=None):
-    """Few-direction map shape: J0^2 main term plus the J0*Js cosine series.
-
-    terms defaults to the truncation rule ceil(k*r_max) + 25, capped at the
-    order ceiling.
+    w_m = (2*pi)^2/ln(l_m/2), r_m = |x - c_m| and d_l the incident directions;
+    the plane-wave sum is the J0*Js cosine series
+    sum_l [J0 + 2 sum_s i^s J_s(k r_m) cos s(varphi_m - alpha_l)] in closed form.
     """
     incident_angles = np.asarray(incident_angles, dtype=float)
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
-    L = incident_angles.size
+    dirs = np.column_stack([np.cos(incident_angles), np.sin(incident_angles)])
     _, offs, radii = _grid_radii(scene, grid)
-    rmax = max(float(r.max()) for r in radii)
-    if terms is None:
-        terms = int(math.ceil(k * rmax)) + 25
-    terms = min(int(terms), MAX_ORDER)
     raw = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack, off, r in zip(scene.cracks, offs, radii):
         w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
-        js = bessel_j_orders(terms, k * r)
-        varphi = _offset_angles(off)
-        series = L * js[0].astype(complex)
-        for s in range(1, terms + 1):
-            cos_sum = np.cos(s * (varphi[:, None] - incident_angles[None, :])).sum(axis=1)
-            series += 2.0 * (1j**s) * js[s] * cos_sum
-        raw += w * js[0] * series
+        plane_waves = np.exp(-1j * k * (off @ dirs.T)).sum(axis=1)
+        raw += w * bessel_j_orders(0, k * r)[0] * plane_waves
     return IndicatorMap.from_raw(grid, np.abs(raw))
 
 
@@ -176,11 +165,13 @@ def _gauss_legendre_panels(a, b, n_panels, pts_per_panel=8):
     return np.concatenate(ks), np.concatenate(ws)
 
 
-def predict_mif(scene, k_list, incident_angle, grid, terms=None):
+def predict_mif(scene, k_list, incident_angle, grid):
     """Multi-frequency map shape: Lambda-envelope difference plus band integral.
 
-    The k-integral term is evaluated with composite Gauss-Legendre, 8 points
-    per oscillation period of the integrand at the farthest grid point.
+    The band integrand J1^2 + 2 sum_{s>=1} i^s J0 J_s cos s(varphi_m - alpha)
+    is evaluated in closed form as J1^2 + J0 (e^{ik (c_m - x).d} - J0), with
+    composite Gauss-Legendre in k, 8 points per oscillation period of the
+    integrand at the farthest grid point.
     """
     k_list = np.asarray(k_list, dtype=float)
     if k_list.size < 2:
@@ -188,25 +179,20 @@ def predict_mif(scene, k_list, incident_angle, grid, terms=None):
     if np.any(np.diff(k_list) <= 0.0) or np.any(k_list <= 0.0):
         raise DomainError("wavenumbers must be positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
+    d = np.array([math.cos(incident_angle), math.sin(incident_angle)])
     _, offs, radii = _grid_radii(scene, grid)
     rmax = max(float(r.max()) for r in radii)
-    if terms is None:
-        terms = int(math.ceil(kF * rmax)) + 25
-    terms = min(int(terms), MAX_ORDER)
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))
     knodes, kweights = _gauss_legendre_panels(k1, kF, n_panels)
     raw = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack, off, r in zip(scene.cracks, offs, radii):
         w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
-        varphi = _offset_angles(off)
+        proj = -(off @ d)  # (c_m - x).d
         psi3 = kF * lambda_envelope(kF * r) - k1 * lambda_envelope(k1 * r)
         psi4 = np.zeros(r.size, dtype=complex)
         for kq, wq in zip(knodes, kweights):
-            js = bessel_j_orders(terms, kq * r)
-            integrand = js[1].astype(complex) ** 2
-            for s in range(1, terms + 1):
-                integrand += 2.0 * (1j**s) * js[0] * js[s] * np.cos(s * (varphi - incident_angle))
-            psi4 += wq * integrand
+            j0, j1 = bessel_j_orders(1, kq * r)
+            psi4 += wq * (j1**2 + j0 * (np.exp(1j * kq * proj) - j0))
         raw += w * (psi3 + psi4)
     return IndicatorMap.from_raw(grid, np.abs(raw))
 

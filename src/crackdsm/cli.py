@@ -38,7 +38,10 @@ def _parse_grid(spec):
 def _wavenumbers(args):
     """Resolve k list from --lambda or --lambda-range/--n-freq."""
     if args.lambda_range:
-        lo, hi = (float(v) for v in args.lambda_range.split(","))
+        try:
+            lo, hi = (float(v) for v in args.lambda_range.split(","))
+        except ValueError:
+            raise CrackDsmError('--lambda-range must be two numbers "min,max"') from None
         if not (0 < lo < hi):
             raise CrackDsmError("lambda range must satisfy 0 < min < max")
         if args.n_freq < 2:
@@ -133,14 +136,10 @@ def _write_map(args, command, imap, inputs, params):
 def cmd_image(args):
     tensor = cio.read_tensor(args.tensor)
     grid = args.grid
-    F, L, _ = tensor.values.shape
     method = args.method
-    if method == "mif" and F < 2:
+    if method == "mif" and tensor.config.n_freq < 2:
         print("error: method mif needs a tensor with F >= 2 frequencies",
               file=sys.stderr)
-        return 1
-    if method in ("if", "aif") and L < 1:
-        print("error: method needs at least one incident direction", file=sys.stderr)
         return 1
     if method == "single":
         imap = indicator_single(tensor, args.f_index, args.l_index, grid)
@@ -169,20 +168,17 @@ def cmd_predict(args):
         d = np.array([math.cos(ang), math.sin(ang)])
         imap = predict_structure2(scene, ks[0], d, grid)
     elif predictor == "aif":
-        imap = predict_aif(scene, ks[0], _incident_angles(args), grid,
-                           terms=args.series_trunc)
+        imap = predict_aif(scene, ks[0], _incident_angles(args), grid)
     else:
         if len(ks) < 2:
             print("error: mif predictor needs --lambda-range and --n-freq >= 2",
                   file=sys.stderr)
             return 1
-        imap = predict_mif(scene, ks, float(args.incident_angle), grid,
-                           terms=args.series_trunc)
+        imap = predict_mif(scene, ks, float(args.incident_angle), grid)
     return _write_map(args, "predict", imap,
                       inputs={"scene": args.scene},
                       params={"predictor": predictor, "wavenumbers": list(ks),
-                              "grid": args.grid_spec,
-                              "series_trunc": args.series_trunc})
+                              "grid": args.grid_spec})
 
 
 def cmd_compare(args):
@@ -254,7 +250,6 @@ def build_parser():
                    required=True)
     add_acquisition(p)
     p.add_argument("--grid", required=True, type=_parse_grid)
-    p.add_argument("--series-trunc", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -71,9 +71,6 @@ class IndicatorMap:
             return cls(grid, np.zeros(grid.shape), zero_map=True)
         return cls(grid, raw / peak)
 
-    def value_at_index(self, iy, ix):
-        return float(self.values[iy, ix])
-
     def argmax_point(self):
         iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
         return np.array([self.grid.x_coords()[ix], self.grid.y_coords()[iy]])
@@ -161,8 +158,6 @@ def indicator_if(tensor, f_index, grid):
     """Pointwise maximum of the per-direction indicators, renormalized."""
     _check_indices(tensor, f_index)
     L = tensor.values.shape[1]
-    if L < 1:
-        raise InputMismatchError("need at least one incident direction")
     stack = np.stack([indicator_single(tensor, f_index, l, grid).values
                       for l in range(L)])
     return IndicatorMap.from_raw(grid, stack.max(axis=0))

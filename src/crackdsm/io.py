@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputMismatchError
+from .errors import CrackDsmError, InputMismatchError
 from .forward import AcquisitionConfig, FarFieldTensor
 from .imaging import ImagingGrid, IndicatorMap
 from .scene import Crack, Scene
@@ -24,16 +24,23 @@ def _fmt(x):
 
 
 def atomic_write_bytes(path, data):
+    """Write via temp file and rename, mode 0o666 less the umask; OSError -> CrackDsmError."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise CrackDsmError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path, text):
@@ -96,6 +103,7 @@ def write_tensor(path, tensor):
 
 
 def read_tensor(path):
+    """Parse a tensor file; every (f, l, n) entry must appear exactly once."""
     header = {}
     rows = []
     in_data = False
@@ -111,17 +119,31 @@ def read_tensor(path):
             in_data = True
         else:
             header[key] = rest.split()
-    F = int(header["F"][0])
-    L = int(header["L"][0])
-    N = int(header["N"][0])
-    cfg = AcquisitionConfig(
-        wavenumbers=tuple(float(k) for k in header["wavenumbers"]),
-        n_obs=N,
-        incident_angles=tuple(float(a) for a in header["incident_angles"]))
+    try:
+        F, L, N = (int(header[key][0]) for key in ("F", "L", "N"))
+        wavenumbers = tuple(float(k) for k in header["wavenumbers"])
+        angles = tuple(float(a) for a in header["incident_angles"])
+        entries = [(int(f), int(l), int(n), float(re) + 1j * float(im))
+                   for f, l, n, re, im in rows]
+    except KeyError as exc:
+        raise InputMismatchError(f"tensor header lacks {exc}") from None
+    except (ValueError, IndexError) as exc:
+        raise InputMismatchError(f"malformed tensor file: {exc}") from None
+    cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
+    if (F, L) != (cfg.n_freq, cfg.n_incident):
+        raise InputMismatchError(f"header F={F}, L={L} disagree with its wavenumbers/angles")
+    if len(entries) != F * L * N:
+        raise InputMismatchError(
+            f"tensor has {len(entries)} data rows, header needs F*L*N = {F * L * N}")
     values = np.zeros((F, L, N), dtype=complex)
-    for parts in rows:
-        f, l, n = int(parts[0]), int(parts[1]), int(parts[2])
-        values[f, l, n] = float(parts[3]) + 1j * float(parts[4])
+    seen = np.zeros((F, L, N), dtype=bool)
+    for f, l, n, v in entries:
+        if not (0 <= f < F and 0 <= l < L and 0 <= n < N):
+            raise InputMismatchError(f"tensor index ({f}, {l}, {n}) out of range")
+        if seen[f, l, n]:
+            raise InputMismatchError(f"duplicate tensor entry ({f}, {l}, {n})")
+        seen[f, l, n] = True
+        values[f, l, n] = v
     return FarFieldTensor(values, cfg)
 
 

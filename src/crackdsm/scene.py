@@ -72,11 +72,6 @@ def crack_tangent(crack):
     return np.array([math.cos(crack.rotation), math.sin(crack.rotation)])
 
 
-def crack_normal(crack):
-    """Unit normal, tangent rotated by +pi/2."""
-    return np.array([-math.sin(crack.rotation), math.cos(crack.rotation)])
-
-
 def crack_endpoints(crack):
     """Endpoints center -+ half_length * tangent."""
     c = np.asarray(crack.center)

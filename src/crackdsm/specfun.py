@@ -2,8 +2,9 @@
 
 Evaluation scheme: ascending power series for |x| <= 12, backward (Miller)
 recurrence with sum-rule normalization for larger arguments.  Orders are
-capped at MAX_ORDER; the plane-wave series truncation rule never needs more
-for the argument range the imaging maps use.
+capped at MAX_ORDER, so `truncation_order` clips its rule ceil(|z|) + 25 for
+|z| > 39 and `jacobi_anger` loses accuracy there; the predictors in
+`asymptotic` sum the plane-wave series in closed form instead.
 """
 
 from __future__ import annotations

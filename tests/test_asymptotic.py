@@ -211,6 +211,61 @@ def test_aif_far_value_decays(k):
     assert np.max(imap.values.ravel()[far]) < 0.15
 
 
+def _cosine_series(kr, to_center, angles, orders=120):
+    """sum over alpha of J0 + 2 sum_{s<=orders} i^s J_s(kr) cos s(varphi - alpha).
+
+    Summed term by term with scipy's jv, evaluated once per distinct radius.
+    """
+    varphi = np.arctan2(to_center[:, 1], to_center[:, 0])
+    s = np.arange(1, orders + 1)[:, None]
+    radii, inverse = np.unique(kr, return_inverse=True)
+    coeffs = (2.0 * (1j ** s) * scipy_special.jv(s, radii))[:, inverse]
+    cosines = sum(np.cos(s * (varphi - alpha)) for alpha in angles)
+    return len(angles) * scipy_special.j0(kr) + np.sum(coeffs * cosines, axis=0)
+
+
+def test_aif_matches_scipy_series_beyond_order_cap():
+    # k r_max = 53.3 on this grid: the series needs more orders than the
+    # ceiling of 64 that bessel_j_orders supports
+    k = 4 * math.pi
+    angles = [2 * math.pi * i / 8 for i in range(1, 9)]
+    grid = ImagingGrid(-3.0, 3.0, -3.0, 3.0, 121, 121)
+    to_center = -grid.points()
+    kr = k * np.linalg.norm(to_center, axis=1)
+    raw = scipy_special.j0(kr) * _cosine_series(kr, to_center, angles)
+    want = np.abs(raw) / np.abs(raw).max()
+    imap = predict_aif(_origin_crack(), k, angles, grid)
+    assert np.max(np.abs(imap.values.ravel() - want)) < 1e-10
+
+
+def test_mif_matches_scipy_series_beyond_order_cap():
+    # kF r_max = 59.2 on this grid, again beyond 64 orders; the k nodes follow
+    # predict_mif's quadrature rule
+    ks = sorted(2 * math.pi / lam for lam in np.linspace(0.3, 0.7, 5))
+    k1, kF = ks[0], ks[-1]
+    alpha = math.pi / 2
+    grid = ImagingGrid(-2.0, 2.0, -2.0, 2.0, 41, 41)
+    to_center = -grid.points()
+    r = np.linalg.norm(to_center, axis=1)
+    kr1, krF = k1 * r, kF * r
+    psi3 = (kF * (scipy_special.j0(krF) ** 2 + scipy_special.j1(krF) ** 2)
+            - k1 * (scipy_special.j0(kr1) ** 2 + scipy_special.j1(kr1) ** 2))
+    n_panels = math.ceil((kF - k1) * r.max() / (2 * math.pi))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(k1, kF, n_panels + 1)
+    psi4 = np.zeros(r.size, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        for node, weight in zip(nodes, weights):
+            kr = (0.5 * (lo + hi) + half * node) * r
+            j0 = scipy_special.j0(kr)
+            series = _cosine_series(kr, to_center, [alpha]) - j0
+            psi4 += half * weight * (scipy_special.j1(kr) ** 2 + j0 * series)
+    want = np.abs(psi3 + psi4) / np.abs(psi3 + psi4).max()
+    imap = predict_mif(_origin_crack(), ks, alpha, grid)
+    assert np.max(np.abs(imap.values.ravel() - want)) < 1e-10
+
+
 def test_mif_peak_and_raw_center_value(k):
     lams = np.linspace(0.3, 0.7, 5)
     ks = sorted(2 * math.pi / lam for lam in lams)

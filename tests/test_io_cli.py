@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -231,6 +233,58 @@ def test_cli_missing_wavelength_errors(tmp_path, scene_file, capsys):
     rc = main(["simulate", "--scene", scene_file, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0.3,0.5,0.7", "a,b", "0.4"])
+def test_cli_lambda_range_needs_two_numbers(tmp_path, scene_file, capsys, spec):
+    rc = main(["simulate", "--scene", scene_file, "--lambda-range", spec,
+               "--n-freq", "3", "--out", str(tmp_path / "o.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --lambda-range")
+
+
+# each edit of a valid N = 30 tensor file's lines must be rejected
+_TENSOR_CORRUPTIONS = {
+    "missing_header_key": lambda lines: [ln for ln in lines if not ln.startswith("L ")],
+    "truncated": lambda lines: lines[:-3],
+    "index_out_of_range": lambda lines: lines[:-1] + ["0 0 30 1 0\n"],
+    "duplicate_entry": lambda lines: lines[:-1] + [lines[-2]],
+}
+
+
+@pytest.mark.parametrize("how", sorted(_TENSOR_CORRUPTIONS))
+def test_cli_image_rejects_bad_tensor(tmp_path, scene_file, capsys, how):
+    tensor = tmp_path / "data.txt"
+    assert main(["simulate", "--scene", scene_file, "--lambda", "0.5",
+                 "--generator", "order1", "--out", str(tensor)]) == 0
+    lines = tensor.read_text().splitlines(keepends=True)
+    tensor.write_text("".join(_TENSOR_CORRUPTIONS[how](lines)))
+    capsys.readouterr()
+    rc = main(["image", "--tensor", str(tensor), "--method", "single",
+               "--grid=-1,1,-1,1,11,11", "--out", str(tmp_path / "map")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("map*"))
+
+
+def test_outputs_honour_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        cio.write_manifest(tmp_path / "m.json", {"a": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "m.json").stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("out", ["missing/data.txt", "occupied"])
+def test_cli_unwritable_out_errors(tmp_path, scene_file, capsys, out):
+    (tmp_path / "occupied").mkdir()  # a directory cannot be replaced by a file
+    rc = main(["simulate", "--scene", scene_file, "--lambda", "0.5",
+               "--generator", "order1", "--out", str(tmp_path / out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["occupied", "scene.txt"]
 
 
 def test_cli_version(capsys):
