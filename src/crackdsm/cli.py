@@ -35,6 +35,12 @@ def _parse_grid(spec):
                        float(parts[3]), int(parts[4]), int(parts[5]))
 
 
+def _grid_spec(grid):
+    """The grid as a --grid value, bounds in %.17g."""
+    return "%.17g,%.17g,%.17g,%.17g,%d,%d" % (grid.x_min, grid.x_max, grid.y_min,
+                                              grid.y_max, grid.nx, grid.ny)
+
+
 def _wavenumbers(args):
     """Resolve k list from --lambda or --lambda-range/--n-freq."""
     if args.lambda_range:
@@ -153,7 +159,7 @@ def cmd_image(args):
                       inputs={"tensor": args.tensor},
                       params={"method": method, "f_index": args.f_index,
                               "l_index": args.l_index,
-                              "grid": args.grid_spec})
+                              "grid": _grid_spec(grid)})
 
 
 def cmd_predict(args):
@@ -178,7 +184,7 @@ def cmd_predict(args):
     return _write_map(args, "predict", imap,
                       inputs={"scene": args.scene},
                       params={"predictor": predictor, "wavenumbers": list(ks),
-                              "grid": args.grid_spec})
+                              "grid": _grid_spec(grid)})
 
 
 def cmd_compare(args):
@@ -272,15 +278,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    if getattr(args, "grid", None) is not None:
-        args.grid_spec = None
-        for i, token in enumerate(argv):
-            if token == "--grid" and i + 1 < len(argv):
-                args.grid_spec = argv[i + 1]
-                break
-            if token.startswith("--grid="):
-                args.grid_spec = token.split("=", 1)[1]
-                break
     try:
         return args.func(args)
     except CrackDsmError as exc:

@@ -205,7 +205,7 @@ class CrackSystem:
         n = self.n
         for p, (crack, pts) in enumerate(zip(self.scene.cracks, self.points)):
             weights = crack.half_length * math.pi / n
-            phases = np.exp(-1j * self.k * theta @ pts.T)     # (N, n)
+            phases = np.exp(-1j * self.k * (theta @ pts.T))   # (N, n)
             out += weights * phases @ psi[p * n:(p + 1) * n]
         return (1.0 + 1j) / (4.0 * math.sqrt(math.pi * self.k)) * out
 

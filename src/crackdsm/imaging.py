@@ -1,8 +1,9 @@
 """Sampling grids, indicator maps, and the direct-sampling indicator functions.
 
-The four indicators share one correlation kernel: the measured far-field row
-against the steering vector e^{-ik theta_n . x}.  All returned maps are
-normalized to max 1 (zero maps are flagged instead of divided).
+The four indicators share one kernel: far-field rows against the steering
+vectors e^{-ik theta_n . x}, optionally compensated by e^{-ik d . x}.  On the
+tensor-product grid each phase splits into x and y factors, so a map is one
+product By diag(u) Ax^T.  Maps have max 1 (zero maps are flagged, not divided).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import DomainError, InputMismatchError
 
 _ZERO_MAP_EPS = 1e-300
-_CHUNK = 4096  # grid points per correlation block, keeps phase matrices small
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,18 @@ def correlate(data, steer):
     return complex(np.sum(data * np.conj(steer)))
 
 
-def _correlation_blocks(data_row, k, grid):
-    """Yield (slice, corr) with corr_x = <data, steer(x)> over grid chunks."""
-    pts = grid.points()
-    dirs = observation_directions(data_row.size)
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = pts[start:start + _CHUNK]
-        phase = np.exp(1j * k * (block @ dirs.T))
-        yield slice(start, start + block.shape[0]), phase @ data_row
+def _steered_sum(ks, rows, comp, grid):
+    """(ny, nx) map of sum_t sum_n rows[t, n] e^{i ks[t] (theta_n - comp[t]) . x}.
 
-
-def _correlation_map(data_row, k, grid):
-    out = np.empty(grid.nx * grid.ny, dtype=complex)
-    for sl, corr in _correlation_blocks(data_row, k, grid):
-        out[sl] = corr
-    return out
+    ks and comp hold one entry per row or one for all; comp (0, 0) means no
+    compensation.
+    """
+    rows = np.asarray(rows)
+    theta = observation_directions(rows.shape[1])
+    wave = np.reshape(ks, (-1, 1, 1)) * (theta - np.reshape(comp, (-1, 1, 2)))  # (T, N, 2)
+    ax = np.exp(1j * np.outer(grid.x_coords(), wave[..., 0]))    # (nx, T*N)
+    by = np.exp(1j * np.outer(grid.y_coords(), wave[..., 1]))    # (ny, T*N)
+    return by @ (ax * rows.ravel()).T
 
 
 def _check_indices(tensor, f_index, l_index=None):
@@ -142,37 +139,36 @@ def _check_indices(tensor, f_index, l_index=None):
         raise InputMismatchError(f"incident index {l_index} out of range (L={L})")
 
 
-def indicator_single(tensor, f_index, l_index, grid):
-    """Classical single-direction indicator: normalized steering correlation."""
-    _check_indices(tensor, f_index, l_index)
-    row = tensor.values[f_index, l_index]
-    k = tensor.config.wavenumbers[f_index]
+def _single(row, k, grid):
     norm = np.linalg.norm(row) * math.sqrt(row.size)
     if norm < _ZERO_MAP_EPS:
         return IndicatorMap(grid, np.zeros(grid.shape), zero_map=True)
-    raw = np.abs(_correlation_map(row, k, grid)) / norm
+    raw = np.abs(_steered_sum(k, [row], (0.0, 0.0), grid)) / norm
     return IndicatorMap.from_raw(grid, raw)
+
+
+def indicator_single(tensor, f_index, l_index, grid):
+    """Classical single-direction indicator: normalized steering correlation."""
+    _check_indices(tensor, f_index, l_index)
+    return _single(tensor.values[f_index, l_index],
+                   tensor.config.wavenumbers[f_index], grid)
 
 
 def indicator_if(tensor, f_index, grid):
     """Pointwise maximum of the per-direction indicators, renormalized."""
     _check_indices(tensor, f_index)
-    L = tensor.values.shape[1]
-    stack = np.stack([indicator_single(tensor, f_index, l, grid).values
-                      for l in range(L)])
-    return IndicatorMap.from_raw(grid, stack.max(axis=0))
+    k = tensor.config.wavenumbers[f_index]
+    peak = np.zeros(grid.shape)
+    for row in tensor.values[f_index]:
+        np.maximum(peak, _single(row, k, grid).values, out=peak)
+    return IndicatorMap.from_raw(grid, peak)
 
 
 def indicator_aif(tensor, f_index, grid):
     """Phase-compensated sum over incident directions (improving factor)."""
     _check_indices(tensor, f_index)
-    k = tensor.config.wavenumbers[f_index]
-    pts = grid.points()
-    total = np.zeros(pts.shape[0], dtype=complex)
-    for l, ang in enumerate(tensor.config.incident_angles):
-        d = np.array([math.cos(ang), math.sin(ang)])
-        corr = _correlation_map(tensor.values[f_index, l], k, grid)
-        total += np.exp(-1j * k * pts @ d) * corr
+    total = _steered_sum(tensor.config.wavenumbers[f_index], tensor.values[f_index],
+                         tensor.config.incident_directions(), grid)
     return IndicatorMap.from_raw(grid, np.abs(total))
 
 
@@ -183,13 +179,8 @@ def indicator_mif(tensor, grid):
         raise InputMismatchError("multi-frequency indicator needs F >= 2")
     if L != 1:
         raise InputMismatchError("multi-frequency indicator expects a single incident direction")
-    ang = tensor.config.incident_angles[0]
-    d = np.array([math.cos(ang), math.sin(ang)])
-    pts = grid.points()
-    total = np.zeros(pts.shape[0], dtype=complex)
-    for f, k in enumerate(tensor.config.wavenumbers):
-        corr = _correlation_map(tensor.values[f, 0], k, grid)
-        total += np.exp(-1j * k * pts @ d) * corr
+    total = _steered_sum(tensor.config.wavenumbers, tensor.values[:, 0],
+                         tensor.config.incident_directions(), grid)
     return IndicatorMap.from_raw(grid, np.abs(total))
 
 

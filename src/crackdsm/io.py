@@ -23,6 +23,14 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _read_text(path):
+    """File contents as text; OSError or undecodable bytes -> CrackDsmError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CrackDsmError(f"cannot read {path}: {exc}") from None
+
+
 def atomic_write_bytes(path, data):
     """Write via temp file and rename, mode 0o666 less the umask; OSError -> CrackDsmError."""
     path = Path(path)
@@ -70,14 +78,14 @@ def write_scene(path, scene):
 
 def read_scene(path):
     cracks = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise InputMismatchError(f"bad scene line: {raw!r}")
-        cx, cy, half, rot = (float(p) for p in parts)
+        try:
+            cx, cy, half, rot = (float(p) for p in line.split())
+        except ValueError:
+            raise InputMismatchError(f"bad scene line: {raw!r}") from None
         cracks.append(Crack((cx, cy), half, rot))
     return Scene(tuple(cracks))
 
@@ -107,7 +115,7 @@ def read_tensor(path):
     header = {}
     rows = []
     in_data = False
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -155,18 +163,22 @@ def write_map_csv(path, imap):
     lines = ["# indicator-map-csv v1\n",
              "# x_min,x_max,y_min,y_max,nx,ny\n",
              f"{_fmt(g.x_min)},{_fmt(g.x_max)},{_fmt(g.y_min)},{_fmt(g.y_max)},{g.nx},{g.ny}\n"]
+    row_fmt = ",".join(["%.17g"] * g.nx) + "\n"  # same text as _fmt, one call per row
     for row in imap.values:  # y ascending, row-major
-        lines.append(",".join(_fmt(v) for v in row) + "\n")
+        lines.append(row_fmt % tuple(row.tolist()))
     atomic_write_text(path, "".join(lines))
 
 
 def read_map_csv(path):
-    lines = [ln for ln in Path(path).read_text().splitlines()
+    lines = [ln for ln in _read_text(path).splitlines()
              if ln.strip() and not ln.startswith("#")]
-    hx = lines[0].split(",")
-    grid = ImagingGrid(float(hx[0]), float(hx[1]), float(hx[2]), float(hx[3]),
-                       int(hx[4]), int(hx[5]))
-    values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    try:
+        x_min, x_max, y_min, y_max, nx, ny = lines[0].split(",")
+        grid = ImagingGrid(float(x_min), float(x_max), float(y_min), float(y_max),
+                           int(nx), int(ny))
+        values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    except (ValueError, IndexError) as exc:
+        raise InputMismatchError(f"malformed map file: {exc}") from None
     if values.shape != grid.shape:
         raise InputMismatchError(
             f"map data shape {values.shape} does not match header {grid.shape}")
@@ -190,4 +202,4 @@ def write_manifest(path, payload):
 
 
 def read_manifest(path):
-    return json.loads(Path(path).read_text())
+    return json.loads(_read_text(path))

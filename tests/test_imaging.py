@@ -297,3 +297,80 @@ def test_indicator_invariance_property(scale, phase):
                          tensor.config)
     linf, _ = map_distance(base, indicator_single(mod, 0, 0, grid))
     assert linf < 1e-10
+
+
+# ------------------------------------------------- kernel against brute force
+
+def _brute_corr(row, k, grid, d=(0.0, 0.0)):
+    """sum_n row_n e^{ik theta_n . x} e^{-ik d . x}, one direction at a time."""
+    pts = grid.points()
+    theta = observation_directions(row.size)
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for n in range(row.size):
+        out += row[n] * np.exp(1j * k * (pts @ theta[n]))
+    return (out * np.exp(-1j * k * (pts @ np.asarray(d)))).reshape(grid.shape)
+
+
+def _unit_peak(raw):
+    return raw / raw.max()
+
+
+def test_indicators_match_brute_force_sum(k):
+    # non-square, off-centre grid; random complex data
+    grid = ImagingGrid(-0.3, 1.1, -0.9, 0.4, 37, 23)
+    rng = np.random.default_rng(11)
+    angles = (0.4, 2.1, 4.0)
+    data = rng.standard_normal((1, 3, 30)) + 1j * rng.standard_normal((1, 3, 30))
+    multi = FarFieldTensor(data, AcquisitionConfig((k,), 30, angles))
+    ks = (k, 1.2 * k, 1.5 * k)
+    band = FarFieldTensor(data.transpose(1, 0, 2),
+                          AcquisitionConfig(ks, 30, (angles[0],)))
+    dirs = multi.config.incident_directions()
+    singles = [_unit_peak(np.abs(_brute_corr(data[0, l], k, grid))) for l in range(3)]
+    want = {
+        "single": singles[1],
+        "if": _unit_peak(np.max(singles, axis=0)),
+        "aif": _unit_peak(np.abs(sum(_brute_corr(data[0, l], k, grid, dirs[l])
+                                     for l in range(3)))),
+        "mif": _unit_peak(np.abs(sum(_brute_corr(data[0, f], ks[f], grid, dirs[0])
+                                     for f in range(3)))),
+    }
+    got = {
+        "single": indicator_single(multi, 0, 1, grid),
+        "if": indicator_if(multi, 0, grid),
+        "aif": indicator_aif(multi, 0, grid),
+        "mif": indicator_mif(band, grid),
+    }
+    for name, imap in got.items():
+        assert imap.values.shape == (23, 37)
+        assert np.max(np.abs(imap.values - want[name])) < 1e-12, name
+
+
+def _band_order1(scene, ks, angle, n_obs=30):
+    cfg = AcquisitionConfig(tuple(ks), n_obs, (angle,))
+    d = np.array([math.cos(angle), math.sin(angle)])
+    rows = [[farfield_order1(scene, kk, d, cfg)] for kk in ks]
+    return FarFieldTensor(np.asarray(rows), cfg)
+
+
+@given(ax=st.floats(min_value=-2.0, max_value=2.0),
+       ay=st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=20, deadline=None)
+def test_translation_covariance_property(ax, ay):
+    # moving scene and grid together leaves every compensated map unchanged
+    k = 2 * math.pi / 0.5
+    cracks = ((0.2, -0.1, 0.3), (-0.3, 0.25, 1.2))
+    scene = Scene(tuple(Crack((x, y), 0.05, r) for x, y, r in cracks))
+    moved = Scene(tuple(Crack((x + ax, y + ay), 0.05, r) for x, y, r in cracks))
+    grid = ImagingGrid(-0.6, 0.6, -0.5, 0.5, 25, 21)
+    shifted = ImagingGrid(-0.6 + ax, 0.6 + ax, -0.5 + ay, 0.5 + ay, 25, 21)
+    angles = [0.7, 1.9, 3.3]
+    ks = (k, 1.2 * k, 1.4 * k)
+
+    def maps(sc, g):
+        multi = _tensor_order1(sc, k, angles)
+        return (indicator_single(multi, 0, 0, g), indicator_aif(multi, 0, g),
+                indicator_mif(_band_order1(sc, ks, 1.0), g))
+
+    for base, moved_map in zip(maps(scene, grid), maps(moved, shifted)):
+        assert np.max(np.abs(base.values - moved_map.values)) < 1e-10

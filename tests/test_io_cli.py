@@ -63,6 +63,16 @@ def test_map_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_map_csv_rows_match_value_by_value_format(tmp_path):
+    grid = ImagingGrid(-1.0, 1.0, -0.5, 0.5, 9, 4)
+    values = np.random.default_rng(5).random((4, 9))
+    values[0, :3] = [0.0, 1.0, 1e-300]
+    path = tmp_path / "m.csv"
+    cio.write_map_csv(path, IndicatorMap(grid, values))
+    rows = path.read_text().splitlines()[3:]
+    assert rows == [",".join(format(float(v), ".17g") for v in row) for row in values]
+
+
 def test_map_csv_shape_mismatch_detected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1,0,1,3,3\n0,0,0\n0,0,0\n")
@@ -291,3 +301,38 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_grid_forms_record_same_spec(tmp_path, scene_file):
+    specs = []
+    for i, grid_args in enumerate([["--grid", "0.0,1.50,-0.25,0.75,11,9"],
+                                   ["--grid=0.0,1.50,-0.25,0.75,11,9"]]):
+        out = str(tmp_path / f"p{i}")
+        assert main(["predict", "--scene", scene_file, "--predictor", "s1",
+                     "--lambda", "0.5", *grid_args, "--out", out]) == 0
+        specs.append(cio.read_manifest(out + ".csv.manifest.json")["params"]["grid"])
+    assert specs == ["0,1.5,-0.25,0.75,11,9"] * 2
+
+
+# argv of each command that reads a file; {src} is the file it must reject
+_READERS = {
+    "image": ["image", "--tensor", "{src}", "--method", "single",
+              "--grid=-1,1,-1,1,11,11", "--out", "{out}"],
+    "predict": ["predict", "--scene", "{src}", "--predictor", "s1", "--lambda", "0.5",
+                "--grid=-1,1,-1,1,11,11", "--out", "{out}"],
+    "peaks": ["peaks", "--map", "{src}"],
+    "compare": ["compare", "--a", "{src}", "--b", "{src}"],
+}
+
+
+@pytest.mark.parametrize("command, src", [(c, "missing") for c in sorted(_READERS)]
+                         + [("compare", "bad_cell"), ("peaks", "bad_cell")])
+def test_cli_rejects_unreadable_input(tmp_path, capsys, command, src):
+    path = tmp_path / "input.txt"
+    if src == "bad_cell":
+        path.write_text("0,1,0,1,2,2\n0,x\n0,0\n")
+    argv = [a.format(src=path, out=tmp_path / "out") for a in _READERS[command]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
