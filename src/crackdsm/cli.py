@@ -275,8 +275,13 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value such as "-1,1,-1,1,11,11" as an option, so a
+    # --grid value given as its own token is bound to the flag first.
+    bound = list(argv)
+    for i in reversed(range(len(bound) - 1)):
+        if bound[i] == "--grid":
+            bound[i:i + 2] = ["--grid=" + bound[i + 1]]
+    args = build_parser().parse_args(bound)
     args._argv = argv
     try:
         return args.func(args)

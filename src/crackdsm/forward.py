@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.special import hankel1, j0 as sp_j0, y0 as sp_y0
+from scipy.special import j0 as sp_j0, y0 as sp_y0
 
 from .errors import DomainError, InputMismatchError, SceneError, SolverError
 from .imaging import observation_directions
@@ -98,13 +98,12 @@ class FarFieldTensor:
             raise InputMismatchError("tensor entries must be finite")
 
 
-def _smooth_kernel_part(z):
-    """(i/4) H0^(1)(z) + ln(z) J0(z)/(2 pi), extended smoothly through z = 0."""
-    z = np.asarray(z, dtype=float)
+def _smooth_kernel_part(z, j0):
+    """(i/4) H0^(1)(z) + ln(z) J0(z)/(2 pi), extended smoothly through z = 0; j0 = J0(z)."""
     out = np.empty(z.shape, dtype=complex)
     pos = z > 0.0
-    zp = z[pos]
-    out[pos] = 0.25j * (sp_j0(zp) + 1j * sp_y0(zp)) + np.log(zp) * sp_j0(zp) / (2.0 * math.pi)
+    zp, jp = z[pos], j0[pos]
+    out[pos] = 0.25j * (jp + 1j * sp_y0(zp)) + np.log(zp) * jp / (2.0 * math.pi)
     out[~pos] = 0.25j - (_EULER_GAMMA - math.log(2.0)) / (2.0 * math.pi)
     return out
 
@@ -131,7 +130,11 @@ def _log_quadrature_matrix(n):
 
 
 class CrackSystem:
-    """Factorized boundary system for one scene at one wavenumber."""
+    """Factorized boundary system for one scene at one wavenumber.
+
+    ``points`` holds the (m*n, 2) nodes, crack p owning rows p*n to (p+1)*n;
+    ``rcond`` is LAPACK's reciprocal 1-norm condition estimate (1 if empty).
+    """
 
     def __init__(self, scene, k, quad=QuadratureSpec()):
         require_valid(scene, k)
@@ -141,11 +144,10 @@ class CrackSystem:
         self.m_cracks = len(scene.cracks)
         sigma, _ = _chebyshev_nodes(self.n)
         self.sigma = sigma
-        self.points = []     # physical node coordinates per crack, (n, 2)
-        for crack in scene.cracks:
-            c = np.asarray(crack.center)
-            t = crack_tangent(crack)
-            self.points.append(c + crack.half_length * np.outer(sigma, t))
+        self.points = np.array([
+            np.asarray(c.center) + c.half_length * np.outer(sigma, crack_tangent(c))
+            for c in scene.cracks]).reshape(-1, 2)
+        self.rcond = 1.0
         if self.m_cracks == 0:
             return
         self._factor(_log_quadrature_matrix(self.n))
@@ -153,28 +155,31 @@ class CrackSystem:
     def _self_block(self, crack, logmat):
         k, n = self.k, self.n
         half = crack.half_length
-        dist = np.abs(self.sigma[:, None] - self.sigma[None, :])
-        z = k * half * dist
-        smooth = _smooth_kernel_part(z) - math.log(k * half) * sp_j0(z) / (2.0 * math.pi)
-        block = -(1.0 / (2.0 * math.pi)) * logmat * sp_j0(z)
+        z = k * half * np.abs(self.sigma[:, None] - self.sigma[None, :])
+        j0 = sp_j0(z)
+        smooth = _smooth_kernel_part(z, j0) - math.log(k * half) * j0 / (2.0 * math.pi)
+        block = -(1.0 / (2.0 * math.pi)) * logmat * j0
         block = block + (math.pi / n) * smooth
         return half * block
 
-    def _cross_block(self, crack_q, pts_p, pts_q):
-        diff = pts_p[:, None, :] - pts_q[None, :, :]
-        r = np.linalg.norm(diff, axis=2)
-        return crack_q.half_length * (math.pi / self.n) * 0.25j * hankel1(0, self.k * r)
-
     def _factor(self, logmat):
-        n, mc = self.n, self.m_cracks
+        n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
+        pts = self.points.reshape(mc, n, 2)
+        weight = (math.pi / n) * 0.25j
         a = np.empty((mc * n, mc * n), dtype=complex)
         for p in range(mc):
-            for q in range(mc):
-                if p == q:
-                    blk = self._self_block(self.scene.cracks[p], logmat)
-                else:
-                    blk = self._cross_block(self.scene.cracks[q], self.points[p], self.points[q])
-                a[p * n:(p + 1) * n, q * n:(q + 1) * n] = blk
+            rows = slice(p * n, (p + 1) * n)
+            a[rows, rows] = self._self_block(cracks[p], logmat)
+            for q in range(p + 1, mc):
+                # H0(k|x_i - y_j|) is symmetric in the two nodes, so block
+                # (q, p) is block (p, q) transposed; each block carries the
+                # quadrature weight of its column crack.
+                cols = slice(q * n, (q + 1) * n)
+                diff = pts[p][:, None, :] - pts[q][None, :, :]
+                kr = self.k * np.hypot(diff[..., 0], diff[..., 1])
+                h = sp_j0(kr) + 1j * sp_y0(kr)
+                a[rows, cols] = (weight * cracks[q].half_length) * h
+                a[cols, rows] = (weight * cracks[p].half_length) * h.T
         anorm = np.linalg.norm(a, 1)
         try:
             self._lu = lu_factor(a)
@@ -187,27 +192,27 @@ class CrackSystem:
             raise SolverError(
                 f"boundary system too ill-conditioned (cond ~ {est:.3e})",
                 condition_estimate=est)
-
-    def solve_density(self, d):
-        """Nodal psi values for incident direction d (unit vector)."""
-        d = np.asarray(d, dtype=float)
-        rhs = np.concatenate([
-            -np.exp(1j * self.k * pts @ d) for pts in self.points])
-        return lu_solve(self._lu, rhs)
+        self.rcond = float(rcond)
 
     def far_field(self, d, n_obs):
-        """Far-field pattern at the N uniform observation directions."""
-        if self.m_cracks == 0:
-            return np.zeros(n_obs, dtype=complex)
-        psi = self.solve_density(d)
-        theta = observation_directions(n_obs)
-        out = np.zeros(n_obs, dtype=complex)
-        n = self.n
-        for p, (crack, pts) in enumerate(zip(self.scene.cracks, self.points)):
-            weights = crack.half_length * math.pi / n
-            phases = np.exp(-1j * self.k * (theta @ pts.T))   # (N, n)
-            out += weights * phases @ psi[p * n:(p + 1) * n]
-        return (1.0 + 1j) / (4.0 * math.sqrt(math.pi * self.k)) * out
+        """Far-field pattern at the N uniform observation directions.
+
+        ``d`` is one unit incident direction, shape (2,), giving shape (N,),
+        or L of them, shape (L, 2), giving (L, N); the L directions share one
+        multi-right-hand-side solve and one phase product.
+        """
+        d = np.asarray(d, dtype=float)
+        dirs = d.reshape(-1, 2)
+        out = np.zeros((len(dirs), n_obs), dtype=complex)
+        if self.m_cracks:
+            psi = lu_solve(self._lu, -np.exp(1j * self.k * (self.points @ dirs.T)))
+            weights = np.repeat([c.half_length * math.pi / self.n for c in self.scene.cracks],
+                                self.n)
+            theta = observation_directions(n_obs)
+            phases = np.exp(-1j * self.k * (theta @ self.points.T))      # (N, m*n)
+            out = (phases @ (weights[:, None] * psi)).T
+            out *= (1.0 + 1j) / (4.0 * math.sqrt(math.pi * self.k))
+        return out if d.ndim == 2 else out[0]
 
 
 def far_field(scene, k, d, config, quad=QuadratureSpec()):
@@ -219,15 +224,12 @@ def far_field(scene, k, d, config, quad=QuadratureSpec()):
 def far_field_tensor(scene, config, quad=QuadratureSpec()):
     """Full-solver tensor over all (wavenumber, incident direction) pairs.
 
-    One factorization per wavenumber, reused across incident directions.
+    One factorization and one multi-direction solve per wavenumber.
     """
-    values = np.zeros((config.n_freq, config.n_incident, config.n_obs), dtype=complex)
     dirs = config.incident_directions()
-    for f, k in enumerate(config.wavenumbers):
-        system = CrackSystem(scene, k, quad)
-        for l in range(config.n_incident):
-            values[f, l] = system.far_field(dirs[l], config.n_obs)
-    return FarFieldTensor(values, config)
+    values = [CrackSystem(scene, k, quad).far_field(dirs, config.n_obs)
+              for k in config.wavenumbers]
+    return FarFieldTensor(np.array(values), config)
 
 
 def reciprocity_residual(scene, k, config, quad=QuadratureSpec()):
@@ -245,20 +247,11 @@ def reciprocity_residual(scene, k, config, quad=QuadratureSpec()):
         raise InputMismatchError("reciprocity check needs d_l = theta_l")
     if len(scene.cracks) == 0:
         return 0.0
-    system = CrackSystem(scene, k, quad)
     n = config.n_obs
-    fwd = np.stack([system.far_field(inc[l], n) for l in range(n)])   # [l][n]
-    rev = np.stack([system.far_field(-obs[m], n) for m in range(n)])  # [m][l']
-    # psi(-d_l, -theta_n): solve with incident -theta_n, observe at -d_l.
-    # rev[m, l] = psi_inf(theta'_l, -theta_m); need entry where theta'_l = -d_l.
-    # Observation direction -d_l = -theta_l corresponds to angle(theta_l)+pi.
-    half = n // 2
     if n % 2 != 0:
         raise InputMismatchError("reciprocity check needs an even N")
-    resid = 0.0
-    for nn in range(n):
-        for ll in range(n):
-            lhs = fwd[ll, nn]
-            rhs = rev[nn, (ll + half) % n]
-            resid = max(resid, abs(lhs - rhs))
-    return float(resid)
+    system = CrackSystem(scene, k, quad)
+    fwd = system.far_field(inc, n)     # fwd[l, m] = psi_inf(theta_m, d_l)
+    rev = system.far_field(-obs, n)    # rev[m, l] = psi_inf(theta_l, -theta_m)
+    # -d_l = theta_{l + N/2}, so psi_inf(-d_l, -theta_m) = rev[m, l + N/2].
+    return float(np.max(np.abs(fwd - np.roll(rev, -(n // 2), axis=1).T)))

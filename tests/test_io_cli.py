@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,29 @@ def test_cli_grid_forms_record_same_spec(tmp_path, scene_file):
                      "--lambda", "0.5", *grid_args, "--out", out]) == 0
         specs.append(cio.read_manifest(out + ".csv.manifest.json")["params"]["grid"])
     assert specs == ["0,1.5,-0.25,0.75,11,9"] * 2
+
+
+def test_cli_grid_value_with_negative_bound_as_own_token(tmp_path, scene_file):
+    # argparse alone reads "-1,..." after --grid as an option, not a value
+    tensor = str(tmp_path / "data.txt")
+    assert main(["simulate", "--scene", scene_file, "--lambda", "0.5",
+                 "--generator", "order1", "--out", tensor]) == 0
+    commands = {"image": ["image", "--tensor", tensor, "--method", "single"],
+                "predict": ["predict", "--scene", scene_file, "--predictor", "s1",
+                            "--lambda", "0.5"]}
+    for name, argv in commands.items():
+        outs = []
+        for form, grid_args in (("sep", ["--grid", "-1,1,-0.5,1,11,9"]),
+                                ("eq", ["--grid=-1,1,-0.5,1,11,9"])):
+            out = str(tmp_path / f"{name}_{form}")
+            assert main([*argv, *grid_args, "--out", out]) == 0
+            outs.append(out)
+        sep, eq = outs
+        for ext in (".csv", ".pgm"):
+            assert Path(sep + ext).read_bytes() == Path(eq + ext).read_bytes()
+        grids = [cio.read_manifest(o + ".csv.manifest.json")["params"]["grid"]
+                 for o in outs]
+        assert grids == ["-1,1,-0.5,1,11,9"] * 2
 
 
 # argv of each command that reads a file; {src} is the file it must reject
