@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import j0 as sp_j0, j1 as sp_j1
 
 from .errors import DomainError, InputMismatchError
 from .imaging import ImagingGrid, IndicatorMap, observation_directions
-from .scene import crack_tangent, require_valid
-from .specfun import bessel_j_orders, lambda_envelope
+from .scene import check_wavenumber, crack_tangent, require_valid
+from .specfun import lambda_envelope
 
 
 def _log_weight(half_length):
@@ -78,10 +79,11 @@ def _grid_radii(scene, grid):
 
 def predict_structure1(scene, k, grid):
     """Single-direction map shape |sum_m J0(k r_m)/ln(l_m/2)|, max-normalized."""
+    check_wavenumber(k)
     _, _, radii = _grid_radii(scene, grid)
     raw = np.zeros(grid.nx * grid.ny)
     for crack, r in zip(scene.cracks, radii):
-        raw += bessel_j_orders(0, k * r)[0] / _log_weight(crack.half_length)
+        raw += sp_j0(k * r) / _log_weight(crack.half_length)
     return IndicatorMap.from_raw(grid, np.abs(raw))
 
 
@@ -93,6 +95,7 @@ def structure_fields(scene, k, d, grid):
     (relative weighting from the structure derivation).  Phi2 is defined as 0
     at exact coincidence x = c_m.
     """
+    check_wavenumber(k)
     half = _equal_half_length(scene)
     d = np.asarray(d, dtype=float)
     _, offs, radii = _grid_radii(scene, grid)
@@ -103,12 +106,11 @@ def structure_fields(scene, k, d, grid):
         t = crack_tangent(crack)
         w1 = (2.0 * math.pi) ** 2 / _log_weight(half)
         phase = np.exp(1j * k * (d @ c))
-        j0, j1 = bessel_j_orders(1, k * r)
-        phi1 += w1 * phase * j0
+        phi1 += w1 * phase * sp_j0(k * r)
         with np.errstate(invalid="ignore", divide="ignore"):
             radial_dot = np.where(r > 0.0, (off @ t) / np.where(r > 0.0, r, 1.0), 0.0)
         phi2 += (-2.0 * math.pi**2 * k**2 * half**2 * 1j
-                 * (d @ t) * phase * radial_dot * j1)
+                 * (d @ t) * phase * radial_dot * sp_j1(k * r))
     return phi1, phi2
 
 
@@ -125,6 +127,7 @@ def predict_aif(scene, k, incident_angles, grid):
     the plane-wave sum is the J0*Js cosine series
     sum_l [J0 + 2 sum_s i^s J_s(k r_m) cos s(varphi_m - alpha_l)] in closed form.
     """
+    check_wavenumber(k)
     incident_angles = np.asarray(incident_angles, dtype=float)
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
@@ -134,7 +137,7 @@ def predict_aif(scene, k, incident_angles, grid):
     for crack, off, r in zip(scene.cracks, offs, radii):
         w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
         plane_waves = np.exp(-1j * k * (off @ dirs.T)).sum(axis=1)
-        raw += w * bessel_j_orders(0, k * r)[0] * plane_waves
+        raw += w * sp_j0(k * r) * plane_waves
     return IndicatorMap.from_raw(grid, np.abs(raw))
 
 
@@ -176,8 +179,8 @@ def predict_mif(scene, k_list, incident_angle, grid):
     k_list = np.asarray(k_list, dtype=float)
     if k_list.size < 2:
         raise InputMismatchError("multi-frequency predictor needs at least 2 wavenumbers")
-    if np.any(np.diff(k_list) <= 0.0) or np.any(k_list <= 0.0):
-        raise DomainError("wavenumbers must be positive and strictly increasing")
+    if np.any(np.diff(k_list) <= 0.0) or not np.all((k_list > 0.0) & np.isfinite(k_list)):
+        raise DomainError("wavenumbers must be finite, positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
     d = np.array([math.cos(incident_angle), math.sin(incident_angle)])
     _, offs, radii = _grid_radii(scene, grid)
@@ -191,7 +194,7 @@ def predict_mif(scene, k_list, incident_angle, grid):
         psi3 = kF * lambda_envelope(kF * r) - k1 * lambda_envelope(k1 * r)
         psi4 = np.zeros(r.size, dtype=complex)
         for kq, wq in zip(knodes, kweights):
-            j0, j1 = bessel_j_orders(1, kq * r)
+            j0, j1 = sp_j0(kq * r), sp_j1(kq * r)
             psi4 += wq * (j1**2 + j0 * (np.exp(1j * kq * proj) - j0))
         raw += w * (psi3 + psi4)
     return IndicatorMap.from_raw(grid, np.abs(raw))

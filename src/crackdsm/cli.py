@@ -48,15 +48,17 @@ def _wavenumbers(args):
             lo, hi = (float(v) for v in args.lambda_range.split(","))
         except ValueError:
             raise CrackDsmError('--lambda-range must be two numbers "min,max"') from None
-        if not (0 < lo < hi):
-            raise CrackDsmError("lambda range must satisfy 0 < min < max")
+        if not (0 < lo < hi < math.inf):
+            raise CrackDsmError("lambda range must satisfy 0 < min < max < inf")
         if args.n_freq < 2:
             raise CrackDsmError("--lambda-range needs --n-freq >= 2")
         lams = np.linspace(lo, hi, args.n_freq)
         return tuple(sorted(2.0 * math.pi / lams))
     if args.wavelength is None:
         raise CrackDsmError("give --lambda or --lambda-range")
-    return (2.0 * math.pi / float(args.wavelength),)
+    if not (0 < args.wavelength < math.inf):
+        raise CrackDsmError(f"--lambda must be finite and > 0, got {args.wavelength}")
+    return (2.0 * math.pi / args.wavelength,)
 
 
 def _incident_angles(args):

@@ -79,6 +79,12 @@ def crack_endpoints(crack):
     return c - crack.half_length * t, c + crack.half_length * t
 
 
+def check_wavenumber(k):
+    """Raise DomainError unless k is a finite positive wavenumber."""
+    if not (k > 0.0 and math.isfinite(k)):
+        raise DomainError(f"wavenumber must be finite and positive, got {k}")
+
+
 def validate_scene(scene, k, include_warnings=False):
     """Check separation (k*dist > 3/4) and crack smallness (k*l < 1).
 
@@ -86,8 +92,7 @@ def validate_scene(scene, k, include_warnings=False):
     (0.5 <= k*l < 1, marginal small-crack regime) are appended only when
     include_warnings is set.
     """
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     out = []
     centers = [np.asarray(c.center) for c in scene.cracks]
     for i in range(len(centers)):

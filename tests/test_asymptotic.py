@@ -321,6 +321,20 @@ def test_mif_envelope_suppresses_later_lobes():
     assert np.max(env) < 0.5 * np.max(j0sq)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_predictors_reject_bad_wavenumber(k, bad):
+    grid = ImagingGrid(-0.4, 0.4, -0.4, 0.4, 11, 11)
+    sc = _origin_crack()
+    with pytest.raises(DomainError):
+        predict_structure1(sc, bad, grid)
+    with pytest.raises(DomainError):
+        predict_structure2(sc, bad, np.array([0.0, 1.0]), grid)
+    with pytest.raises(DomainError):
+        predict_aif(sc, bad, [0.0, 1.0], grid)
+    with pytest.raises(DomainError):
+        predict_mif(sc, [k, k + bad], 0.0, grid)
+
+
 def test_mif_requires_two_increasing_wavenumbers(k):
     grid = ImagingGrid(-0.4, 0.4, -0.4, 0.4, 11, 11)
     with pytest.raises(InputMismatchError):

@@ -246,6 +246,32 @@ def test_cli_missing_wavelength_errors(tmp_path, scene_file, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+_COMMAND_TAILS = {
+    "simulate": ["--generator", "order1"],
+    "predict": ["--predictor", "s1", "--grid=-1,1,-1,1,11,11"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_TAILS))
+@pytest.mark.parametrize("wavelength", ["0", "inf", "-0.5", "nan"])
+def test_cli_rejects_bad_wavelength(tmp_path, scene_file, capsys, command, wavelength):
+    rc = main([command, "--scene", scene_file, "--lambda", wavelength,
+               *_COMMAND_TAILS[command], "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("spec", ["0.3,inf", "0.3,nan", "nan,0.5"])
+def test_cli_lambda_range_must_be_finite(tmp_path, scene_file, capsys, spec):
+    rc = main(["simulate", "--scene", scene_file, "--lambda-range", spec,
+               "--n-freq", "3", "--out", str(tmp_path / "o.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: lambda range")
+    assert not list(tmp_path.glob("o.txt*"))
+
+
 @pytest.mark.parametrize("spec", ["0.3,0.5,0.7", "a,b", "0.4"])
 def test_cli_lambda_range_needs_two_numbers(tmp_path, scene_file, capsys, spec):
     rc = main(["simulate", "--scene", scene_file, "--lambda-range", spec,

@@ -55,6 +55,26 @@ def test_against_mpmath(order, x):
         float(mp.besselj(order, x)), abs=1e-12)
 
 
+def test_orders_array_contract():
+    smax = 9
+    assert specfun.bessel_j_orders(smax, 3.3).shape == (smax + 1,)
+    # negative, zero, below and above 12 in one 2-D argument
+    x = np.array([[-14.6, -2.5, 0.0], [0.7, 11.9, 12.1], [25.0, 63.2, 100.0]])
+    got = specfun.bessel_j_orders(smax, x)
+    assert got.shape == (smax + 1,) + x.shape
+    for s in range(smax + 1):
+        for idx in np.ndindex(x.shape):
+            assert got[(s,) + idx] == pytest.approx(
+                float(mp.besselj(s, x[idx])), abs=1e-12)
+
+    with pytest.raises(UnsupportedOrderError):
+        specfun.bessel_j_orders(65, x)
+    with pytest.raises(DomainError):
+        specfun.bessel_j_orders(-1, x)
+    with pytest.raises(DomainError):
+        specfun.bessel_j_orders(smax, np.where(x > 50.0, math.inf, x))
+
+
 def test_order_ceiling_and_domain_errors():
     with pytest.raises(UnsupportedOrderError):
         specfun.bessel_j(65, 1.0)
