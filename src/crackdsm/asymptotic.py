@@ -37,50 +37,51 @@ def _equal_half_length(scene):
 
 
 def farfield_order1(scene, k, d, config):
-    """Leading-order far field: sum_m 2*pi/ln(l_m/2) * phase factors."""
+    """Leading-order far field: sum_m 2*pi/ln(l_m/2) * phase factors.
+
+    One incident direction ``d`` (2,) gives (N,); L directions (L, 2) give (L, N).
+    """
     require_valid(scene, k)
     d = np.asarray(d, dtype=float)
     theta = observation_directions(config.n_obs)
-    out = np.zeros(config.n_obs, dtype=complex)
+    out = np.zeros(d.shape[:-1] + (config.n_obs,), dtype=complex)
     for crack in scene.cracks:
         w = 2.0 * math.pi / _log_weight(crack.half_length)
         c = np.asarray(crack.center)
-        out += w * np.exp(1j * k * (d @ c)) * np.exp(-1j * k * theta @ c)
+        out += (w * np.exp(1j * k * (d @ c)))[..., None] * np.exp(-1j * k * theta @ c)
     return out
 
 
 def farfield_order2(scene, k, d, config):
     """Order-1 term plus the tangential-derivative product correction.
 
-    Requires equal half-lengths.  The correction per crack is
+    Requires equal half-lengths; ``d`` is shaped as in `farfield_order1`.
+    The correction per crack is
     -pi*l^2 * (ik d.t) e^{ik d.c} * (-ik theta.t) e^{-ik theta.c}.
     """
-    require_valid(scene, k)
     half = _equal_half_length(scene)
-    _log_weight(half)
     d = np.asarray(d, dtype=float)
     theta = observation_directions(config.n_obs)
     out = farfield_order1(scene, k, d, config)
     for crack in scene.cracks:
         c = np.asarray(crack.center)
         t = crack_tangent(crack)
-        dt = float(d @ t)
-        phase = np.exp(1j * k * (d @ c)) * np.exp(-1j * k * theta @ c)
-        out += -math.pi * half**2 * (1j * k * dt) * (-1j * k * (theta @ t)) * phase
+        phase = np.exp(1j * k * (d @ c))[..., None] * np.exp(-1j * k * theta @ c)
+        out += -math.pi * half**2 * (1j * k * (d @ t)[..., None]) * (-1j * k * (theta @ t)) * phase
     return out
 
 
 def _grid_radii(scene, grid):
-    """Per-crack distances r_m and offsets (x - c_m) over the flattened grid."""
+    """Per-crack offsets (x - c_m) and distances r_m over the flattened grid."""
     pts = grid.points()
     offs = [pts - np.asarray(c.center) for c in scene.cracks]
-    return pts, offs, [np.linalg.norm(o, axis=1) for o in offs]
+    return offs, [np.linalg.norm(o, axis=1) for o in offs]
 
 
 def predict_structure1(scene, k, grid):
     """Single-direction map shape |sum_m J0(k r_m)/ln(l_m/2)|, max-normalized."""
     check_wavenumber(k)
-    _, _, radii = _grid_radii(scene, grid)
+    _, radii = _grid_radii(scene, grid)
     raw = np.zeros(grid.nx * grid.ny)
     for crack, r in zip(scene.cracks, radii):
         raw += sp_j0(k * r) / _log_weight(crack.half_length)
@@ -98,7 +99,7 @@ def structure_fields(scene, k, d, grid):
     check_wavenumber(k)
     half = _equal_half_length(scene)
     d = np.asarray(d, dtype=float)
-    _, offs, radii = _grid_radii(scene, grid)
+    offs, radii = _grid_radii(scene, grid)
     phi1 = np.zeros(grid.nx * grid.ny, dtype=complex)
     phi2 = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack, off, r in zip(scene.cracks, offs, radii):
@@ -132,7 +133,7 @@ def predict_aif(scene, k, incident_angles, grid):
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
     dirs = np.column_stack([np.cos(incident_angles), np.sin(incident_angles)])
-    _, offs, radii = _grid_radii(scene, grid)
+    offs, radii = _grid_radii(scene, grid)
     raw = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack, off, r in zip(scene.cracks, offs, radii):
         w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
@@ -178,12 +179,12 @@ def predict_mif(scene, k_list, incident_angle, grid):
     """
     k_list = np.asarray(k_list, dtype=float)
     if k_list.size < 2:
-        raise InputMismatchError("multi-frequency predictor needs at least 2 wavenumbers")
+        raise InputMismatchError("mif (multi-frequency predictor) needs at least 2 wavenumbers")
     if np.any(np.diff(k_list) <= 0.0) or not np.all((k_list > 0.0) & np.isfinite(k_list)):
         raise DomainError("wavenumbers must be finite, positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
     d = np.array([math.cos(incident_angle), math.sin(incident_angle)])
-    _, offs, radii = _grid_radii(scene, grid)
+    offs, radii = _grid_radii(scene, grid)
     rmax = max(float(r.max()) for r in radii)
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))
     knodes, kweights = _gauss_legendre_panels(k1, kF, n_panels)

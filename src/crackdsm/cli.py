@@ -3,6 +3,9 @@
 Every command that writes files also writes a <out>.manifest.json recording
 the resolved parameters and argv; replaying the stored argv reproduces the
 outputs byte-for-byte (all generators are deterministic, noise is seeded).
+
+The commands only parse, call and report.  Bad input, such as a malformed --grid
+or a non-finite --incident-angle, exits 1 with "error: ..." and writes nothing.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ from .imaging import (ImagingGrid, find_local_maxima, indicator_aif,
                       indicator_if, indicator_mif, indicator_single,
                       map_distance)
 from . import io as cio
-from .scene import validate_scene
 
 
 def _parse_grid(spec):
-    parts = spec.split(",")
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError(
-            'grid must be "xmin,xmax,ymin,ymax,nx,ny"')
-    return ImagingGrid(float(parts[0]), float(parts[1]), float(parts[2]),
-                       float(parts[3]), int(parts[4]), int(parts[5]))
+    try:
+        x_min, x_max, y_min, y_max, nx, ny = spec.split(",")
+        bounds = (float(x_min), float(x_max), float(y_min), float(y_max))
+        counts = (int(nx), int(ny))
+    except ValueError:
+        raise CrackDsmError(f'--grid must be "xmin,xmax,ymin,ymax,nx,ny", got "{spec}"') from None
+    return ImagingGrid(*bounds, *counts)
 
 
 def _grid_spec(grid):
@@ -61,13 +64,17 @@ def _wavenumbers(args):
     return (2.0 * math.pi / args.wavelength,)
 
 
+def _incident_angle(args):
+    if not math.isfinite(args.incident_angle):
+        raise CrackDsmError(f"--incident-angle must be finite, got {args.incident_angle}")
+    return args.incident_angle
+
+
 def _incident_angles(args):
     if args.n_incident is not None:
-        L = int(args.n_incident)
-        if L < 1:
-            raise CrackDsmError("--n-incident must be >= 1")
+        L = args.n_incident
         return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
-    return (float(args.incident_angle),)
+    return (_incident_angle(args),)
 
 
 def _manifest(args, command, inputs, params, outputs):
@@ -97,24 +104,14 @@ def cmd_simulate(args):
     ks = _wavenumbers(args)
     config = AcquisitionConfig(wavenumbers=ks, n_obs=args.n_obs,
                                incident_angles=_incident_angles(args))
-    for k in ks:
-        bad = validate_scene(scene, k)
-        if bad:
-            for v in bad:
-                print(str(v), file=sys.stderr)
-            return 1
     if args.generator == "full":
         tensor = far_field_tensor(scene, config,
                                   QuadratureSpec(nodes_per_crack=args.quad_nodes))
     else:
         gen = farfield_order1 if args.generator == "order1" else farfield_order2
-        values = np.zeros((config.n_freq, config.n_incident, config.n_obs),
-                          dtype=complex)
         dirs = config.incident_directions()
-        for f, k in enumerate(config.wavenumbers):
-            for l in range(config.n_incident):
-                values[f, l] = gen(scene, k, dirs[l], config)
-        tensor = FarFieldTensor(values, config)
+        tensor = FarFieldTensor([gen(scene, k, dirs, config) for k in config.wavenumbers],
+                                config)
     if args.noise_snr is not None:
         tensor = _add_noise(tensor, args.noise_snr, args.seed)
     cio.write_tensor(args.out, tensor)
@@ -142,13 +139,9 @@ def _write_map(args, command, imap, inputs, params):
 
 
 def cmd_image(args):
+    grid = _parse_grid(args.grid)
     tensor = cio.read_tensor(args.tensor)
-    grid = args.grid
     method = args.method
-    if method == "mif" and tensor.config.n_freq < 2:
-        print("error: method mif needs a tensor with F >= 2 frequencies",
-              file=sys.stderr)
-        return 1
     if method == "single":
         imap = indicator_single(tensor, args.f_index, args.l_index, grid)
     elif method == "if":
@@ -165,24 +158,20 @@ def cmd_image(args):
 
 
 def cmd_predict(args):
+    grid = _parse_grid(args.grid)
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
-    grid = args.grid
     predictor = args.predictor
     if predictor == "s1":
         imap = predict_structure1(scene, ks[0], grid)
     elif predictor == "s2":
-        ang = float(args.incident_angle)
+        ang = _incident_angle(args)
         d = np.array([math.cos(ang), math.sin(ang)])
         imap = predict_structure2(scene, ks[0], d, grid)
     elif predictor == "aif":
         imap = predict_aif(scene, ks[0], _incident_angles(args), grid)
     else:
-        if len(ks) < 2:
-            print("error: mif predictor needs --lambda-range and --n-freq >= 2",
-                  file=sys.stderr)
-            return 1
-        imap = predict_mif(scene, ks, float(args.incident_angle), grid)
+        imap = predict_mif(scene, ks, _incident_angle(args), grid)
     return _write_map(args, "predict", imap,
                       inputs={"scene": args.scene},
                       params={"predictor": predictor, "wavenumbers": list(ks),
@@ -248,7 +237,7 @@ def build_parser():
                    required=True)
     p.add_argument("--f-index", type=int, default=0)
     p.add_argument("--l-index", type=int, default=0)
-    p.add_argument("--grid", required=True, type=_parse_grid)
+    p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_image)
 
@@ -257,7 +246,7 @@ def build_parser():
     p.add_argument("--predictor", choices=["s1", "s2", "aif", "mif"],
                    required=True)
     add_acquisition(p)
-    p.add_argument("--grid", required=True, type=_parse_grid)
+    p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

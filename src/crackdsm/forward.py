@@ -54,14 +54,16 @@ class AcquisitionConfig:
     def __post_init__(self):
         ks = tuple(float(k) for k in self.wavenumbers)
         angs = tuple(float(a) for a in self.incident_angles)
-        if len(ks) < 1 or any(k <= 0 for k in ks):
-            raise DomainError("wavenumbers must be positive")
+        if len(ks) < 1 or not all(0 < k < math.inf for k in ks):
+            raise DomainError("wavenumbers must be finite and positive")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise DomainError("wavenumbers must be strictly increasing")
         if self.n_obs < 8:
             raise DomainError("need at least 8 observation directions")
         if len(angs) < 1:
             raise DomainError("need at least one incident direction")
+        if not all(math.isfinite(a) for a in angs):
+            raise DomainError("incident angles must be finite")
         object.__setattr__(self, "wavenumbers", ks)
         object.__setattr__(self, "incident_angles", angs)
 

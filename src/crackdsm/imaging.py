@@ -30,8 +30,9 @@ class ImagingGrid:
     ny: int
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise DomainError("grid bounds must satisfy min < max")
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise DomainError("grid bounds must be finite and satisfy min < max")
         if self.nx < 2 or self.ny < 2:
             raise DomainError("grid needs nx, ny >= 2")
 
@@ -176,7 +177,7 @@ def indicator_mif(tensor, grid):
     """Multi-frequency indicator; needs F >= 2 and a single incident direction."""
     F, L, _ = tensor.values.shape
     if F < 2:
-        raise InputMismatchError("multi-frequency indicator needs F >= 2")
+        raise InputMismatchError("mif (multi-frequency indicator) needs F >= 2")
     if L != 1:
         raise InputMismatchError("multi-frequency indicator expects a single incident direction")
     total = _steered_sum(tensor.config.wavenumbers, tensor.values[:, 0],

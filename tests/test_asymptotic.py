@@ -94,6 +94,16 @@ def test_order2_parallel_alignment_value(k, config30):
         2 * math.pi / abs(math.log(half / 2)) + math.pi * half**2 * k**2, abs=1e-12)
 
 
+@pytest.mark.parametrize("gen", [farfield_order1, farfield_order2])
+def test_generators_take_direction_batches(gen, k, three_cracks, config30):
+    angles = 0.3 + np.arange(7) * 2 * math.pi / 7
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    batched = gen(three_cracks, k, dirs, config30)
+    stacked = np.array([gen(three_cracks, k, d, config30) for d in dirs])
+    assert batched.shape == stacked.shape == (7, 30)
+    assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))
+
+
 def test_order2_requires_equal_half_lengths(k, config30, d_up):
     sc = Scene((Crack((0, 0), 0.05, 0.0), Crack((1, 0), 0.03, 0.0)))
     with pytest.raises(InputMismatchError):

@@ -33,6 +33,11 @@ def test_acquisition_config_validation():
         AcquisitionConfig((1.0,), 4, (0.0,))
     with pytest.raises(DomainError):
         AcquisitionConfig((-1.0,), 30, (0.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            AcquisitionConfig((1.0, bad), 30, (0.0,))
+        with pytest.raises(DomainError):
+            AcquisitionConfig((1.0,), 30, (0.0, bad))
 
 
 def test_tensor_shape_checked(config30):

@@ -46,6 +46,12 @@ def test_grid_validation():
         ImagingGrid(1.0, -1.0, 0.0, 1.0, 5, 5)
     with pytest.raises(DomainError):
         ImagingGrid(0.0, 1.0, 0.0, 1.0, 1, 5)
+    for i in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            bounds = [-1.0, 1.0, -1.0, 1.0]
+            bounds[i] = bad
+            with pytest.raises(DomainError):
+                ImagingGrid(*bounds, 5, 5)
 
 
 def test_observation_angles_and_directions():

@@ -386,3 +386,43 @@ def test_cli_rejects_unreadable_input(tmp_path, capsys, command, src):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
+
+
+# each argv must be refused with exit 1; {tensor} is a valid F = L = 1 tensor
+# file, except that the header line a case names first is set to nan
+_BAD_INPUTS = {
+    "tensor_nan_wavenumber": ("wavenumbers", ["image", "--tensor", "{tensor}",
+                                              "--method", "aif", "--grid=-1,1,-1,1,5,5"]),
+    "tensor_nan_incident_angle": ("incident_angles", ["image", "--tensor", "{tensor}",
+                                                      "--method", "aif",
+                                                      "--grid=-1,1,-1,1,5,5"]),
+    "grid_inf_bound": (None, ["image", "--tensor", "{tensor}", "--method", "single",
+                              "--grid=-1,inf,-1,1,5,5"]),
+    "grid_nan_bound": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
+                              "--lambda", "0.5", "--grid=-1,nan,-1,1,5,5"]),
+    "grid_bad_count": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
+                              "--lambda", "0.5", "--grid=-1,1,-1,1,5,x"]),
+    "s2_nan_incident_angle": (None, ["predict", "--scene", "{scene}", "--predictor", "s2",
+                                     "--lambda", "0.5", "--incident-angle", "nan",
+                                     "--grid=-1,1,-1,1,5,5"]),
+    "mif_inf_incident_angle": (None, ["predict", "--scene", "{scene}", "--predictor", "mif",
+                                      "--lambda-range", "0.3,0.7", "--n-freq", "3",
+                                      "--incident-angle", "inf", "--grid=-1,1,-1,1,5,5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_cli_rejects_bad_input(tmp_path, scene_file, capsys, case):
+    nan_line, argv = _BAD_INPUTS[case]
+    tensor = tmp_path / "data.txt"
+    cfg = AcquisitionConfig((4 * math.pi,), 8, (math.pi / 2,))
+    cio.write_tensor(tensor, FarFieldTensor(np.ones((1, 1, 8)), cfg))
+    if nan_line:
+        lines = tensor.read_text().splitlines(keepends=True)
+        tensor.write_text("".join(f"{nan_line} nan\n" if ln.startswith(nan_line + " ")
+                                  else ln for ln in lines))
+    argv = [a.format(tensor=tensor, scene=scene_file) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
