@@ -4,10 +4,11 @@ The generators are the small-crack expansions of the far-field pattern (a
 logarithmic leading term, plus a tangential-derivative correction at second
 order).  The predictors are the matching closed-form shapes of the indicator
 maps: J0 combinations for a single direction, J0*Js cosine series for a few
-directions, and the Lambda = J0^2 + J1^2 envelope difference for a band of
-wavenumbers.  The cosine series are summed exactly by the Jacobi-Anger identity
-J0(z) + 2 sum_{s>=1} i^s J_s(z) cos(s psi) = e^{iz cos psi}, so only J0, J1 and
-plane waves e^{ik (c_m - x).d} remain.
+directions, and the band integral of that series over the wavenumbers for
+one direction.  The cosine series are summed exactly by the Jacobi-Anger
+identity J0(z) + 2 sum_{s>=1} i^s J_s(z) cos(s psi) = e^{iz cos psi}, so both
+are sums of J0 times plane waves e^{ik (c_m - x).d}.  `mif_radial_envelope`
+keeps the paper's Lambda = J0^2 + J1^2 envelope of the band map.
 """
 
 from __future__ import annotations
@@ -121,11 +122,24 @@ def predict_structure2(scene, k, d, grid):
     return IndicatorMap.from_raw(grid, np.abs(phi1 + phi2))
 
 
+def _j0_plane_waves(scene, ks, weights, dirs, grid):
+    """Flattened sum_m w_m sum_q weights_q J0(k_q r_m) sum_l e^{ik_q (c_m - x).d_l}.
+
+    w_m = (2*pi)^2/ln(l_m/2), r_m = |x - c_m| and ``dirs`` the (L, 2) directions d_l.
+    """
+    offs, radii = _grid_radii(scene, grid)
+    raw = np.zeros(grid.nx * grid.ny, dtype=complex)
+    for crack, off, r in zip(scene.cracks, offs, radii):
+        w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
+        for k, wq in zip(ks, weights):
+            raw += (w * wq) * sp_j0(k * r) * np.exp(-1j * k * (off @ dirs.T)).sum(axis=1)
+    return raw
+
+
 def predict_aif(scene, k, incident_angles, grid):
     """Few-direction map shape |sum_m w_m J0(k r_m) sum_l e^{ik (c_m - x).d_l}|.
 
-    w_m = (2*pi)^2/ln(l_m/2), r_m = |x - c_m| and d_l the incident directions;
-    the plane-wave sum is the J0*Js cosine series
+    The plane-wave sum is the J0*Js cosine series
     sum_l [J0 + 2 sum_s i^s J_s(k r_m) cos s(varphi_m - alpha_l)] in closed form.
     """
     check_wavenumber(k)
@@ -133,24 +147,17 @@ def predict_aif(scene, k, incident_angles, grid):
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
     dirs = np.column_stack([np.cos(incident_angles), np.sin(incident_angles)])
-    offs, radii = _grid_radii(scene, grid)
-    raw = np.zeros(grid.nx * grid.ny, dtype=complex)
-    for crack, off, r in zip(scene.cracks, offs, radii):
-        w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
-        plane_waves = np.exp(-1j * k * (off @ dirs.T)).sum(axis=1)
-        raw += w * sp_j0(k * r) * plane_waves
-    return IndicatorMap.from_raw(grid, np.abs(raw))
+    return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, [k], [1.0], dirs, grid)))
 
 
 def mif_radial_envelope(k1, kF, r):
-    """|kF*Lambda(kF r) - k1*Lambda(k1 r)| / (kF - k1), the multi-frequency peak shape.
+    """|kF*Lambda(kF r) - k1*Lambda(k1 r)| / (kF - k1), the paper's multi-frequency envelope.
 
     Since d/dx[x Lambda(x)] = J0(x)^2 - J1(x)^2, this is the band mean
-    |1/(kF - k1) * int_k1^kF (J0(kr)^2 - J1(kr)^2) dk|, which is the ``psi3``
-    term of `predict_mif` up to the factor kF - k1.  The J1^2 remainder of the
-    band mean of J0^2 is not part of it; it sits in the band integral
-    ``psi4``.  In the zero-width limit kF -> k1 = k the envelope tends to
-    |J0(kr)^2 - J1(kr)^2|, not to J0(kr)^2.
+    |1/(kF - k1) * int_k1^kF (J0(kr)^2 - J1(kr)^2) dk|.  `predict_mif` needs no
+    envelope: its band integral of J0 times the plane wave holds this term.
+    In the zero-width limit kF -> k1 = k it tends to |J0(kr)^2 - J1(kr)^2|,
+    not to J0(kr)^2.
     """
     if not kF > k1 > 0.0:
         raise DomainError("need 0 < k1 < kF")
@@ -158,24 +165,20 @@ def mif_radial_envelope(k1, kF, r):
     return np.abs(kF * lambda_envelope(kF * r) - k1 * lambda_envelope(k1 * r)) / (kF - k1)
 
 
-def _gauss_legendre_panels(a, b, n_panels, pts_per_panel=8):
-    nodes, weights = np.polynomial.legendre.leggauss(pts_per_panel)
+def _gauss_legendre_panels(a, b, n_panels):
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, n_panels + 1)
-    ks, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        ks.append(0.5 * (lo + hi) + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(ks), np.concatenate(ws)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
 def predict_mif(scene, k_list, incident_angle, grid):
-    """Multi-frequency map shape: Lambda-envelope difference plus band integral.
+    """Multi-frequency map shape |sum_m w_m int_k1^kF J0(k r_m) e^{ik (c_m - x).d} dk|.
 
-    The band integrand J1^2 + 2 sum_{s>=1} i^s J0 J_s cos s(varphi_m - alpha)
-    is evaluated in closed form as J1^2 + J0 (e^{ik (c_m - x).d} - J0), with
-    composite Gauss-Legendre in k, 8 points per oscillation period of the
-    integrand at the farthest grid point.
+    The integrand is the band form of `predict_aif`'s J0*Js cosine series with
+    one direction d, summed in closed form.  The integral is composite
+    Gauss-Legendre in k, one 8-point panel per oscillation period of the
+    integrand at the farthest grid point, which a grid corner attains.
     """
     k_list = np.asarray(k_list, dtype=float)
     if k_list.size < 2:
@@ -183,22 +186,13 @@ def predict_mif(scene, k_list, incident_angle, grid):
     if np.any(np.diff(k_list) <= 0.0) or not np.all((k_list > 0.0) & np.isfinite(k_list)):
         raise DomainError("wavenumbers must be finite, positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
-    d = np.array([math.cos(incident_angle), math.sin(incident_angle)])
-    offs, radii = _grid_radii(scene, grid)
-    rmax = max(float(r.max()) for r in radii)
+    d = np.array([[math.cos(incident_angle), math.sin(incident_angle)]])
+    corners = np.array([(x, y) for y in (grid.y_min, grid.y_max) for x in (grid.x_min, grid.x_max)])
+    rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max()) for c in scene.cracks),
+               default=0.0)
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))
-    knodes, kweights = _gauss_legendre_panels(k1, kF, n_panels)
-    raw = np.zeros(grid.nx * grid.ny, dtype=complex)
-    for crack, off, r in zip(scene.cracks, offs, radii):
-        w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
-        proj = -(off @ d)  # (c_m - x).d
-        psi3 = kF * lambda_envelope(kF * r) - k1 * lambda_envelope(k1 * r)
-        psi4 = np.zeros(r.size, dtype=complex)
-        for kq, wq in zip(knodes, kweights):
-            j0, j1 = sp_j0(kq * r), sp_j1(kq * r)
-            psi4 += wq * (j1**2 + j0 * (np.exp(1j * kq * proj) - j0))
-        raw += w * (psi3 + psi4)
-    return IndicatorMap.from_raw(grid, np.abs(raw))
+    ks, weights = _gauss_legendre_panels(k1, kF, n_panels)
+    return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, ks, weights, d, grid)))
 
 
 def uniform_direction_sum(n_dirs, k, x):

@@ -90,6 +90,8 @@ def _manifest(args, command, inputs, params, outputs):
 
 def _add_noise(tensor, snr_db, seed):
     """Additive complex white noise at the given SNR (dB); exploration utility."""
+    if not math.isfinite(snr_db):
+        raise CrackDsmError(f"--noise-snr must be finite, got {snr_db}")
     rng = np.random.default_rng(seed)
     signal_power = float(np.mean(np.abs(tensor.values) ** 2))
     noise_power = signal_power / (10.0 ** (snr_db / 10.0))
@@ -162,6 +164,8 @@ def cmd_predict(args):
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
     predictor = args.predictor
+    if predictor != "mif" and len(ks) > 1:
+        raise CrackDsmError(f"predictor {predictor} takes one wavenumber; give --lambda")
     if predictor == "s1":
         imap = predict_structure1(scene, ks[0], grid)
     elif predictor == "s2":

@@ -191,8 +191,10 @@ def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
     Ties break toward the lexicographically smaller grid index.  When a scene
     is given, the report carries each crack's nearest-peak distance and value.
     """
-    if min_separation <= 0.0:
+    if not min_separation > 0.0:
         raise DomainError("min_separation must be positive")
+    if math.isnan(floor):
+        raise DomainError("floor must be a number, got nan")
     v = imap.values
     ny, nx = v.shape
     padded = np.full((ny + 2, nx + 2), -np.inf)

@@ -257,23 +257,42 @@ def test_mif_matches_scipy_series_beyond_order_cap():
     grid = ImagingGrid(-2.0, 2.0, -2.0, 2.0, 41, 41)
     to_center = -grid.points()
     r = np.linalg.norm(to_center, axis=1)
-    kr1, krF = k1 * r, kF * r
-    psi3 = (kF * (scipy_special.j0(krF) ** 2 + scipy_special.j1(krF) ** 2)
-            - k1 * (scipy_special.j0(kr1) ** 2 + scipy_special.j1(kr1) ** 2))
     n_panels = math.ceil((kF - k1) * r.max() / (2 * math.pi))
     nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(k1, kF, n_panels + 1)
-    psi4 = np.zeros(r.size, dtype=complex)
+    raw = np.zeros(r.size, dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         for node, weight in zip(nodes, weights):
             kr = (0.5 * (lo + hi) + half * node) * r
-            j0 = scipy_special.j0(kr)
-            series = _cosine_series(kr, to_center, [alpha]) - j0
-            psi4 += half * weight * (scipy_special.j1(kr) ** 2 + j0 * series)
-    want = np.abs(psi3 + psi4) / np.abs(psi3 + psi4).max()
+            raw += half * weight * scipy_special.j0(kr) * _cosine_series(kr, to_center, [alpha])
+    want = np.abs(raw) / np.abs(raw).max()
     imap = predict_mif(_origin_crack(), ks, alpha, grid)
     assert np.max(np.abs(imap.values.ravel() - want)) < 1e-10
+
+
+def test_mif_matches_converged_band_integral(three_cracks):
+    # the reference sums the band integral of J0 times the plane wave over
+    # 32 panels of 16 points, far finer than predict_mif's rule
+    ks = sorted(2 * math.pi / lam for lam in np.linspace(0.3, 0.7, 5))
+    alpha = math.pi / 2
+    d = np.array([math.cos(alpha), math.sin(alpha)])
+    grid = ImagingGrid(-1.0, 1.0, -1.0, 1.0, 41, 41)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(ks[0], ks[-1], 33)
+    raw = np.zeros(grid.nx * grid.ny, dtype=complex)
+    for crack in three_cracks.cracks:
+        to_center = np.asarray(crack.center) - grid.points()
+        r = np.linalg.norm(to_center, axis=1)
+        w = (2 * math.pi) ** 2 / math.log(crack.half_length / 2)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (hi - lo)
+            for node, weight in zip(nodes, weights):
+                kq = 0.5 * (lo + hi) + half * node
+                raw += w * half * weight * scipy_special.j0(kq * r) * np.exp(1j * kq * (to_center @ d))
+    want = np.abs(raw) / np.abs(raw).max()
+    imap = predict_mif(three_cracks, ks, alpha, grid)
+    assert np.max(np.abs(imap.values.ravel() - want)) < 1e-8
 
 
 def test_mif_peak_and_raw_center_value(k):
@@ -343,6 +362,13 @@ def test_predictors_reject_bad_wavenumber(k, bad):
         predict_aif(sc, bad, [0.0, 1.0], grid)
     with pytest.raises(DomainError):
         predict_mif(sc, [k, k + bad], 0.0, grid)
+
+
+def test_predictors_give_zero_map_for_empty_scene(k):
+    grid = ImagingGrid(-0.4, 0.4, -0.4, 0.4, 11, 11)
+    assert predict_structure1(Scene(()), k, grid).zero_map
+    assert predict_aif(Scene(()), k, [0.0, 1.0], grid).zero_map
+    assert predict_mif(Scene(()), [k, 1.5 * k], 0.0, grid).zero_map
 
 
 def test_mif_requires_two_increasing_wavenumbers(k):

@@ -277,6 +277,10 @@ def test_find_local_maxima_rejects_bad_separation():
     grid = ImagingGrid(0, 1, 0, 1, 5, 5)
     with pytest.raises(DomainError):
         find_local_maxima(_map_from(grid, np.zeros((5, 5))), 0.0)
+    with pytest.raises(DomainError):
+        find_local_maxima(_map_from(grid, np.zeros((5, 5))), math.nan)
+    with pytest.raises(DomainError):
+        find_local_maxima(_map_from(grid, np.zeros((5, 5))), 0.2, floor=math.nan)
 
 
 def test_map_distance_trivial_and_mismatch():

@@ -408,6 +408,10 @@ _BAD_INPUTS = {
     "mif_inf_incident_angle": (None, ["predict", "--scene", "{scene}", "--predictor", "mif",
                                       "--lambda-range", "0.3,0.7", "--n-freq", "3",
                                       "--incident-angle", "inf", "--grid=-1,1,-1,1,5,5"]),
+    "noise_snr_minus_inf": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
+                                   "--lambda", "0.5", "--noise-snr=-inf"]),
+    "s1_band": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
+                       "--lambda-range", "0.3,0.7", "--n-freq", "5", "--grid=-1,1,-1,1,5,5"]),
 }
 
 
