@@ -46,6 +46,8 @@ def _grid_spec(grid):
 
 def _wavenumbers(args):
     """Resolve k list from --lambda or --lambda-range/--n-freq."""
+    if args.lambda_range and args.wavelength is not None:
+        raise CrackDsmError("give --lambda or --lambda-range, not both")
     if args.lambda_range:
         try:
             lo, hi = (float(v) for v in args.lambda_range.split(","))
@@ -53,12 +55,14 @@ def _wavenumbers(args):
             raise CrackDsmError('--lambda-range must be two numbers "min,max"') from None
         if not (0 < lo < hi < math.inf):
             raise CrackDsmError("lambda range must satisfy 0 < min < max < inf")
-        if args.n_freq < 2:
+        if args.n_freq is None or args.n_freq < 2:
             raise CrackDsmError("--lambda-range needs --n-freq >= 2")
         lams = np.linspace(lo, hi, args.n_freq)
         return tuple(sorted(2.0 * math.pi / lams))
     if args.wavelength is None:
         raise CrackDsmError("give --lambda or --lambda-range")
+    if args.n_freq is not None:
+        raise CrackDsmError("--n-freq goes with --lambda-range, not --lambda")
     if not (0 < args.wavelength < math.inf):
         raise CrackDsmError(f"--lambda must be finite and > 0, got {args.wavelength}")
     return (2.0 * math.pi / args.wavelength,)
@@ -166,6 +170,9 @@ def cmd_predict(args):
     predictor = args.predictor
     if predictor != "mif" and len(ks) > 1:
         raise CrackDsmError(f"predictor {predictor} takes one wavenumber; give --lambda")
+    if predictor != "aif" and args.n_incident is not None:
+        raise CrackDsmError(f"predictor {predictor} takes at most one --incident-angle, "
+                            "not --n-incident")
     if predictor == "s1":
         imap = predict_structure1(scene, ks[0], grid)
     elif predictor == "s2":
@@ -216,7 +223,7 @@ def build_parser():
         p.add_argument("--lambda", dest="wavelength", type=float,
                        help="single wavelength (k = 2*pi/lambda)")
         p.add_argument("--lambda-range", help="'min,max' wavelengths, uniform spacing")
-        p.add_argument("--n-freq", type=int, default=1, help="frequency count F")
+        p.add_argument("--n-freq", type=int, help="frequency count F for --lambda-range")
         p.add_argument("--n-incident", type=int,
                        help="L uniform incident directions 2*pi*l/L")
         p.add_argument("--incident-angle", type=float, default=math.pi / 2,

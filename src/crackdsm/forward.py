@@ -10,14 +10,20 @@ identities
     int ln|s - t| T_m(t)/sqrt(1-t^2) dt = -pi T_m(s)/m   (m >= 1),
 
 which makes the scheme spectrally accurate; cross-crack blocks are smooth and
-use plain Gauss-Chebyshev quadrature.  The dense block system is solved by LU
-with partial pivoting.
+use plain Gauss-Chebyshev quadrature.  On a self block z = kh|sigma_i - sigma_j|
+and ln z - ln(kh) = ln|sigma_i - sigma_j|, so the block needs no per-k
+logarithm: the quadrature matrix and the table of node log-gaps depend on n
+alone and are built once per n (read-only), and a block depends only on k, h
+and n, so cracks of equal half-length share one.  Blocks are written straight
+into a Fortran-ordered system matrix, which LU with partial pivoting factors in
+place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
@@ -100,24 +106,15 @@ class FarFieldTensor:
             raise InputMismatchError("tensor entries must be finite")
 
 
-def _smooth_kernel_part(z, j0):
-    """(i/4) H0^(1)(z) + ln(z) J0(z)/(2 pi), extended smoothly through z = 0; j0 = J0(z)."""
-    out = np.empty(z.shape, dtype=complex)
-    pos = z > 0.0
-    zp, jp = z[pos], j0[pos]
-    out[pos] = 0.25j * (jp + 1j * sp_y0(zp)) + np.log(zp) * jp / (2.0 * math.pi)
-    out[~pos] = 0.25j - (_EULER_GAMMA - math.log(2.0)) / (2.0 * math.pi)
-    return out
-
-
 def _chebyshev_nodes(n):
     """Interior Chebyshev points cos((2i-1)pi/2n) with their angles."""
     ang = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
     return np.cos(ang), ang
 
 
+@functools.lru_cache(maxsize=None)
 def _log_quadrature_matrix(n):
-    """W with W[i,j] ~ int ln|sigma_i - t| ell_j(t)/sqrt(1-t^2) dt.
+    """W with W[i,j] ~ int ln|sigma_i - t| ell_j(t)/sqrt(1-t^2) dt (read-only).
 
     Built from the discrete cosine transform of the cardinal functions and
     the exact Chebyshev log integrals.
@@ -128,7 +125,18 @@ def _log_quadrature_matrix(n):
     cos_j = np.cos(np.outer(m, ang))            # DCT factors
     w = np.full((n, n), -math.pi * math.log(2.0) / n)
     w -= math.pi * (cos_i / m) @ (2.0 * cos_j / n)
+    w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def _node_gaps(n):
+    """|sigma_i - sigma_j| and ln|sigma_i - sigma_j|, 0 on the diagonal (read-only)."""
+    sigma, _ = _chebyshev_nodes(n)
+    gaps = np.abs(sigma[:, None] - sigma[None, :])
+    log_gaps = np.log(gaps + np.eye(n))
+    gaps.flags.writeable = log_gaps.flags.writeable = False
+    return gaps, log_gaps
 
 
 class CrackSystem:
@@ -145,7 +153,6 @@ class CrackSystem:
         self.n = quad.nodes_per_crack
         self.m_cracks = len(scene.cracks)
         sigma, _ = _chebyshev_nodes(self.n)
-        self.sigma = sigma
         self.points = np.array([
             np.asarray(c.center) + c.half_length * np.outer(sigma, crack_tangent(c))
             for c in scene.cracks]).reshape(-1, 2)
@@ -155,36 +162,56 @@ class CrackSystem:
         self._factor(_log_quadrature_matrix(self.n))
 
     def _self_block(self, crack, logmat):
-        k, n = self.k, self.n
-        half = crack.half_length
-        z = k * half * np.abs(self.sigma[:, None] - self.sigma[None, :])
+        """h [(ln-gap/2n - W/2pi) J0(z) - (pi/4n) Y0(z) + i (pi/4n) J0(z)].
+
+        This is the product quadrature of (i/4) H0(z), z = kh|sigma_i - sigma_j|,
+        with its ln z J0(z)/2pi part taken against W.  Y0 is -inf on the
+        diagonal, which is overwritten with the z -> 0 limit
+        h [-W_ii/2pi - (ln(kh/2) + gamma)/2n + i pi/4n].
+        """
+        k, n, half = self.k, self.n, crack.half_length
+        gaps, log_gaps = _node_gaps(n)
+        z = (k * half) * gaps
         j0 = sp_j0(z)
-        smooth = _smooth_kernel_part(z, j0) - math.log(k * half) * j0 / (2.0 * math.pi)
-        block = -(1.0 / (2.0 * math.pi)) * logmat * j0
-        block = block + (math.pi / n) * smooth
-        return half * block
+        c = math.pi / (4.0 * n)
+        block = np.empty((n, n), dtype=complex)
+        block.real = (log_gaps / (2.0 * n) - logmat / (2.0 * math.pi)) * j0 - c * sp_y0(z)
+        block.imag = c * j0
+        np.fill_diagonal(block, np.diag(logmat) / (-2.0 * math.pi)
+                         - (math.log(k * half / 2.0) + _EULER_GAMMA) / (2.0 * n) + 1j * c)
+        block *= half
+        return block
 
     def _factor(self, logmat):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
         pts = self.points.reshape(mc, n, 2)
-        weight = (math.pi / n) * 0.25j
-        a = np.empty((mc * n, mc * n), dtype=complex)
+        a = np.empty((mc * n, mc * n), dtype=complex, order="F")
+        re, im = a.real, a.imag
+        c = math.pi / (4.0 * n)
+        blocks = {}
         for p in range(mc):
             rows = slice(p * n, (p + 1) * n)
-            a[rows, rows] = self._self_block(cracks[p], logmat)
+            half = cracks[p].half_length
+            if half not in blocks:
+                blocks[half] = self._self_block(cracks[p], logmat)
+            a[rows, rows] = blocks[half]
             for q in range(p + 1, mc):
                 # H0(k|x_i - y_j|) is symmetric in the two nodes, so block
                 # (q, p) is block (p, q) transposed; each block carries the
-                # quadrature weight of its column crack.
+                # quadrature weight (pi h/n)(i/4) of its column crack, so its
+                # real part is -c h Y0 and its imaginary part c h J0.
                 cols = slice(q * n, (q + 1) * n)
-                diff = pts[p][:, None, :] - pts[q][None, :, :]
-                kr = self.k * np.hypot(diff[..., 0], diff[..., 1])
-                h = sp_j0(kr) + 1j * sp_y0(kr)
-                a[rows, cols] = (weight * cracks[q].half_length) * h
-                a[cols, rows] = (weight * cracks[p].half_length) * h.T
+                (xp, yp), (xq, yq) = pts[p].T, pts[q].T
+                kr = self.k * np.hypot(xp[:, None] - xq, yp[:, None] - yq)
+                j0, y0 = sp_j0(kr), sp_y0(kr)
+                cq, cp = c * cracks[q].half_length, c * half
+                np.multiply(y0, -cq, out=re[rows, cols])
+                np.multiply(j0, cq, out=im[rows, cols])
+                np.multiply(y0.T, -cp, out=re[cols, rows])
+                np.multiply(j0.T, cp, out=im[cols, rows])
         anorm = np.linalg.norm(a, 1)
         try:
-            self._lu = lu_factor(a)
+            self._lu = lu_factor(a, overwrite_a=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SolverError(f"boundary system factorization failed: {exc}") from exc
         gecon = get_lapack_funcs(("gecon",), (a,))[0]

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import hankel1
+from scipy.special import hankel1, j0 as scipy_j0
 
 from crackdsm.errors import DomainError, InputMismatchError, SceneError
 from crackdsm.forward import (AcquisitionConfig, CrackSystem, FarFieldTensor,
-                              QuadratureSpec, _log_quadrature_matrix, far_field,
-                              far_field_tensor, reciprocity_residual)
+                              QuadratureSpec, _log_quadrature_matrix, _node_gaps,
+                              far_field, far_field_tensor, reciprocity_residual)
 from crackdsm.asymptotic import aligned_max_gap, farfield_order1
 from crackdsm.imaging import observation_directions
 from crackdsm.scene import Crack, Scene, crack_tangent, sample_scene, validate_scene
@@ -198,6 +198,43 @@ def test_tensor_matches_reference_assembly(k):
     got = far_field_tensor(sc, cfg, QuadratureSpec(32)).values
     ref = _reference_tensor(sc, cfg, 32)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+BAND_KS = tuple(2 * math.pi / lam for lam in np.linspace(0.3, 0.7, 5))
+
+
+@pytest.mark.parametrize("half", (0.03, 0.05, 0.09))
+@pytest.mark.parametrize("n", (16, 64))
+def test_self_block_matches_direct_formula(half, n):
+    # h [-W J0(z)/2pi + (pi/n)((i/4) H0(z) + ln|s_i - s_j| J0(z)/2pi)] with
+    # z = kh|s_i - s_j| off the diagonal; on it, the z -> 0 limit of the
+    # bracket, where h/2 is the logarithmic capacity of the crack.
+    sigma = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))
+    gap = np.abs(sigma[:, None] - sigma[None, :])
+    off = ~np.eye(n, dtype=bool)
+    w = _log_quadrature_matrix(n)
+    crack = Crack((0.1, -0.2), half, 0.7)
+    for k in BAND_KS:
+        z = k * half * gap[off]
+        ref = np.empty((n, n), dtype=complex)
+        ref[off] = (-w[off] * scipy_j0(z) / (2 * math.pi) + math.pi / n * (
+            0.25j * hankel1(0, z) + np.log(gap[off]) * scipy_j0(z) / (2 * math.pi)))
+        np.fill_diagonal(ref, -np.diag(w) / (2 * math.pi) + math.pi / n * (
+            0.25j - (math.log(k * half / 2) + np.euler_gamma) / (2 * math.pi)))
+        ref *= half
+        got = CrackSystem(Scene((crack,)), k, QuadratureSpec(n))._self_block(crack, w)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_shared_self_blocks_match_reference_assembly(k):
+    # two cracks share one self block; the third has its own half-length
+    sc = sample_scene(0.05, 0.05, 0.09)
+    cfg = AcquisitionConfig((k, 1.25 * k), 16, (0.3, 2.1, 4.4))
+    got = far_field_tensor(sc, cfg, QuadratureSpec(32)).values
+    ref = _reference_tensor(sc, cfg, 32)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for table in (_log_quadrature_matrix(32), *_node_gaps(32)):
+        assert not table.flags.writeable
 
 
 def test_reciprocity_residual_matches_pairwise_loop(k):

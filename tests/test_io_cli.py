@@ -280,6 +280,38 @@ def test_cli_lambda_range_needs_two_numbers(tmp_path, scene_file, capsys, spec):
     assert capsys.readouterr().err.startswith("error: --lambda-range")
 
 
+_ACQUISITION_CONFLICTS = {
+    "n_freq_with_lambda": (["--lambda", "0.5", "--n-freq", "5"], "error: --n-freq"),
+    "lambda_and_range": (["--lambda", "0.5", "--lambda-range", "0.3,0.7", "--n-freq", "5"],
+                         "error: give --lambda or --lambda-range, not both"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_TAILS))
+@pytest.mark.parametrize("conflict", sorted(_ACQUISITION_CONFLICTS))
+def test_cli_rejects_conflicting_wavelength_flags(tmp_path, scene_file, capsys,
+                                                  command, conflict):
+    flags, message = _ACQUISITION_CONFLICTS[conflict]
+    rc = main([command, "--scene", scene_file, *flags, *_COMMAND_TAILS[command],
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("predictor, flags", [
+    ("s1", ["--lambda", "0.5"]),
+    ("s2", ["--lambda", "0.5"]),
+    ("mif", ["--lambda-range", "0.3,0.7", "--n-freq", "5"]),
+])
+def test_cli_predict_rejects_n_incident(tmp_path, scene_file, capsys, predictor, flags):
+    rc = main(["predict", "--scene", scene_file, "--predictor", predictor, *flags,
+               "--n-incident", "8", "--grid=-1,1,-1,1,11,11", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: predictor {predictor} takes at most one")
+    assert not list(tmp_path.glob("out*"))
+
+
 # each edit of a valid N = 30 tensor file's lines must be rejected
 _TENSOR_CORRUPTIONS = {
     "missing_header_key": lambda lines: [ln for ln in lines if not ln.startswith("L ")],
