@@ -1,16 +1,3 @@
 """Direct sampling imaging of small straight cracks from far-field data."""
 
 __version__ = "0.1.0"
-
-from .scene import Crack, Scene, crack_endpoints, crack_tangent, sample_scene, validate_scene
-from .specfun import bessel_j, jacobi_anger, lambda_envelope
-from .forward import AcquisitionConfig, FarFieldTensor, QuadratureSpec, far_field, far_field_tensor
-from .imaging import ImagingGrid, IndicatorMap, find_local_maxima, map_distance
-
-__all__ = [
-    "Crack", "Scene", "crack_endpoints", "crack_tangent", "sample_scene",
-    "validate_scene", "bessel_j", "jacobi_anger", "lambda_envelope",
-    "AcquisitionConfig", "FarFieldTensor", "QuadratureSpec", "far_field",
-    "far_field_tensor", "ImagingGrid", "IndicatorMap", "find_local_maxima",
-    "map_distance",
-]

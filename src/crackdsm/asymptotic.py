@@ -7,8 +7,9 @@ maps: J0 combinations for a single direction, J0*Js cosine series for a few
 directions, and the band integral of that series over the wavenumbers for
 one direction.  The cosine series are summed exactly by the Jacobi-Anger
 identity J0(z) + 2 sum_{s>=1} i^s J_s(z) cos(s psi) = e^{iz cos psi}, so both
-are sums of J0 times plane waves e^{ik (c_m - x).d}.  `mif_radial_envelope`
-keeps the paper's Lambda = J0^2 + J1^2 envelope of the band map.
+are sums of J0 times plane waves e^{ik (c_m - x).d}.  `jacobi_anger` keeps
+the truncated series itself, and `mif_radial_envelope` the paper's
+Lambda = J0^2 + J1^2 envelope of the band map.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import j0 as sp_j0, j1 as sp_j1
+from scipy.special import j0 as sp_j0, j1 as sp_j1, jv
 
 from .errors import DomainError, InputMismatchError
 from .imaging import ImagingGrid, IndicatorMap, observation_directions
 from .scene import check_wavenumber, crack_tangent, require_valid
-from .specfun import lambda_envelope
 
 
 def _log_weight(half_length):
@@ -148,6 +148,28 @@ def predict_aif(scene, k, incident_angles, grid):
         raise DomainError("need at least one incident angle")
     dirs = np.column_stack([np.cos(incident_angles), np.sin(incident_angles)])
     return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, [k], [1.0], dirs, grid)))
+
+
+def jacobi_anger(z, phi, terms):
+    """Truncated plane-wave expansion J0(z) + 2 sum_{s<=terms} i^s J_s(z) cos(s phi).
+
+    Approximates e^{iz cos(phi)}; with terms = ceil(|z|) + 25 the truncation
+    error is below 1e-10 for |z| <= 20 and below 1e-7 for |z| <= 64.
+    """
+    if terms < 1:
+        raise DomainError("truncation order must be >= 1")
+    if not math.isfinite(z):
+        raise DomainError("argument must be finite")
+    s = np.arange(1, int(terms) + 1)
+    return complex(sp_j0(z) + 2.0 * np.sum(1j**s * jv(s, z) * np.cos(s * phi)))
+
+
+def lambda_envelope(x):
+    """J0(x)^2 + J1(x)^2 for finite x >= 0; decays like 2/(pi x) at infinity."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise DomainError("lambda_envelope requires finite x >= 0")
+    return sp_j0(x) ** 2 + sp_j1(x) ** 2
 
 
 def mif_radial_envelope(k1, kF, r):

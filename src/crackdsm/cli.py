@@ -22,26 +22,9 @@ from .errors import CrackDsmError
 from .forward import AcquisitionConfig, FarFieldTensor, QuadratureSpec, far_field_tensor
 from .asymptotic import (farfield_order1, farfield_order2, predict_aif,
                          predict_mif, predict_structure1, predict_structure2)
-from .imaging import (ImagingGrid, find_local_maxima, indicator_aif,
-                      indicator_if, indicator_mif, indicator_single,
-                      map_distance)
+from .imaging import (find_local_maxima, indicator_aif, indicator_if,
+                      indicator_mif, indicator_single, map_distance)
 from . import io as cio
-
-
-def _parse_grid(spec):
-    try:
-        x_min, x_max, y_min, y_max, nx, ny = spec.split(",")
-        bounds = (float(x_min), float(x_max), float(y_min), float(y_max))
-        counts = (int(nx), int(ny))
-    except ValueError:
-        raise CrackDsmError(f'--grid must be "xmin,xmax,ymin,ymax,nx,ny", got "{spec}"') from None
-    return ImagingGrid(*bounds, *counts)
-
-
-def _grid_spec(grid):
-    """The grid as a --grid value, bounds in %.17g."""
-    return "%.17g,%.17g,%.17g,%.17g,%d,%d" % (grid.x_min, grid.x_max, grid.y_min,
-                                              grid.y_max, grid.nx, grid.ny)
 
 
 def _wavenumbers(args):
@@ -69,16 +52,21 @@ def _wavenumbers(args):
 
 
 def _incident_angle(args):
+    """--incident-angle, pi/2 when not given."""
+    if args.incident_angle is None:
+        return math.pi / 2
     if not math.isfinite(args.incident_angle):
         raise CrackDsmError(f"--incident-angle must be finite, got {args.incident_angle}")
     return args.incident_angle
 
 
 def _incident_angles(args):
-    if args.n_incident is not None:
-        L = args.n_incident
-        return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
-    return (_incident_angle(args),)
+    if args.n_incident is None:
+        return (_incident_angle(args),)
+    if args.incident_angle is not None:
+        raise CrackDsmError("give --incident-angle or --n-incident, not both")
+    L = args.n_incident
+    return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
 
 
 def _manifest(args, command, inputs, params, outputs):
@@ -145,7 +133,7 @@ def _write_map(args, command, imap, inputs, params):
 
 
 def cmd_image(args):
-    grid = _parse_grid(args.grid)
+    grid = cio.parse_grid(args.grid)
     tensor = cio.read_tensor(args.tensor)
     method = args.method
     if method == "single":
@@ -160,11 +148,11 @@ def cmd_image(args):
                       inputs={"tensor": args.tensor},
                       params={"method": method, "f_index": args.f_index,
                               "l_index": args.l_index,
-                              "grid": _grid_spec(grid)})
+                              "grid": cio.format_grid(grid)})
 
 
 def cmd_predict(args):
-    grid = _parse_grid(args.grid)
+    grid = cio.parse_grid(args.grid)
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
     predictor = args.predictor
@@ -174,6 +162,8 @@ def cmd_predict(args):
         raise CrackDsmError(f"predictor {predictor} takes at most one --incident-angle, "
                             "not --n-incident")
     if predictor == "s1":
+        if args.incident_angle is not None:
+            raise CrackDsmError("predictor s1 takes no --incident-angle")
         imap = predict_structure1(scene, ks[0], grid)
     elif predictor == "s2":
         ang = _incident_angle(args)
@@ -186,7 +176,7 @@ def cmd_predict(args):
     return _write_map(args, "predict", imap,
                       inputs={"scene": args.scene},
                       params={"predictor": predictor, "wavenumbers": list(ks),
-                              "grid": _grid_spec(grid)})
+                              "grid": cio.format_grid(grid)})
 
 
 def cmd_compare(args):
@@ -226,7 +216,7 @@ def build_parser():
         p.add_argument("--n-freq", type=int, help="frequency count F for --lambda-range")
         p.add_argument("--n-incident", type=int,
                        help="L uniform incident directions 2*pi*l/L")
-        p.add_argument("--incident-angle", type=float, default=math.pi / 2,
+        p.add_argument("--incident-angle", type=float,
                        help="single incident angle in radians (default pi/2)")
 
     p = sub.add_parser("simulate", help="generate a far-field tensor file")

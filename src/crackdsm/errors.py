@@ -9,10 +9,6 @@ class DomainError(CrackDsmError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class UnsupportedOrderError(DomainError):
-    """Bessel order above the supported ceiling."""
-
-
 class SceneError(CrackDsmError, ValueError):
     """Invalid crack geometry or a hard scene-validation failure."""
 

@@ -158,11 +158,29 @@ def read_tensor(path):
 # ------------------------------------------------------------------ map files
 
 
+def format_grid(grid):
+    """The grid as the text "xmin,xmax,ymin,ymax,nx,ny", bounds in %.17g."""
+    bounds = (grid.x_min, grid.x_max, grid.y_min, grid.y_max)
+    return ",".join([*map(_fmt, bounds), str(grid.nx), str(grid.ny)])
+
+
+def parse_grid(text):
+    """ImagingGrid from the text "xmin,xmax,ymin,ymax,nx,ny"."""
+    try:
+        x_min, x_max, y_min, y_max, nx, ny = text.split(",")
+        bounds = (float(x_min), float(x_max), float(y_min), float(y_max))
+        counts = (int(nx), int(ny))
+    except ValueError:
+        raise InputMismatchError(
+            f'grid must be "xmin,xmax,ymin,ymax,nx,ny", got "{text}"') from None
+    return ImagingGrid(*bounds, *counts)
+
+
 def write_map_csv(path, imap):
     g = imap.grid
     lines = ["# indicator-map-csv v1\n",
              "# x_min,x_max,y_min,y_max,nx,ny\n",
-             f"{_fmt(g.x_min)},{_fmt(g.x_max)},{_fmt(g.y_min)},{_fmt(g.y_max)},{g.nx},{g.ny}\n"]
+             format_grid(g) + "\n"]
     row_fmt = ",".join(["%.17g"] * g.nx) + "\n"  # same text as _fmt, one call per row
     for row in imap.values:  # y ascending, row-major
         lines.append(row_fmt % tuple(row.tolist()))
@@ -173,9 +191,7 @@ def read_map_csv(path):
     lines = [ln for ln in _read_text(path).splitlines()
              if ln.strip() and not ln.startswith("#")]
     try:
-        x_min, x_max, y_min, y_max, nx, ny = lines[0].split(",")
-        grid = ImagingGrid(float(x_min), float(x_max), float(y_min), float(y_max),
-                           int(nx), int(ny))
+        grid = parse_grid(lines[0])
         values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     except (ValueError, IndexError) as exc:
         raise InputMismatchError(f"malformed map file: {exc}") from None

@@ -13,7 +13,6 @@ from crackdsm.asymptotic import (farfield_order1, farfield_order2,
 from crackdsm.forward import AcquisitionConfig
 from crackdsm.imaging import ImagingGrid
 from crackdsm.scene import Crack, Scene
-from crackdsm.specfun import bessel_j, bessel_j0
 
 
 def _origin_crack(half=0.05, rot=0.0):
@@ -27,7 +26,7 @@ def test_uniform_direction_sum_matches_j0(k):
         for ang in (0.0, 0.7, 2.4):
             x = r * np.array([math.cos(ang), math.sin(ang)])
             got = uniform_direction_sum(360, k, x)
-            want = 2 * math.pi * bessel_j(0, k * r)
+            want = 2 * math.pi * scipy_special.jv(0, k * r)
             assert abs(got - want) < 1e-9
 
 
@@ -39,7 +38,7 @@ def test_weighted_direction_sum_matches_j1(k):
             x = r * np.array([math.cos(ang), math.sin(ang)])
             for phi in phis:
                 got = weighted_direction_sum(360, k, x, phi)
-                want = 2j * math.pi * float(x @ phi / r) * bessel_j(1, k * r)
+                want = 2j * math.pi * float(x @ phi / r) * scipy_special.jv(1, k * r)
                 assert abs(got - want) < 1e-9
 
 
@@ -206,7 +205,7 @@ def test_aif_peak_and_large_l_limit(k):
     imap = predict_aif(sc, k, angles, grid)
     pts = grid.points()
     r = np.linalg.norm(pts - np.array([0.1, 0.1]), axis=1)
-    envelope = bessel_j0(k * r) ** 2
+    envelope = scipy_special.j0(k * r) ** 2
     envelope /= envelope.max()
     assert np.max(np.abs(imap.values.ravel() - envelope)) < 1e-3
 
@@ -235,8 +234,7 @@ def _cosine_series(kr, to_center, angles, orders=120):
 
 
 def test_aif_matches_scipy_series_beyond_order_cap():
-    # k r_max = 53.3 on this grid: the series needs more orders than the
-    # ceiling of 64 that bessel_j_orders supports
+    # k r_max = 53.3 on this grid: the series needs orders beyond 64
     k = 4 * math.pi
     angles = [2 * math.pi * i / 8 for i in range(1, 9)]
     grid = ImagingGrid(-3.0, 3.0, -3.0, 3.0, 121, 121)
@@ -346,7 +344,7 @@ def test_mif_envelope_suppresses_later_lobes():
     k1, kF = 2 * math.pi / 0.7, 2 * math.pi / 0.3
     r = np.linspace(0.25, 1.0, 1501)
     env = mif_radial_envelope(k1, kF, r)
-    j0sq = bessel_j0(2 * math.pi / 0.5 * r) ** 2
+    j0sq = scipy_special.j0(2 * math.pi / 0.5 * r) ** 2
     assert np.max(env) < 0.5 * np.max(j0sq)
 
 

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from crackdsm.errors import DomainError, InputMismatchError
 from crackdsm.asymptotic import farfield_order1, predict_structure1
-from crackdsm.forward import AcquisitionConfig, FarFieldTensor
+from crackdsm.forward import (AcquisitionConfig, FarFieldTensor, QuadratureSpec,
+                              far_field_tensor)
 from crackdsm.imaging import (ImagingGrid, IndicatorMap, correlate,
                               find_local_maxima, indicator_aif, indicator_if,
                               indicator_mif, indicator_single, map_distance,
                               observation_angles, observation_directions,
                               steering_vector)
 from crackdsm.scene import Crack, Scene
-from crackdsm.specfun import bessel_j0
 
 
 def _tensor_order1(scene, k, angles, n_obs=30):
@@ -194,7 +195,7 @@ def test_aif_sharpens_toward_j0_squared(k):
                             n_obs=64)
     imap = indicator_aif(tensor, 0, grid)
     r = np.linalg.norm(grid.points(), axis=1).reshape(grid.shape)
-    ref = bessel_j0(k * r) ** 2
+    ref = j0(k * r) ** 2
     assert np.max(np.abs(imap.values - ref / ref.max())) < 5e-3
 
 
@@ -311,9 +312,13 @@ def test_indicator_invariance_property(scale, phase):
 
 # ------------------------------------------------- kernel against brute force
 
-def _brute_corr(row, k, grid, d=(0.0, 0.0)):
-    """sum_n row_n e^{ik theta_n . x} e^{-ik d . x}, one direction at a time."""
-    pts = grid.points()
+def _brute_corr(row, k, grid, d=(0.0, 0.0), turn=0.0):
+    """sum_n row_n e^{ik theta_n . x} e^{-ik d . x}, one direction at a time.
+
+    Evaluated at the grid points turned by ``turn`` radians about the origin.
+    """
+    c, s = math.cos(turn), math.sin(turn)
+    pts = grid.points() @ np.array([[c, s], [-s, c]])
     theta = observation_directions(row.size)
     out = np.zeros(pts.shape[0], dtype=complex)
     for n in range(row.size):
@@ -354,6 +359,37 @@ def test_indicators_match_brute_force_sum(k):
     for name, imap in got.items():
         assert imap.values.shape == (23, 37)
         assert np.max(np.abs(imap.values - want[name])) < 1e-12, name
+
+
+@pytest.mark.parametrize("generator", ["order1", "full"])
+@pytest.mark.parametrize("j", [1, 7, 13])
+def test_rotation_covariance(k, three_cracks, generator, j):
+    # turning scene and incident directions by 2*pi*j/N maps the N observation
+    # directions onto themselves, so each map becomes the old map at the grid
+    # points turned back; the turned grid is not axis aligned, so the old map
+    # there is the brute-force sum
+    n_obs, angles = 30, (0.4, 2.1, 4.0)
+    beta = 2 * math.pi * j / n_obs
+    c, s = math.cos(beta), math.sin(beta)
+    turned = Scene(tuple(Crack((c * x - s * y, s * x + c * y), cr.half_length,
+                               cr.rotation + beta)
+                         for cr in three_cracks.cracks for x, y in [cr.center]))
+
+    def tensor(scene, incident):
+        cfg = AcquisitionConfig((k,), n_obs, incident)
+        if generator == "full":
+            return far_field_tensor(scene, cfg, QuadratureSpec(nodes_per_crack=32))
+        return FarFieldTensor([farfield_order1(scene, k, cfg.incident_directions(), cfg)], cfg)
+
+    base = tensor(three_cracks, angles)
+    new = tensor(turned, tuple(a + beta for a in angles))
+    grid = ImagingGrid(-0.8, 1.1, -0.9, 0.6, 29, 23)
+    dirs = base.config.incident_directions()
+    want_single = _unit_peak(np.abs(_brute_corr(base.values[0, 0], k, grid, turn=-beta)))
+    want_aif = _unit_peak(np.abs(sum(_brute_corr(base.values[0, l], k, grid, dirs[l], -beta)
+                                     for l in range(3))))
+    assert np.max(np.abs(indicator_single(new, 0, 0, grid).values - want_single)) < 1e-12
+    assert np.max(np.abs(indicator_aif(new, 0, grid).values - want_aif)) < 1e-12
 
 
 def _band_order1(scene, ks, angle, n_obs=30):

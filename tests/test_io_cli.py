@@ -9,6 +9,7 @@ import pytest
 
 from crackdsm import io as cio
 from crackdsm.cli import main
+from crackdsm.errors import InputMismatchError
 from crackdsm.forward import AcquisitionConfig, FarFieldTensor
 from crackdsm.imaging import ImagingGrid, IndicatorMap
 from crackdsm.scene import Crack, Scene, sample_scene
@@ -72,6 +73,15 @@ def test_map_csv_rows_match_value_by_value_format(tmp_path):
     cio.write_map_csv(path, IndicatorMap(grid, values))
     rows = path.read_text().splitlines()[3:]
     assert rows == [",".join(format(float(v), ".17g") for v in row) for row in values]
+
+
+@pytest.mark.parametrize("header", ["0,1,0,1,3", "0,1,0,1,3,x", "0,nan,0,1,3,3",
+                                    "1,0,0,1,3,3", "0,1,0,1,1,3"])
+def test_map_csv_bad_header_detected(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,0,0\n0,0,0\n0,0,0\n")
+    with pytest.raises(InputMismatchError):
+        cio.read_map_csv(path)
 
 
 def test_map_csv_shape_mismatch_detected(tmp_path):
@@ -444,6 +454,16 @@ _BAD_INPUTS = {
                                    "--lambda", "0.5", "--noise-snr=-inf"]),
     "s1_band": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
                        "--lambda-range", "0.3,0.7", "--n-freq", "5", "--grid=-1,1,-1,1,5,5"]),
+    # --incident-angle is refused where no single incident direction takes it
+    "simulate_incident_angle_and_n_incident": (None, [
+        "simulate", "--scene", "{scene}", "--generator", "order1", "--lambda", "0.5",
+        "--n-incident", "4", "--incident-angle", "1.0"]),
+    "aif_incident_angle_and_n_incident": (None, [
+        "predict", "--scene", "{scene}", "--predictor", "aif", "--lambda", "0.5",
+        "--n-incident", "4", "--incident-angle", "1.0", "--grid=-1,1,-1,1,5,5"]),
+    "s1_incident_angle": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
+                                 "--lambda", "0.5", "--incident-angle", "1.0",
+                                 "--grid=-1,1,-1,1,5,5"]),
 }
 
 

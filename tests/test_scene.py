@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crackdsm
 from crackdsm.errors import DomainError, SceneError
 from crackdsm.scene import (Crack, Scene, crack_endpoints, crack_tangent,
                             sample_scene, validate_scene)
@@ -107,3 +112,13 @@ def test_validation_order_invariant():
     rev = validate_scene(Scene(cracks[::-1]), k)
     assert sorted((v.kind, v.severity, round(v.value, 12)) for v in fwd) == \
         sorted((v.kind, v.severity, round(v.value, 12)) for v in rev)
+
+
+def test_geometry_and_imaging_import_without_scipy():
+    # only the solver and the predictors need scipy
+    code = ("import sys, crackdsm.scene, crackdsm.imaging, crackdsm.errors; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(crackdsm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
