@@ -7,9 +7,9 @@ maps: J0 combinations for a single direction, J0*Js cosine series for a few
 directions, and the band integral of that series over the wavenumbers for
 one direction.  The cosine series are summed exactly by the Jacobi-Anger
 identity J0(z) + 2 sum_{s>=1} i^s J_s(z) cos(s psi) = e^{iz cos psi}, so both
-are sums of J0 times plane waves e^{ik (c_m - x).d}.  `jacobi_anger` keeps
-the truncated series itself, and `mif_radial_envelope` the paper's
-Lambda = J0^2 + J1^2 envelope of the band map.
+are sums of J0 times plane waves e^{ik (c_m - x).d}.  The identities behind
+these forms (the direction sums, the truncated series and the paper's
+Lambda = J0^2 + J1^2 envelope) are test references in ``tests/paper.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import j0 as sp_j0, j1 as sp_j1, jv
+from scipy.special import j0 as sp_j0, j1 as sp_j1
 
 from .errors import DomainError, InputMismatchError
-from .imaging import ImagingGrid, IndicatorMap, observation_directions
+from .imaging import IndicatorMap, observation_directions
 from .scene import check_wavenumber, crack_tangent, require_valid
 
 
@@ -150,43 +150,6 @@ def predict_aif(scene, k, incident_angles, grid):
     return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, [k], [1.0], dirs, grid)))
 
 
-def jacobi_anger(z, phi, terms):
-    """Truncated plane-wave expansion J0(z) + 2 sum_{s<=terms} i^s J_s(z) cos(s phi).
-
-    Approximates e^{iz cos(phi)}; with terms = ceil(|z|) + 25 the truncation
-    error is below 1e-10 for |z| <= 20 and below 1e-7 for |z| <= 64.
-    """
-    if terms < 1:
-        raise DomainError("truncation order must be >= 1")
-    if not math.isfinite(z):
-        raise DomainError("argument must be finite")
-    s = np.arange(1, int(terms) + 1)
-    return complex(sp_j0(z) + 2.0 * np.sum(1j**s * jv(s, z) * np.cos(s * phi)))
-
-
-def lambda_envelope(x):
-    """J0(x)^2 + J1(x)^2 for finite x >= 0; decays like 2/(pi x) at infinity."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
-        raise DomainError("lambda_envelope requires finite x >= 0")
-    return sp_j0(x) ** 2 + sp_j1(x) ** 2
-
-
-def mif_radial_envelope(k1, kF, r):
-    """|kF*Lambda(kF r) - k1*Lambda(k1 r)| / (kF - k1), the paper's multi-frequency envelope.
-
-    Since d/dx[x Lambda(x)] = J0(x)^2 - J1(x)^2, this is the band mean
-    |1/(kF - k1) * int_k1^kF (J0(kr)^2 - J1(kr)^2) dk|.  `predict_mif` needs no
-    envelope: its band integral of J0 times the plane wave holds this term.
-    In the zero-width limit kF -> k1 = k it tends to |J0(kr)^2 - J1(kr)^2|,
-    not to J0(kr)^2.
-    """
-    if not kF > k1 > 0.0:
-        raise DomainError("need 0 < k1 < kF")
-    r = np.asarray(r, dtype=float)
-    return np.abs(kF * lambda_envelope(kF * r) - k1 * lambda_envelope(k1 * r)) / (kF - k1)
-
-
 def _gauss_legendre_panels(a, b, n_panels):
     nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, n_panels + 1)
@@ -215,40 +178,3 @@ def predict_mif(scene, k_list, incident_angle, grid):
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))
     ks, weights = _gauss_legendre_panels(k1, kF, n_panels)
     return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, ks, weights, d, grid)))
-
-
-def uniform_direction_sum(n_dirs, k, x):
-    """(2*pi/N) sum_n e^{ik theta_n . x}; tends to 2*pi*J0(k|x|)."""
-    x = np.asarray(x, dtype=float)
-    theta = observation_directions(n_dirs)
-    return complex((2.0 * math.pi / n_dirs) * np.sum(np.exp(1j * k * theta @ x)))
-
-
-def weighted_direction_sum(n_dirs, k, x, phi_vec):
-    """(2*pi/N) sum_n (phi.theta_n) e^{ik theta_n . x}.
-
-    Tends to 2*pi*i*(x_hat.phi)*J1(k|x|).
-    """
-    x = np.asarray(x, dtype=float)
-    phi_vec = np.asarray(phi_vec, dtype=float)
-    theta = observation_directions(n_dirs)
-    vals = (theta @ phi_vec) * np.exp(1j * k * theta @ x)
-    return complex((2.0 * math.pi / n_dirs) * np.sum(vals))
-
-
-def aligned_max_gap(reference, approx):
-    """Relative max-norm gap after removing one fitted complex constant.
-
-    Fits alpha minimizing ||reference - alpha*approx||_2 and returns
-    max|reference - alpha*approx| / max|reference|.  Used for trend checks
-    against the full solver, whose global far-field constant differs from the
-    expansion's.
-    """
-    reference = np.asarray(reference, dtype=complex)
-    approx = np.asarray(approx, dtype=complex)
-    denom = np.vdot(approx, approx)
-    alpha = np.vdot(approx, reference) / denom if abs(denom) > 0 else 0.0
-    ref_scale = np.max(np.abs(reference))
-    if ref_scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(reference - alpha * approx)) / ref_scale)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import j0 as sp_j0, y0 as sp_y0
 
-from .errors import DomainError, InputMismatchError, SceneError, SolverError
+from .errors import DomainError, InputMismatchError, SolverError
 from .imaging import observation_directions
 from .scene import crack_tangent, require_valid
 
@@ -242,12 +242,6 @@ class CrackSystem:
             out = (phases @ (weights[:, None] * psi)).T
             out *= (1.0 + 1j) / (4.0 * math.sqrt(math.pi * self.k))
         return out if d.ndim == 2 else out[0]
-
-
-def far_field(scene, k, d, config, quad=QuadratureSpec()):
-    """Solve the boundary system and evaluate psi_inf(theta_n, d), n = 1..N."""
-    system = CrackSystem(scene, k, quad)
-    return system.far_field(d, config.n_obs)
 
 
 def far_field_tensor(scene, config, quad=QuadratureSpec()):

@@ -1,9 +1,10 @@
 """Sampling grids, indicator maps, and the direct-sampling indicator functions.
 
-The four indicators share one kernel: far-field rows against the steering
-vectors e^{-ik theta_n . x}, optionally compensated by e^{-ik d . x}.  On the
-tensor-product grid each phase splits into x and y factors, so a map is one
-product By diag(u) Ax^T.  Maps have max 1 (zero maps are flagged, not divided).
+The four indicators share one kernel, `_steered_sum`: far-field rows
+correlated with the steering vectors e^{-ik theta_n . x}, optionally
+compensated by e^{-ik d . x}.  On the tensor-product grid each phase splits
+into x and y factors, so a map is one product By diag(u) Ax^T.  Maps have
+max 1 (zero maps are flagged, not divided).
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class ImagingGrid:
         xx, yy = np.meshgrid(self.x_coords(), self.y_coords())
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    def spacing(self):
-        return ((self.x_max - self.x_min) / (self.nx - 1),
-                (self.y_max - self.y_min) / (self.ny - 1))
-
 
 @dataclass
 class IndicatorMap:
@@ -72,10 +69,6 @@ class IndicatorMap:
             return cls(grid, np.zeros(grid.shape), zero_map=True)
         return cls(grid, raw / peak)
 
-    def argmax_point(self):
-        iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
-        return np.array([self.grid.x_coords()[ix], self.grid.y_coords()[iy]])
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -91,31 +84,10 @@ class PeakReport:
     crack_matches: list = field(default_factory=list)  # (center, dist, value)
 
 
-def observation_angles(n_obs):
-    """Angles 2*pi*n/N for n = 1..N."""
-    return 2.0 * np.pi * np.arange(1, n_obs + 1) / n_obs
-
-
 def observation_directions(n_obs):
-    ang = observation_angles(n_obs)
+    """Unit vectors at the angles 2*pi*n/N for n = 1..N, shape (N, 2)."""
+    ang = 2.0 * np.pi * np.arange(1, n_obs + 1) / n_obs
     return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def steering_vector(k, n_obs, x):
-    """Test-function samples e^{-ik theta_n . x}, unit modulus each."""
-    if n_obs < 1:
-        raise DomainError("need at least one observation direction")
-    x = np.asarray(x, dtype=float)
-    return np.exp(-1j * k * observation_directions(n_obs) @ x)
-
-
-def correlate(data, steer):
-    """Discrete inner product sum_n data_n * conj(steer_n)."""
-    data = np.asarray(data)
-    steer = np.asarray(steer)
-    if data.shape != steer.shape:
-        raise InputMismatchError(f"length mismatch {data.shape} vs {steer.shape}")
-    return complex(np.sum(data * np.conj(steer)))
 
 
 def _steered_sum(ks, rows, comp, grid):

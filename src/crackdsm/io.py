@@ -198,6 +198,8 @@ def read_map_csv(path):
     if values.shape != grid.shape:
         raise InputMismatchError(
             f"map data shape {values.shape} does not match header {grid.shape}")
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # also false for nan
+        raise InputMismatchError("map values must be finite and lie in [0, 1]")
     return IndicatorMap(grid, values)
 
 
@@ -215,7 +217,3 @@ def write_map_pgm(path, imap):
 
 def write_manifest(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path):
-    return json.loads(_read_text(path))

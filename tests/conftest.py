@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crackdsm.forward import AcquisitionConfig
-from crackdsm.scene import sample_scene
+from paper import sample_scene
 
 K_HALF = 2 * math.pi / 0.5  # wavenumber at the benchmark wavelength 0.5
 

@@ -9,10 +9,11 @@ from scipy.special import hankel1, j0 as scipy_j0
 from crackdsm.errors import DomainError, InputMismatchError, SceneError
 from crackdsm.forward import (AcquisitionConfig, CrackSystem, FarFieldTensor,
                               QuadratureSpec, _log_quadrature_matrix, _node_gaps,
-                              far_field, far_field_tensor, reciprocity_residual)
-from crackdsm.asymptotic import aligned_max_gap, farfield_order1
+                              far_field_tensor, reciprocity_residual)
+from crackdsm.asymptotic import farfield_order1
 from crackdsm.imaging import observation_directions
-from crackdsm.scene import Crack, Scene, crack_tangent, sample_scene, validate_scene
+from crackdsm.scene import Crack, Scene, crack_tangent, validate_scene
+from paper import aligned_max_gap, sample_scene
 
 
 def _single(half=0.05, center=(0.1, -0.2), rot=0.7):
@@ -45,37 +46,36 @@ def test_tensor_shape_checked(config30):
         FarFieldTensor(np.zeros((1, 2, 30)), config30)
 
 
-def test_empty_scene_gives_zero_field(k, config30, d_up):
-    out = far_field(Scene(()), k, d_up, config30)
+def test_empty_scene_gives_zero_field(k, d_up):
+    out = CrackSystem(Scene(()), k).far_field(d_up, 30)
     assert np.all(out == 0.0)
     assert out.shape == (30,)
 
 
-def test_hard_violation_rejected(k, config30, d_up):
+def test_hard_violation_rejected(k):
     sc = Scene((Crack((0, 0), 0.01, 0.0), Crack((0.02, 0), 0.01, 0.0)))
     with pytest.raises(SceneError):
-        far_field(sc, k, d_up, config30)
+        CrackSystem(sc, k)
 
 
-def test_output_finite_and_bounded(k, config30, d_up):
-    out = far_field(_single(), k, d_up, config30)
+def test_output_finite_and_bounded(k, d_up):
+    out = CrackSystem(_single(), k).far_field(d_up, 30)
     assert np.all(np.isfinite(out.view(float)))
     assert np.max(np.abs(out)) < 10.0 / math.sqrt(k)
 
 
-def test_self_convergence_once_converged(k, config30, d_up):
+def test_self_convergence_once_converged(k, d_up):
     sc = _single()
-    f32 = far_field(sc, k, d_up, config30, QuadratureSpec(32))
-    f64 = far_field(sc, k, d_up, config30, QuadratureSpec(64))
+    f32 = CrackSystem(sc, k, QuadratureSpec(32)).far_field(d_up, 30)
+    f64 = CrackSystem(sc, k, QuadratureSpec(64)).far_field(d_up, 30)
     assert np.max(np.abs(f64 - f32)) < 1e-8
 
 
-def test_superlinear_convergence_factor(k, config30, d_up):
+def test_superlinear_convergence_factor(k, d_up):
     # larger crack so the 8-node solve is not yet at round-off
     sc = _single(half=0.14)
-    f8 = far_field(sc, k, d_up, config30, QuadratureSpec(8))
-    f16 = far_field(sc, k, d_up, config30, QuadratureSpec(16))
-    f32 = far_field(sc, k, d_up, config30, QuadratureSpec(32))
+    f8, f16, f32 = (CrackSystem(sc, k, QuadratureSpec(n)).far_field(d_up, 30)
+                    for n in (8, 16, 32))
     e1 = np.max(np.abs(f16 - f8))
     e2 = np.max(np.abs(f32 - f16))
     assert e1 > 1e-12  # genuinely unconverged at 8 nodes
@@ -137,7 +137,7 @@ def test_agreement_with_leading_order_improves(k, config30, d_up):
     gaps = []
     for half in (0.05, 0.02, 0.01, 0.005):
         sc = _single(half=half)
-        full = far_field(sc, k, d_up, config30, QuadratureSpec(64))
+        full = CrackSystem(sc, k, QuadratureSpec(64)).far_field(d_up, 30)
         lead = farfield_order1(sc, k, d_up, config30)
         gaps.append(aligned_max_gap(full, lead))
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
@@ -151,10 +151,12 @@ def test_tensor_generation_deterministic(k, three_cracks):
     assert t1.values.shape == (1, 2, 16)
 
 
-def test_per_direction_solves_share_factorization(k, config30):
+def test_per_direction_solves_share_factorization(k, d_up):
+    # a second solve on one factorization matches a freshly factorized system
     sys_ = CrackSystem(_single(), k, QuadratureSpec(32))
-    a = sys_.far_field(np.array([0.0, 1.0]), 30)
-    b = far_field(_single(), k, np.array([0.0, 1.0]), config30, QuadratureSpec(32))
+    sys_.far_field(np.array([1.0, 0.0]), 30)
+    a = sys_.far_field(d_up, 30)
+    b = CrackSystem(_single(), k, QuadratureSpec(32)).far_field(d_up, 30)
     assert np.allclose(a, b, atol=1e-14)
 
 

@@ -12,7 +12,8 @@ from crackdsm.cli import main
 from crackdsm.errors import InputMismatchError
 from crackdsm.forward import AcquisitionConfig, FarFieldTensor
 from crackdsm.imaging import ImagingGrid, IndicatorMap
-from crackdsm.scene import Crack, Scene, sample_scene
+from crackdsm.scene import Crack, Scene
+from paper import sample_scene
 
 
 @pytest.fixture
@@ -87,7 +88,7 @@ def test_map_csv_bad_header_detected(tmp_path, header):
 def test_map_csv_shape_mismatch_detected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1,0,1,3,3\n0,0,0\n0,0,0\n")
-    with pytest.raises(Exception):
+    with pytest.raises(InputMismatchError):
         cio.read_map_csv(path)
 
 
@@ -108,10 +109,10 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "m.json"
     payload = {"b": 1, "a": [1, 2], "c": {"z": None}}
     cio.write_manifest(path, payload)
-    assert cio.read_manifest(path) == payload
+    assert json.loads(path.read_text()) == payload
     # deterministic serialization
     text = path.read_text()
-    cio.write_manifest(path, cio.read_manifest(path))
+    cio.write_manifest(path, json.loads(text))
     assert path.read_text() == text
 
 
@@ -130,7 +131,7 @@ def test_cli_simulate_and_image(tmp_path, scene_file, capsys):
     assert imap.values.shape == (101, 101)
     assert imap.values.max() == 1.0
     assert (tmp_path / "map.pgm").exists()
-    manifest = cio.read_manifest(out_map + ".csv.manifest.json")
+    manifest = json.loads(Path(out_map + ".csv.manifest.json").read_text())
     assert manifest["command"] == "image"
     assert manifest["params"]["grid"] == "-1,1,-1,1,101,101"
 
@@ -141,7 +142,7 @@ def test_cli_manifest_replay_reproduces_bytes(tmp_path, scene_file):
             "--generator", "order2", "--out", tensor]
     assert main(argv) == 0
     first = (tmp_path / "data.txt").read_bytes()
-    stored = cio.read_manifest(tensor + ".manifest.json")["argv"]
+    stored = json.loads(Path(tensor + ".manifest.json").read_text())["argv"]
     assert main(stored) == 0
     assert (tmp_path / "data.txt").read_bytes() == first
 
@@ -379,7 +380,7 @@ def test_cli_grid_forms_record_same_spec(tmp_path, scene_file):
         out = str(tmp_path / f"p{i}")
         assert main(["predict", "--scene", scene_file, "--predictor", "s1",
                      "--lambda", "0.5", *grid_args, "--out", out]) == 0
-        specs.append(cio.read_manifest(out + ".csv.manifest.json")["params"]["grid"])
+        specs.append(json.loads(Path(out + ".csv.manifest.json").read_text())["params"]["grid"])
     assert specs == ["0,1.5,-0.25,0.75,11,9"] * 2
 
 
@@ -401,7 +402,7 @@ def test_cli_grid_value_with_negative_bound_as_own_token(tmp_path, scene_file):
         sep, eq = outs
         for ext in (".csv", ".pgm"):
             assert Path(sep + ext).read_bytes() == Path(eq + ext).read_bytes()
-        grids = [cio.read_manifest(o + ".csv.manifest.json")["params"]["grid"]
+        grids = [json.loads(Path(o + ".csv.manifest.json").read_text())["params"]["grid"]
                  for o in outs]
         assert grids == ["-1,1,-0.5,1,11,9"] * 2
 
@@ -428,6 +429,22 @@ def test_cli_rejects_unreadable_input(tmp_path, capsys, command, src):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["peaks", "compare"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-3", "1.5"])
+def test_cli_rejects_map_value_outside_unit_interval(tmp_path, capsys, command, value):
+    # an indicator map holds finite values in [0, 1]
+    good = tmp_path / "good.csv"
+    good.write_text("0,1,0,1,2,2\n0,0.5\n1,0\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"0,1,0,1,2,2\n0,0.5\n{value},0\n")
+    argv = {"peaks": ["peaks", "--map", str(bad)],
+            "compare": ["compare", "--a", str(good), "--b", str(bad)]}[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
 
 
 # each argv must be refused with exit 1; {tensor} is a valid F = L = 1 tensor

@@ -3,7 +3,7 @@
 The solver and the predictors evaluate J_s with `scipy.special`; these tests
 hold those values to independent references (an ascending series, mpmath,
 the three-term recurrence).  The series constructs built on them,
-`jacobi_anger` and `lambda_envelope`, live in `crackdsm.asymptotic`.
+`jacobi_anger` and `lambda_envelope`, are test references in `tests/paper.py`.
 """
 
 import math
@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0, j1, jv
 
-from crackdsm.asymptotic import jacobi_anger, lambda_envelope
 from crackdsm.errors import DomainError
+from paper import jacobi_anger, lambda_envelope
 
 
 def _series_oracle_j0(x):
