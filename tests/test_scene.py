@@ -22,14 +22,31 @@ def test_tangent_axis_aligned():
                        [math.sqrt(2) / 2, math.sqrt(2) / 2])
 
 
-@given(rot=st.floats(-10, 10))
+def _endpoints(crack):
+    # the segment center -/+ half_length * tangent that CrackSystem puts its nodes on
+    t = crack_tangent(crack)
+    c = np.asarray(crack.center, dtype=float)
+    return c - crack.half_length * t, c + crack.half_length * t
+
+
+@given(cx=st.floats(-5, 5), cy=st.floats(-5, 5),
+       half=st.floats(1e-3, 1.9), rot=st.floats(-10, 10))
 @settings(max_examples=100, deadline=None)
-def test_tangent_properties(rot):
-    # unit length, and turning the crack by pi reverses it
-    tangent = crack_tangent(Crack((0.3, -0.1), 0.2, rot))
-    assert np.linalg.norm(tangent) == pytest.approx(1.0, abs=1e-14)
-    flipped = crack_tangent(Crack((0.3, -0.1), 0.2, rot + math.pi))
-    assert np.allclose(flipped, -tangent, atol=1e-14)
+def test_endpoint_properties(cx, cy, half, rot):
+    crack = Crack((cx, cy), half, rot)
+    a, b = _endpoints(crack)
+    assert np.linalg.norm(b - a) == pytest.approx(2 * half, rel=1e-12)
+    assert np.allclose(0.5 * (a + b), [cx, cy], atol=1e-12)
+    assert np.linalg.norm(crack_tangent(crack)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_rotation_by_pi_swaps_endpoints():
+    crack = Crack((0.3, -0.1), 0.2, 0.7)
+    flipped = Crack((0.3, -0.1), 0.2, 0.7 + math.pi)
+    assert np.allclose(crack_tangent(flipped), -crack_tangent(crack))
+    a, b = _endpoints(crack)
+    fa, fb = _endpoints(flipped)
+    assert np.allclose(a, fb) and np.allclose(b, fa)
 
 
 def test_invalid_cracks_rejected():
