@@ -21,7 +21,7 @@ from scipy.special import j0 as sp_j0, j1 as sp_j1
 
 from .errors import DomainError, InputMismatchError
 from .imaging import IndicatorMap, observation_directions
-from .scene import check_wavenumber, crack_tangent, require_valid
+from .scene import check_scaled_scene, crack_tangent, require_valid
 
 
 def _log_weight(half_length):
@@ -81,7 +81,7 @@ def _grid_radii(scene, grid):
 
 def predict_structure1(scene, k, grid):
     """Single-direction map shape |sum_m J0(k r_m)/ln(l_m/2)|, max-normalized."""
-    check_wavenumber(k)
+    check_scaled_scene(scene, k)
     _, radii = _grid_radii(scene, grid)
     raw = np.zeros(grid.nx * grid.ny)
     for crack, r in zip(scene.cracks, radii):
@@ -97,7 +97,7 @@ def structure_fields(scene, k, d, grid):
     (relative weighting from the structure derivation).  Phi2 is defined as 0
     at exact coincidence x = c_m.
     """
-    check_wavenumber(k)
+    check_scaled_scene(scene, k)
     half = _equal_half_length(scene)
     d = np.asarray(d, dtype=float)
     offs, radii = _grid_radii(scene, grid)
@@ -142,7 +142,7 @@ def predict_aif(scene, k, incident_angles, grid):
     The plane-wave sum is the J0*Js cosine series
     sum_l [J0 + 2 sum_s i^s J_s(k r_m) cos s(varphi_m - alpha_l)] in closed form.
     """
-    check_wavenumber(k)
+    check_scaled_scene(scene, k)
     incident_angles = np.asarray(incident_angles, dtype=float)
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
@@ -171,6 +171,7 @@ def predict_mif(scene, k_list, incident_angle, grid):
     if np.any(np.diff(k_list) <= 0.0) or not np.all((k_list > 0.0) & np.isfinite(k_list)):
         raise DomainError("wavenumbers must be finite, positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
+    check_scaled_scene(scene, kF)
     d = np.array([[math.cos(incident_angle), math.sin(incident_angle)]])
     corners = np.array([(x, y) for y in (grid.y_min, grid.y_max) for x in (grid.x_min, grid.x_max)])
     rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max()) for c in scene.cracks),

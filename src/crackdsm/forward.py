@@ -9,24 +9,32 @@ identities
     int ln|s - t| T_0(t)/sqrt(1-t^2) dt = -pi ln 2
     int ln|s - t| T_m(t)/sqrt(1-t^2) dt = -pi T_m(s)/m   (m >= 1),
 
-which makes the scheme spectrally accurate; cross-crack blocks are smooth and
-use plain Gauss-Chebyshev quadrature.  On a self block z = kh|sigma_i - sigma_j|
-and ln z - ln(kh) = ln|sigma_i - sigma_j|, so the block needs no per-k
-logarithm: the quadrature matrix and the table of node log-gaps depend on n
-alone and are built once per n (read-only), and a block depends only on k, h
-and n, so cracks of equal half-length share one.  Blocks are written straight
-into a Fortran-ordered system matrix, which LU with partial pivoting factors in
-place.
+which makes the scheme spectrally accurate.  On a self block
+z = kh|sigma_i - sigma_j| and ln z - ln(kh) = ln|sigma_i - sigma_j|, so the
+block needs no per-k logarithm: the quadrature matrix and the table of node
+log-gaps depend on n alone and are built once per n (read-only), and a block
+depends only on k, h and n, so cracks of equal half-length share one, and one
+LU.
+
+Cross-crack blocks use plain Gauss-Chebyshev quadrature.  Their kernel is
+smooth on separated cracks, so block (p, q) is U_p M_pq U_q^T to round-off:
+M_pq samples it at m_p x m_q coarse Chebyshev nodes, and U_p interpolates
+from crack p's m_p coarse nodes to its n nodes.  m_p is chosen from the data
+(`CrackSystem._basis_sizes`); a crack that needs n/2 or more keeps all its
+nodes, U_p = I.  The system A = D + U M U^T, with D the self blocks, is
+solved by the Woodbury identity through the self-block LUs and one LU of a
+small capacitance matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import j0 as sp_j0, y0 as sp_y0
 
 from .errors import DomainError, InputMismatchError, SolverError
@@ -35,6 +43,9 @@ from .scene import crack_tangent, require_valid
 
 _EULER_GAMMA = 0.5772156649015328606
 _RCOND_FLOOR = 1e-13
+_FIRST_RANK = 8          # first coarse size tried per crack pair
+_TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off stalls near 2e-15
+_SAFE_MIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -139,11 +150,63 @@ def _node_gaps(n):
     return gaps, log_gaps
 
 
-class CrackSystem:
-    """Factorized boundary system for one scene at one wavenumber.
+@functools.lru_cache(maxsize=None)
+def _dct_matrix(m):
+    """T with T @ f the Chebyshev coefficients of the interpolant through f at the m points (read-only)."""
+    _, ang = _chebyshev_nodes(m)
+    t = np.cos(np.outer(np.arange(m), ang)) * (2.0 / m)
+    t[0] *= 0.5
+    t.flags.writeable = False
+    return t
 
-    ``points`` holds the (m*n, 2) nodes, crack p owning rows p*n to (p+1)*n;
-    ``rcond`` is LAPACK's reciprocal 1-norm condition estimate (1 if empty).
+
+@functools.lru_cache(maxsize=None)
+def _interpolation_matrix(n, m):
+    """U with U[i, a] = ell_a(sigma_i): the m-point Chebyshev interpolant at the n nodes (read-only)."""
+    _, ang = _chebyshev_nodes(n)
+    u = np.cos(np.outer(ang, np.arange(m))) @ _dct_matrix(m)
+    u.flags.writeable = False
+    return u
+
+
+def _crack_nodes(crack, m):
+    """The m Chebyshev points on a crack, shape (m, 2)."""
+    sigma, _ = _chebyshev_nodes(m)
+    return np.asarray(crack.center) + crack.half_length * np.outer(sigma, crack_tangent(crack))
+
+
+def _cross_kernel(k, x, y):
+    """i H0(k|x_i - y_j|) = -Y0 + i J0 between two node sets of shape (., 2)."""
+    kr = k * np.hypot(x[:, 0, None] - y[:, 0], x[:, 1, None] - y[:, 1])
+    kern = np.empty(kr.shape, dtype=complex)
+    kern.real = -sp_y0(kr)
+    kern.imag = sp_j0(kr)
+    return kern
+
+
+def _chebyshev_tail(kern):
+    """Largest Chebyshev coefficient of the (m, m) samples in the last quarter
+    of rows or columns, over the largest coefficient."""
+    t = _dct_matrix(len(kern))
+    coef = np.abs(t @ kern @ t.T)
+    q = 3 * len(kern) // 4
+    return max(coef[q:].max(), coef[:, q:].max()) / coef.max()
+
+
+def _real_left(u, z):
+    """u @ z for real u and complex z as one real product over z's (re, im) pairs."""
+    z = np.ascontiguousarray(z)
+    return (u @ z.view(float).reshape(len(z), -1)).view(complex)
+
+
+class CrackSystem:
+    """Factorized boundary system A = D + U M U^T for one scene at one wavenumber.
+
+    ``points`` holds the (m*n, 2) nodes, crack p owning rows p*n to (p+1)*n.
+    D holds the self blocks, U = blockdiag(U_p) the per-crack interpolation
+    bases and M the cross kernel at the coarse nodes; solves go through the
+    Woodbury identity.  ``rcond`` is 1/(||A||_1 est ||A^-1||_1), with ||A||_1
+    exact and ||A^-1||_1 a Hager-Higham estimate (1 if the scene is empty).
     """
 
     def __init__(self, scene, k, quad=QuadratureSpec()):
@@ -152,10 +215,7 @@ class CrackSystem:
         self.k = float(k)
         self.n = quad.nodes_per_crack
         self.m_cracks = len(scene.cracks)
-        sigma, _ = _chebyshev_nodes(self.n)
-        self.points = np.array([
-            np.asarray(c.center) + c.half_length * np.outer(sigma, crack_tangent(c))
-            for c in scene.cracks]).reshape(-1, 2)
+        self.points = np.array([_crack_nodes(c, self.n) for c in scene.cracks]).reshape(-1, 2)
         self.rcond = 1.0
         if self.m_cracks == 0:
             return
@@ -182,46 +242,165 @@ class CrackSystem:
         block *= half
         return block
 
+    def _basis_sizes(self):
+        """Basis size m_p per crack and the coarse kernels the size search sampled.
+
+        Block (p, q) is c h_q i H0(k|x_i - y_j|) on a smooth tensor grid, so it
+        equals U_p K_pq U_q^T once the Chebyshev coefficients of the m x m
+        samples K_pq have a negligible tail.  m doubles from _FIRST_RANK; a pair
+        still unresolved below n/2 takes all n nodes, as does a lone crack.
+        """
+        n, cracks = self.n, self.scene.cracks
+        pair_sizes, kernels = {}, {}
+        for p, q in itertools.combinations(range(self.m_cracks), 2):
+            m = _FIRST_RANK
+            while 2 * m < n:
+                kern = _cross_kernel(self.k, _crack_nodes(cracks[p], m),
+                                     _crack_nodes(cracks[q], m))
+                if _chebyshev_tail(kern) < _TAIL_TOL:
+                    kernels[p, q] = kern
+                    break
+                m *= 2
+            else:
+                m = n
+            pair_sizes[p, q] = m
+        sizes = [max((m for pair, m in pair_sizes.items() if p in pair), default=n)
+                 for p in range(self.m_cracks)]
+        return sizes, kernels
+
     def _factor(self, logmat):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
-        pts = self.points.reshape(mc, n, 2)
-        a = np.empty((mc * n, mc * n), dtype=complex, order="F")
-        re, im = a.real, a.imag
+        sizes, kernels = self._basis_sizes()
+        off = np.concatenate([[0], np.cumsum(sizes)])
+        self._rows = [slice(off[p], off[p + 1]) for p in range(mc)]
+        # U_p is None for U_p = I: that crack's nodes are its coarse nodes.
+        self._bases = [None if m == n else _interpolation_matrix(n, m) for m in sizes]
+        nodes = [self.points[p * n:(p + 1) * n] if sizes[p] == n
+                 else _crack_nodes(cracks[p], sizes[p]) for p in range(mc)]
+        cap = np.zeros((off[-1], off[-1]), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
-        blocks = {}
-        for p in range(mc):
-            rows = slice(p * n, (p + 1) * n)
+        colsum = np.zeros(mc * n)
+        for p, q in itertools.combinations(range(mc), 2):
+            # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
+            # transpose of M_pq up to the quadrature weight c h of its column crack.
+            kern = kernels.get((p, q))
+            if kern is None or sizes[p] != len(kern) or sizes[q] != len(kern):
+                kern = _cross_kernel(self.k, nodes[p], nodes[q])
+            rp, rq = self._rows[p], self._rows[q]
+            np.multiply(kern, c * cracks[q].half_length, out=cap[rp, rq])
+            np.multiply(kern.T, c * cracks[p].half_length, out=cap[rq, rp])
+            colsum[q * n:(q + 1) * n] += self._block_column_sums(p, q, cap[rp, rq])
+            colsum[p * n:(p + 1) * n] += self._block_column_sums(q, p, cap[rq, rp])
+        # Woodbury: A^-1 = D^-1 - D^-1 U C^-1 M U^T D^-1 with the capacitance
+        # matrix C = I + U^T D^-1 U M.  A crack with U_p = I has its block row
+        # of C multiplied through by D_p, which makes that row A's own and
+        # spares the inverse of its self block.
+        blocks, lus, solved = {}, {}, {}
+        self._lus, self._v, self._m_rows = [None] * mc, [None] * mc, [None] * mc
+        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
             half = cracks[p].half_length
             if half not in blocks:
                 blocks[half] = self._self_block(cracks[p], logmat)
-            a[rows, rows] = blocks[half]
-            for q in range(p + 1, mc):
-                # H0(k|x_i - y_j|) is symmetric in the two nodes, so block
-                # (q, p) is block (p, q) transposed; each block carries the
-                # quadrature weight (pi h/n)(i/4) of its column crack, so its
-                # real part is -c h Y0 and its imaginary part c h J0.
-                cols = slice(q * n, (q + 1) * n)
-                (xp, yp), (xq, yq) = pts[p].T, pts[q].T
-                kr = self.k * np.hypot(xp[:, None] - xq, yp[:, None] - yq)
-                j0, y0 = sp_j0(kr), sp_y0(kr)
-                cq, cp = c * cracks[q].half_length, c * half
-                np.multiply(y0, -cq, out=re[rows, cols])
-                np.multiply(j0, cq, out=im[rows, cols])
-                np.multiply(y0.T, -cp, out=re[cols, rows])
-                np.multiply(j0.T, cp, out=im[cols, rows])
-        anorm = np.linalg.norm(a, 1)
-        try:
-            self._lu = lu_factor(a, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SolverError(f"boundary system factorization failed: {exc}") from exc
-        gecon = get_lapack_funcs(("gecon",), (a,))[0]
-        rcond, info = gecon(self._lu[0], anorm, norm="1")
-        if info != 0 or not rcond > _RCOND_FLOOR:
+            colsum[p * n:(p + 1) * n] += np.abs(blocks[half]).sum(axis=0)
+            if basis is None:
+                cap[rows, rows] = blocks[half]
+                continue
+            if half not in lus:
+                lus[half] = lu_factor(blocks[half], check_finite=False)
+            if (half, sizes[p]) not in solved:
+                v = lu_solve(lus[half], basis, check_finite=False)       # D_p^-1 U_p
+                solved[half, sizes[p]] = v, _real_left(basis.T, v)      # and U_p^T D_p^-1 U_p
+            self._lus[p] = lus[half]
+            self._v[p], g = solved[half, sizes[p]]
+            self._m_rows[p] = cap[rows].copy()
+            cap[rows] = g @ self._m_rows[p]
+            cap[rows, rows] += np.eye(sizes[p])
+        self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
+        rcond = 1.0 / (colsum.max() * self._inverse_norm_estimate())
+        if not rcond > _RCOND_FLOOR:
             est = 1.0 / rcond if rcond > 0 else math.inf
             raise SolverError(
                 f"boundary system too ill-conditioned (cond ~ {est:.3e})",
                 condition_estimate=est)
         self.rcond = float(rcond)
+
+    def _block_column_sums(self, p, q, m_pq):
+        """Column sums of |U_p M_pq U_q^T|, the (p, q) block of A."""
+        up, uq = self._bases[p], self._bases[q]
+        block = m_pq if uq is None else _real_left(uq, m_pq.T).T
+        if up is not None:
+            block = _real_left(up, block)
+        return np.abs(block).sum(axis=0)
+
+    def _solve(self, f):
+        """A^-1 f for f of shape (m*n, L), through the Woodbury identity."""
+        n = self.n
+        b = np.empty((self._cap[0].shape[0], f.shape[1]), dtype=complex)
+        y = [None] * self.m_cracks
+        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
+            fp = f[p * n:(p + 1) * n]
+            if basis is None:
+                b[rows] = fp
+            else:
+                y[p] = lu_solve(self._lus[p], fp, check_finite=False)
+                b[rows] = _real_left(basis.T, y[p])
+        x = lu_solve(self._cap, b, check_finite=False)
+        psi = np.empty(f.shape, dtype=complex)
+        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
+            psi[p * n:(p + 1) * n] = (x[rows] if basis is None
+                                      else y[p] - self._v[p] @ (self._m_rows[p] @ x))
+        return psi
+
+    def _solve_transposed(self, g):
+        """A^-T g for g of shape (m*n, L): every LU of `_solve` with trans=1."""
+        n = self.n
+        t = np.zeros((self._cap[0].shape[0], g.shape[1]), dtype=complex)
+        y = [None] * self.m_cracks
+        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
+            gp = g[p * n:(p + 1) * n]
+            if basis is None:
+                t[rows] = gp
+            else:
+                y[p] = lu_solve(self._lus[p], gp, trans=1, check_finite=False)
+                t -= self._m_rows[p].T @ _real_left(basis.T, y[p])
+        t = lu_solve(self._cap, t, trans=1, check_finite=False)
+        out = np.empty(g.shape, dtype=complex)
+        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
+            out[p * n:(p + 1) * n] = (t[rows] if basis is None else y[p] + lu_solve(
+                self._lus[p], _real_left(basis, t[rows]), trans=1, check_finite=False))
+        return out
+
+    def _inverse_norm_estimate(self):
+        """Hager-Higham lower bound on ||A^-1||_1, the iteration of LAPACK xLACN2.
+
+        Up to five solves with A and four with A^H (A^-H b = conj(A^-T conj b)),
+        then the alternating-sign vector that catches a local maximum.
+        """
+        size = len(self.points)
+
+        def solve(x):
+            return self._solve(x[:, None])[:, 0]
+
+        def adjoint_sign(y):
+            a = np.abs(y)
+            s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
+            return np.abs(self._solve_transposed(s.conj()[:, None])[:, 0])
+
+        y = solve(np.full(size, 1.0 / size, dtype=complex))
+        est = np.abs(y).sum()
+        j = int(np.argmax(adjoint_sign(y)))
+        for _ in range(4):
+            y = solve(np.eye(1, size, j, dtype=complex)[0])
+            new = np.abs(y).sum()
+            if new <= est:
+                break
+            est = new
+            z = adjoint_sign(y)
+            last, j = j, int(np.argmax(z))
+            if z[last] == z[j]:
+                break
+        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
+        return max(est, 2.0 * np.abs(solve(alt.astype(complex))).sum() / (3.0 * size))
 
     def far_field(self, d, n_obs):
         """Far-field pattern at the N uniform observation directions.
@@ -234,7 +413,7 @@ class CrackSystem:
         dirs = d.reshape(-1, 2)
         out = np.zeros((len(dirs), n_obs), dtype=complex)
         if self.m_cracks:
-            psi = lu_solve(self._lu, -np.exp(1j * self.k * (self.points @ dirs.T)))
+            psi = self._solve(-np.exp(1j * self.k * (self.points @ dirs.T)))
             weights = np.repeat([c.half_length * math.pi / self.n for c in self.scene.cracks],
                                 self.n)
             theta = observation_directions(n_obs)
@@ -273,8 +452,8 @@ def reciprocity_residual(scene, k, config, quad=QuadratureSpec()):
     n = config.n_obs
     if n % 2 != 0:
         raise InputMismatchError("reciprocity check needs an even N")
-    system = CrackSystem(scene, k, quad)
-    fwd = system.far_field(inc, n)     # fwd[l, m] = psi_inf(theta_m, d_l)
-    rev = system.far_field(-obs, n)    # rev[m, l] = psi_inf(theta_l, -theta_m)
+    # One solve for both direction sets: fwd[l, m] = psi_inf(theta_m, d_l)
+    # and rev[m, l] = psi_inf(theta_l, -theta_m).
+    fwd, rev = np.split(CrackSystem(scene, k, quad).far_field(np.vstack([inc, -obs]), n), 2)
     # -d_l = theta_{l + N/2}, so psi_inf(-d_l, -theta_m) = rev[m, l + N/2].
     return float(np.max(np.abs(fwd - np.roll(rev, -(n // 2), axis=1).T)))

@@ -69,15 +69,23 @@ def crack_tangent(crack):
     return np.array([math.cos(crack.rotation), math.sin(crack.rotation)])
 
 
-def check_wavenumber(k):
-    """Raise DomainError unless k is a finite positive wavenumber."""
+def check_scaled_scene(scene, k):
+    """Raise DomainError unless k is a finite positive wavenumber, and
+    SceneError unless every crack's k-scaled coordinates are finite."""
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"wavenumber must be finite and positive, got {k}")
+    for m, crack in enumerate(scene.cracks):
+        (cx, cy), half = crack.center, crack.half_length
+        if not math.isfinite(k * (abs(cx) + abs(cy) + half)):
+            raise SceneError(f"crack {m} lies too far out: its coordinates times "
+                             f"k = {k:.6g} overflow")
 
 
 def validate_scene(scene, k):
-    """The list of violations of separation (k*dist > 3/4) and crack size (k*l < 2)."""
-    check_wavenumber(k)
+    """The list of violations of separation (k*dist > 3/4) and crack size (k*l < 2).
+
+    Raises instead when k or the k-scaled geometry is not finite."""
+    check_scaled_scene(scene, k)
     out = []
     centers = [np.asarray(c.center) for c in scene.cracks]
     for i in range(len(centers)):

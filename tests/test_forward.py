@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1, j0 as scipy_j0
 
-from crackdsm.errors import DomainError, InputMismatchError, SceneError
+from crackdsm import forward
+from crackdsm.errors import DomainError, InputMismatchError, SceneError, SolverError
 from crackdsm.forward import (AcquisitionConfig, CrackSystem, FarFieldTensor,
                               QuadratureSpec, _log_quadrature_matrix, _node_gaps,
                               far_field_tensor, reciprocity_residual)
@@ -160,27 +161,38 @@ def test_per_direction_solves_share_factorization(k, d_up):
     assert np.allclose(a, b, atol=1e-14)
 
 
-def _reference_tensor(scene, config, n):
-    """Tensor from scipy's hankel1 cross blocks, the module's self blocks, one
-    dense solve per direction and an explicit sum over nodes."""
+def _reference_nodes(scene, n):
     sigma = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))
-    nodes = [np.asarray(c.center) + c.half_length * np.outer(sigma, crack_tangent(c))
-             for c in scene.cracks]
+    return [np.asarray(c.center) + c.half_length * np.outer(sigma, crack_tangent(c))
+            for c in scene.cracks]
+
+
+def _reference_matrix(scene, k, n):
+    """Dense system from scipy's hankel1 cross blocks and the module's self blocks."""
+    nodes = _reference_nodes(scene, n)
     m = len(scene.cracks)
+    system = CrackSystem(scene, k, QuadratureSpec(n))
+    a = np.zeros((m * n, m * n), dtype=complex)
+    for p in range(m):
+        for q in range(m):
+            if p == q:
+                blk = system._self_block(scene.cracks[p], _log_quadrature_matrix(n))
+            else:
+                r = np.linalg.norm(nodes[p][:, None, :] - nodes[q][None, :, :], axis=2)
+                blk = (scene.cracks[q].half_length * math.pi / n * 0.25j
+                       * hankel1(0, k * r))
+            a[p * n:(p + 1) * n, q * n:(q + 1) * n] = blk
+    return a
+
+
+def _reference_tensor(scene, config, n):
+    """Tensor from `_reference_matrix`, one dense solve per direction and an
+    explicit sum over nodes."""
+    nodes = _reference_nodes(scene, n)
     theta = observation_directions(config.n_obs)
     values = np.zeros((config.n_freq, config.n_incident, config.n_obs), dtype=complex)
     for f, k in enumerate(config.wavenumbers):
-        system = CrackSystem(scene, k, QuadratureSpec(n))
-        a = np.zeros((m * n, m * n), dtype=complex)
-        for p in range(m):
-            for q in range(m):
-                if p == q:
-                    blk = system._self_block(scene.cracks[p], _log_quadrature_matrix(n))
-                else:
-                    r = np.linalg.norm(nodes[p][:, None, :] - nodes[q][None, :, :], axis=2)
-                    blk = (scene.cracks[q].half_length * math.pi / n * 0.25j
-                           * hankel1(0, k * r))
-                a[p * n:(p + 1) * n, q * n:(q + 1) * n] = blk
+        a = _reference_matrix(scene, k, n)
         for l, d in enumerate(config.incident_directions()):
             psi = np.linalg.solve(a, -np.exp(1j * k * np.concatenate(nodes) @ d))
             for i, th in enumerate(theta):
@@ -256,3 +268,81 @@ def test_reciprocity_residual_matches_pairwise_loop(k):
 def test_system_keeps_reciprocal_condition_number(k, three_cracks):
     rcond = CrackSystem(three_cracks, k, QuadratureSpec(64)).rcond
     assert 1e-13 < rcond <= 1.0
+
+
+def _basis_sizes(system):
+    """Coarse node count per crack; n where the crack keeps its nodes (U_p = I)."""
+    return [system.n if basis is None else basis.shape[1] for basis in system._bases]
+
+
+# Collinear cracks at centre distance d = 2.2 h, and two cracks that cross;
+# their cross kernel is not resolved below n/2 coarse nodes.
+CLOSE_PAIR = (Crack((0.0, 0.0), 0.05, 0.0), Crack((0.11, 0.0), 0.05, 0.0))
+CROSSING_PAIR = (Crack((0.0, 0.0), 0.3, 0.0), Crack((0.2, 0.0), 0.3, math.pi / 2))
+K_BENCH = 2 * math.pi / 0.5
+
+
+@pytest.mark.parametrize("n, halves, sizes", [
+    (64, (0.05, 0.07, 0.03), ([16, 16, 16], [64, 64, 16])),
+    (128, (0.05, 0.09, 0.03), ([32, 32, 32], [32, 32, 32])),
+])
+def test_low_rank_solver_matches_reference_assembly(k, n, halves, sizes):
+    sc = sample_scene(*halves)
+    cfg = AcquisitionConfig((k, 1.25 * k), 16, (0.3, 2.1, 4.4))
+    assert [_basis_sizes(CrackSystem(sc, kk, QuadratureSpec(n)))
+            for kk in cfg.wavenumbers] == list(sizes)
+    got = far_field_tensor(sc, cfg, QuadratureSpec(n)).values
+    ref = _reference_tensor(sc, cfg, n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pair, k, n, sizes", [
+    (CLOSE_PAIR, K_BENCH, 64, [64, 64, 16]),
+    (CLOSE_PAIR, K_BENCH, 128, [128, 128, 16]),
+    (CROSSING_PAIR, 5.0, 64, [64, 64, 64]),
+    (CROSSING_PAIR, 5.0, 128, [128, 128, 32]),
+])
+def test_unresolved_pair_keeps_its_nodes(pair, k, n, sizes):
+    # the pair falls back to U = I; the third, distant crack still gets a basis
+    # unless its own pairs need n/2 nodes
+    sc = Scene(pair + (Crack((-0.6, 0.7), 0.05, 1.0),))
+    assert _basis_sizes(CrackSystem(sc, k, QuadratureSpec(n))) == sizes
+    cfg = AcquisitionConfig((k,), 16, (0.3, 2.1, 4.4))
+    got = far_field_tensor(sc, cfg, QuadratureSpec(n)).values
+    ref = _reference_tensor(sc, cfg, n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cracks, ks", [((), BAND_KS), (CLOSE_PAIR, (K_BENCH,))])
+def test_inverse_norm_estimate_within_five_percent(cracks, ks):
+    # () stands for the three-crack benchmark scene
+    sc = Scene(cracks) if cracks else sample_scene()
+    for k in ks:
+        system = CrackSystem(sc, k, QuadratureSpec(64))
+        a = _reference_matrix(sc, k, 64)
+        exact = np.linalg.norm(np.linalg.inv(a), 1)
+        est = system._inverse_norm_estimate()
+        # a lower bound, since every vector it tries has unit 1-norm
+        assert 0.95 * exact <= est <= (1.0 + 1e-12) * exact
+        # ||A||_1 is exact
+        assert system.rcond == pytest.approx(1.0 / (np.linalg.norm(a, 1) * est), rel=1e-12)
+
+
+def test_ill_conditioning_gate_raises(monkeypatch, k, three_cracks):
+    monkeypatch.setattr(forward, "_RCOND_FLOOR", 1.0)
+    with pytest.raises(SolverError) as info:
+        CrackSystem(three_cracks, k, QuadratureSpec(32))
+    assert 1.0 <= info.value.condition_estimate < math.inf
+
+
+def test_reciprocity_residual_solves_once(monkeypatch, k):
+    calls = []
+    far_field = CrackSystem.far_field
+
+    def counted(self, d, n_obs):
+        calls.append(np.shape(d))
+        return far_field(self, d, n_obs)
+
+    monkeypatch.setattr(CrackSystem, "far_field", counted)
+    reciprocity_residual(sample_scene(), k, _mirror_config(k, 16), QuadratureSpec(32))
+    assert calls == [(32, 2)]

@@ -189,6 +189,31 @@ def test_cli_scene_violation_exits_nonzero(tmp_path, capsys):
     assert "separation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--generator", "full", "--lambda", "0.5"],
+    ["predict", "--predictor", "s1", "--lambda", "0.5", "--grid=-1,1,-1,1,11,11"],
+])
+def test_cli_rejects_scene_that_overflows_when_scaled_by_k(tmp_path, capsys, argv):
+    # k * 1e308 is inf: the solver used to end in a traceback, s1 in a NaN map
+    scene = tmp_path / "far.txt"
+    scene.write_text("1e308 0.2 0.05 0\n")
+    assert main([argv[0], "--scene", str(scene), *argv[1:],
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_ill_conditioned_system_exits_1(monkeypatch, tmp_path, scene_file, capsys):
+    # every system is refused once the floor on rcond is 1
+    monkeypatch.setattr("crackdsm.forward._RCOND_FLOOR", 1.0)
+    assert main(["simulate", "--scene", scene_file, "--lambda", "0.5", "--generator",
+                 "full", "--quad-nodes", "16", "--out", str(tmp_path / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ill-conditioned" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_cli_mif_on_single_frequency_fails(tmp_path, scene_file, capsys):
     tensor = str(tmp_path / "one.txt")
     assert main(["simulate", "--scene", scene_file, "--lambda", "0.5",

@@ -85,6 +85,14 @@ def test_validate_scene_rejects_bad_wavenumber():
         validate_scene(Scene(()), 0.0)
 
 
+def test_validate_scene_rejects_overflowing_scaled_coordinates():
+    # the solver's phases and distances use k times the coordinates
+    far = Scene((Crack((1e308, 0.2), 0.05, 0.0),))
+    with pytest.raises(SceneError, match="overflow"):
+        validate_scene(far, 4 * math.pi)
+    assert validate_scene(far, 0.5) == []
+
+
 def test_benchmark_scene_passes_at_half_wavelength():
     k = 2 * math.pi / 0.5
     assert validate_scene(sample_scene(), k) == []
