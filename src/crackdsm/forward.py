@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import j0 as sp_j0, y0 as sp_y0
 
 from .errors import DomainError, InputMismatchError, SolverError
@@ -46,6 +46,7 @@ _RCOND_FLOOR = 1e-13
 _FIRST_RANK = 8          # first coarse size tried per crack pair
 _TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off stalls near 2e-15
 _SAFE_MIN = np.finfo(float).tiny
+_ZGETRS = get_lapack_funcs("getrs", dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def _node_gaps(n):
 
 @functools.lru_cache(maxsize=None)
 def _dct_matrix(m):
-    """T with T @ f the Chebyshev coefficients of the interpolant through f at the m points (read-only)."""
+    """T with T @ f the Chebyshev coefficients of the interpolant through f
+    at the m Chebyshev points (read-only)."""
     _, ang = _chebyshev_nodes(m)
     t = np.cos(np.outer(np.arange(m), ang)) * (2.0 / m)
     t[0] *= 0.5
@@ -162,7 +164,8 @@ def _dct_matrix(m):
 
 @functools.lru_cache(maxsize=None)
 def _interpolation_matrix(n, m):
-    """U with U[i, a] = ell_a(sigma_i): the m-point Chebyshev interpolant at the n nodes (read-only)."""
+    """U with U[i, a] = ell_a(sigma_i), ell_a the cardinal functions of the m
+    Chebyshev points: U @ f interpolates f onto the n nodes (read-only)."""
     _, ang = _chebyshev_nodes(n)
     u = np.cos(np.outer(ang, np.arange(m))) @ _dct_matrix(m)
     u.flags.writeable = False
@@ -191,6 +194,24 @@ def _chebyshev_tail(kern):
     coef = np.abs(t @ kern @ t.T)
     q = 3 * len(kern) // 4
     return max(coef[q:].max(), coef[:, q:].max()) / coef.max()
+
+
+def _side_by_side(blocks):
+    """(g, r, L) blocks as one (r, g*L) matrix, so g cracks share one solve."""
+    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
+
+
+def _stacked(mat, g):
+    """Inverse of `_side_by_side`: (r, g*L) back to (g*r, L)."""
+    return mat.reshape(len(mat), g, -1).transpose(1, 0, 2).reshape(g * len(mat), -1)
+
+
+def _block_column_sums(u_p, m_pq, u_q):
+    """Column sums of |U_p M_pq U_q^T|, the (p, q) block of A; None stands for U = I."""
+    block = m_pq if u_q is None else _real_left(u_q, m_pq.T).T
+    if u_p is not None:
+        block = _real_left(u_p, block)
+    return np.abs(block).sum(axis=0)
 
 
 def _real_left(u, z):
@@ -271,50 +292,56 @@ class CrackSystem:
     def _factor(self, logmat):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
         sizes, kernels = self._basis_sizes()
-        off = np.concatenate([[0], np.cumsum(sizes)])
-        self._rows = [slice(off[p], off[p + 1]) for p in range(mc)]
-        # U_p is None for U_p = I: that crack's nodes are its coarse nodes.
-        self._bases = [None if m == n else _interpolation_matrix(n, m) for m in sizes]
-        nodes = [self.points[p * n:(p + 1) * n] if sizes[p] == n
+        # Cracks of one half-length and basis size share D_p, U_p and their
+        # LU; each such group owns one contiguous slice of the coarse unknowns.
+        members = {}
+        for p, crack in enumerate(cracks):
+            members.setdefault((crack.half_length, sizes[p]), []).append(p)
+        rows, slices, offset = [None] * mc, [], 0
+        for (_, m), group in members.items():
+            for i, p in enumerate(group):
+                rows[p] = slice(offset + i * m, offset + (i + 1) * m)
+            slices.append(slice(offset, rows[group[-1]].stop))
+            offset = slices[-1].stop
+        bases = [None if m == n else _interpolation_matrix(n, m) for m in sizes]
+        nodes = [self.points[p * n:(p + 1) * n] if bases[p] is None
                  else _crack_nodes(cracks[p], sizes[p]) for p in range(mc)]
-        cap = np.zeros((off[-1], off[-1]), dtype=complex, order="F")
+        cap = np.zeros((offset, offset), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
-        colsum = np.zeros(mc * n)
+        colsum = np.zeros((mc, n))
         for p, q in itertools.combinations(range(mc), 2):
             # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
             # transpose of M_pq up to the quadrature weight c h of its column crack.
             kern = kernels.get((p, q))
             if kern is None or sizes[p] != len(kern) or sizes[q] != len(kern):
                 kern = _cross_kernel(self.k, nodes[p], nodes[q])
-            rp, rq = self._rows[p], self._rows[q]
-            np.multiply(kern, c * cracks[q].half_length, out=cap[rp, rq])
-            np.multiply(kern.T, c * cracks[p].half_length, out=cap[rq, rp])
-            colsum[q * n:(q + 1) * n] += self._block_column_sums(p, q, cap[rp, rq])
-            colsum[p * n:(p + 1) * n] += self._block_column_sums(q, p, cap[rq, rp])
+            np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
+            np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
+            colsum[q] += _block_column_sums(bases[p], cap[rows[p], rows[q]], bases[q])
+            colsum[p] += _block_column_sums(bases[q], cap[rows[q], rows[p]], bases[p])
         # Woodbury: A^-1 = D^-1 - D^-1 U C^-1 M U^T D^-1 with the capacitance
-        # matrix C = I + U^T D^-1 U M.  A crack with U_p = I has its block row
-        # of C multiplied through by D_p, which makes that row A's own and
-        # spares the inverse of its self block.
-        blocks, lus, solved = {}, {}, {}
-        self._lus, self._v, self._m_rows = [None] * mc, [None] * mc, [None] * mc
-        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
-            half = cracks[p].half_length
+        # matrix C = I + U^T D^-1 U M.  The block row of a crack with U_p = I
+        # is multiplied through by D_p, which makes it A's own row and spares
+        # the inverse of that self block.
+        self._groups, blocks, lus = [], {}, {}
+        for ((half, m), group), gslice in zip(members.items(), slices):
             if half not in blocks:
-                blocks[half] = self._self_block(cracks[p], logmat)
-            colsum[p * n:(p + 1) * n] += np.abs(blocks[half]).sum(axis=0)
-            if basis is None:
-                cap[rows, rows] = blocks[half]
+                blocks[half] = self._self_block(cracks[group[0]], logmat)
+            colsum[group] += np.abs(blocks[half]).sum(axis=0)
+            if m == n:
+                for p in group:
+                    cap[rows[p], rows[p]] = blocks[half]
+                self._groups.append((group, gslice, None, None, None, None))
                 continue
             if half not in lus:
                 lus[half] = lu_factor(blocks[half], check_finite=False)
-            if (half, sizes[p]) not in solved:
-                v = lu_solve(lus[half], basis, check_finite=False)       # D_p^-1 U_p
-                solved[half, sizes[p]] = v, _real_left(basis.T, v)      # and U_p^T D_p^-1 U_p
-            self._lus[p] = lus[half]
-            self._v[p], g = solved[half, sizes[p]]
-            self._m_rows[p] = cap[rows].copy()
-            cap[rows] = g @ self._m_rows[p]
-            cap[rows, rows] += np.eye(sizes[p])
+            basis, lu = bases[group[0]], lus[half]
+            v = lu_solve(lu, basis)                                          # D_p^-1 U_p
+            m_rows = cap[gslice].copy()
+            cap[gslice] = np.matmul(_real_left(basis.T, v),                  # U_p^T D_p^-1 U_p
+                                    m_rows.reshape(len(group), m, -1)).reshape(len(m_rows), -1)
+            cap[gslice, gslice] += np.eye(len(m_rows))
+            self._groups.append((group, gslice, basis, lu, v, m_rows))
         self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
         rcond = 1.0 / (colsum.max() * self._inverse_norm_estimate())
         if not rcond > _RCOND_FLOOR:
@@ -324,51 +351,54 @@ class CrackSystem:
                 condition_estimate=est)
         self.rcond = float(rcond)
 
-    def _block_column_sums(self, p, q, m_pq):
-        """Column sums of |U_p M_pq U_q^T|, the (p, q) block of A."""
-        up, uq = self._bases[p], self._bases[q]
-        block = m_pq if uq is None else _real_left(uq, m_pq.T).T
-        if up is not None:
-            block = _real_left(up, block)
-        return np.abs(block).sum(axis=0)
-
     def _solve(self, f):
         """A^-1 f for f of shape (m*n, L), through the Woodbury identity."""
-        n = self.n
-        b = np.empty((self._cap[0].shape[0], f.shape[1]), dtype=complex)
-        y = [None] * self.m_cracks
-        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
-            fp = f[p * n:(p + 1) * n]
+        width = f.shape[1]
+        f = f.reshape(self.m_cracks, self.n, width)
+        b = np.empty((len(self._cap[0]), width), dtype=complex)
+        ys = []
+        for group, gslice, basis, lu, _, _ in self._groups:
             if basis is None:
-                b[rows] = fp
+                b[gslice] = f[group].reshape(-1, width)
             else:
-                y[p] = lu_solve(self._lus[p], fp, check_finite=False)
-                b[rows] = _real_left(basis.T, y[p])
-        x = lu_solve(self._cap, b, check_finite=False)
+                ys.append(lu_solve(lu, _side_by_side(f[group])))
+                b[gslice] = _stacked(_real_left(basis.T, ys[-1]), len(group))
+        x = lu_solve(self._cap, b)
         psi = np.empty(f.shape, dtype=complex)
-        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
-            psi[p * n:(p + 1) * n] = (x[rows] if basis is None
-                                      else y[p] - self._v[p] @ (self._m_rows[p] @ x))
-        return psi
+        ys = iter(ys)
+        for group, gslice, basis, _, v, m_rows in self._groups:
+            if basis is None:
+                psi[group] = x[gslice].reshape(len(group), self.n, width)
+            else:
+                mx = _side_by_side((m_rows @ x).reshape(len(group), -1, width))
+                psi[group] = _stacked(next(ys) - v @ mx, len(group)).reshape(
+                    len(group), self.n, width)
+        return psi.reshape(-1, width)
 
     def _solve_transposed(self, g):
-        """A^-T g for g of shape (m*n, L): every LU of `_solve` with trans=1."""
-        n = self.n
-        t = np.zeros((self._cap[0].shape[0], g.shape[1]), dtype=complex)
-        y = [None] * self.m_cracks
-        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
-            gp = g[p * n:(p + 1) * n]
+        """A^-T g for g of shape (m*n, L): every LU of `_solve`, through LAPACK
+        getrs with trans=1."""
+        width = g.shape[1]
+        g = g.reshape(self.m_cracks, self.n, width)
+        t = np.zeros((len(self._cap[0]), width), dtype=complex)
+        ys = []
+        for group, gslice, basis, lu, _, m_rows in self._groups:
             if basis is None:
-                t[rows] = gp
+                t[gslice] = g[group].reshape(-1, width)
             else:
-                y[p] = lu_solve(self._lus[p], gp, trans=1, check_finite=False)
-                t -= self._m_rows[p].T @ _real_left(basis.T, y[p])
-        t = lu_solve(self._cap, t, trans=1, check_finite=False)
+                ys.append(_ZGETRS(*lu, _side_by_side(g[group]), trans=1)[0])
+                t -= m_rows.T @ _stacked(_real_left(basis.T, ys[-1]), len(group))
+        t = _ZGETRS(*self._cap, t, trans=1)[0]
         out = np.empty(g.shape, dtype=complex)
-        for p, (rows, basis) in enumerate(zip(self._rows, self._bases)):
-            out[p * n:(p + 1) * n] = (t[rows] if basis is None else y[p] + lu_solve(
-                self._lus[p], _real_left(basis, t[rows]), trans=1, check_finite=False))
-        return out
+        ys = iter(ys)
+        for group, gslice, basis, lu, _, _ in self._groups:
+            if basis is None:
+                out[group] = t[gslice].reshape(len(group), self.n, width)
+            else:
+                ut = _real_left(basis, _side_by_side(t[gslice].reshape(len(group), -1, width)))
+                y = next(ys) + _ZGETRS(*lu, ut, trans=1)[0]
+                out[group] = _stacked(y, len(group)).reshape(len(group), self.n, width)
+        return out.reshape(-1, width)
 
     def _inverse_norm_estimate(self):
         """Hager-Higham lower bound on ||A^-1||_1, the iteration of LAPACK xLACN2.
