@@ -264,34 +264,30 @@ class CrackSystem:
         return block
 
     def _basis_sizes(self):
-        """Basis size m_p per crack and the coarse kernels the size search sampled.
+        """Basis size m_p per crack, n where the crack keeps its nodes (U_p = I).
 
-        Block (p, q) is c h_q i H0(k|x_i - y_j|) on a smooth tensor grid, so it
-        equals U_p K_pq U_q^T once the Chebyshev coefficients of the m x m
-        samples K_pq have a negligible tail.  m doubles from _FIRST_RANK; a pair
-        still unresolved below n/2 takes all n nodes, as does a lone crack.
+        Block (p, q) is c h_q K(x_i, y_j), K = i H0(k|x - y|), on a tensor grid
+        of a smooth kernel, so it equals U_p M_pq U_q^T with M_pq = c h_q K at
+        the coarse nodes once the Chebyshev coefficients of the m x m samples
+        of K have a negligible tail.  m doubles from _FIRST_RANK; a pair still
+        unresolved below n/2 takes all n nodes, as does a lone crack.
         """
         n, cracks = self.n, self.scene.cracks
-        pair_sizes, kernels = {}, {}
+        pair_sizes = {}
         for p, q in itertools.combinations(range(self.m_cracks), 2):
             m = _FIRST_RANK
             while 2 * m < n:
-                kern = _cross_kernel(self.k, _crack_nodes(cracks[p], m),
-                                     _crack_nodes(cracks[q], m))
+                kern = _cross_kernel(self.k, _crack_nodes(cracks[p], m), _crack_nodes(cracks[q], m))
                 if _chebyshev_tail(kern) < _TAIL_TOL:
-                    kernels[p, q] = kern
                     break
                 m *= 2
-            else:
-                m = n
-            pair_sizes[p, q] = m
-        sizes = [max((m for pair, m in pair_sizes.items() if p in pair), default=n)
-                 for p in range(self.m_cracks)]
-        return sizes, kernels
+            pair_sizes[p, q] = m if 2 * m < n else n
+        return [max((m for pair, m in pair_sizes.items() if p in pair), default=n)
+                for p in range(self.m_cracks)]
 
     def _factor(self, logmat):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
-        sizes, kernels = self._basis_sizes()
+        sizes = self._basis_sizes()
         # Cracks of one half-length and basis size share D_p, U_p and their
         # LU; each such group owns one contiguous slice of the coarse unknowns.
         members = {}
@@ -304,17 +300,14 @@ class CrackSystem:
             slices.append(slice(offset, rows[group[-1]].stop))
             offset = slices[-1].stop
         bases = [None if m == n else _interpolation_matrix(n, m) for m in sizes]
-        nodes = [self.points[p * n:(p + 1) * n] if bases[p] is None
-                 else _crack_nodes(cracks[p], sizes[p]) for p in range(mc)]
+        nodes = [_crack_nodes(crack, m) for crack, m in zip(cracks, sizes)]
         cap = np.zeros((offset, offset), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
         colsum = np.zeros((mc, n))
         for p, q in itertools.combinations(range(mc), 2):
             # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
             # transpose of M_pq up to the quadrature weight c h of its column crack.
-            kern = kernels.get((p, q))
-            if kern is None or sizes[p] != len(kern) or sizes[q] != len(kern):
-                kern = _cross_kernel(self.k, nodes[p], nodes[q])
+            kern = _cross_kernel(self.k, nodes[p], nodes[q])
             np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
             np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
             colsum[q] += _block_column_sums(bases[p], cap[rows[p], rows[q]], bases[q])
