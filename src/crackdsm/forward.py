@@ -405,6 +405,7 @@ class CrackSystem:
             return self._solve(x[:, None])[:, 0]
 
         def adjoint_sign(y):
+            """|A^-H sign(y)|, with sign(0) = 1 as in xLACN2."""
             a = np.abs(y)
             s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
             return np.abs(self._solve_transposed(s.conj()[:, None])[:, 0])
