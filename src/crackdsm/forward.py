@@ -29,7 +29,6 @@ small capacitance matrix.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -196,6 +195,11 @@ def _chebyshev_tail(kern):
     return max(coef[q:].max(), coef[:, q:].max()) / coef.max()
 
 
+def _pairs(m):
+    """The crack pairs (p, q), p < q."""
+    return [(p, q) for p in range(m) for q in range(p + 1, m)]
+
+
 def _side_by_side(blocks):
     """(g, r, L) blocks as one (r, g*L) matrix, so g cracks share one solve."""
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
@@ -274,7 +278,7 @@ class CrackSystem:
         """
         n, cracks = self.n, self.scene.cracks
         pair_sizes = {}
-        for p, q in itertools.combinations(range(self.m_cracks), 2):
+        for p, q in _pairs(self.m_cracks):
             m = _FIRST_RANK
             while 2 * m < n:
                 kern = _cross_kernel(self.k, _crack_nodes(cracks[p], m), _crack_nodes(cracks[q], m))
@@ -304,7 +308,7 @@ class CrackSystem:
         cap = np.zeros((offset, offset), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
         colsum = np.zeros((mc, n))
-        for p, q in itertools.combinations(range(mc), 2):
+        for p, q in _pairs(mc):
             # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
             # transpose of M_pq up to the quadrature weight c h of its column crack.
             kern = _cross_kernel(self.k, nodes[p], nodes[q])
@@ -312,7 +316,7 @@ class CrackSystem:
             np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
             colsum[q] += _block_column_sums(bases[p], cap[rows[p], rows[q]], bases[q])
             colsum[p] += _block_column_sums(bases[q], cap[rows[q], rows[p]], bases[p])
-        # Woodbury: A^-1 = D^-1 - D^-1 U C^-1 M U^T D^-1 with the capacitance
+        # Woodbury: A^-1 = D^-1 - D^-1 U M C^-1 U^T D^-1 with the capacitance
         # matrix C = I + U^T D^-1 U M.  The block row of a crack with U_p = I
         # is multiplied through by D_p, which makes it A's own row and spares
         # the inverse of that self block.
