@@ -24,6 +24,10 @@ from crack p's m_p coarse nodes to its n nodes.  m_p is chosen from the data
 nodes, U_p = I.  The system A = D + U M U^T, with D the self blocks, is
 solved by the Woodbury identity through the self-block LUs and one LU of a
 small capacitance matrix.
+
+Every block carries the weight h_q of its column crack and the kernel is
+symmetric, so A = S H with S complex-symmetric and H = diag(h), h the half-length
+of each node's crack: A^-T = H A^-1 H^-1, and one Woodbury solve serves A and A^T.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import j0 as sp_j0, y0 as sp_y0
 
 from .errors import DomainError, InputMismatchError, SolverError
@@ -45,7 +49,6 @@ _RCOND_FLOOR = 1e-13
 _FIRST_RANK = 8          # first coarse size tried per crack pair
 _TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off stalls near 2e-15
 _SAFE_MIN = np.finfo(float).tiny
-_ZGETRS = get_lapack_funcs("getrs", dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,13 @@ def _crack_nodes(crack, m):
 
 
 def _cross_kernel(k, x, y):
-    """i H0(k|x_i - y_j|) = -Y0 + i J0 between two node sets of shape (., 2)."""
+    """i H0(k|x_i - y_j|) = -Y0 + i J0 between two node sets of shape (., 2);
+    SolverError where two nodes coincide, as Y0 is infinite there."""
     kr = k * np.hypot(x[:, 0, None] - y[:, 0], x[:, 1, None] - y[:, 1])
+    if not kr.all():
+        i = np.nonzero(kr == 0.0)[0][0]
+        raise SolverError(f"nodes of two cracks coincide at ({x[i, 0]:.6g}, {x[i, 1]:.6g}); "
+                          "try another --quad-nodes")
     kern = np.empty(kr.shape, dtype=complex)
     kern.real = -sp_y0(kr)
     kern.imag = sp_j0(kr)
@@ -210,14 +218,6 @@ def _stacked(mat, g):
     return mat.reshape(len(mat), g, -1).transpose(1, 0, 2).reshape(g * len(mat), -1)
 
 
-def _block_column_sums(u_p, m_pq, u_q):
-    """Column sums of |U_p M_pq U_q^T|, the (p, q) block of A; None stands for U = I."""
-    block = m_pq if u_q is None else _real_left(u_q, m_pq.T).T
-    if u_p is not None:
-        block = _real_left(u_p, block)
-    return np.abs(block).sum(axis=0)
-
-
 def _real_left(u, z):
     """u @ z for real u and complex z as one real product over z's (re, im) pairs."""
     z = np.ascontiguousarray(z)
@@ -229,9 +229,11 @@ class CrackSystem:
 
     ``points`` holds the (m*n, 2) nodes, crack p owning rows p*n to (p+1)*n.
     D holds the self blocks, U = blockdiag(U_p) the per-crack interpolation
-    bases and M the cross kernel at the coarse nodes; solves go through the
-    Woodbury identity.  ``rcond`` is 1/(||A||_1 est ||A^-1||_1), with ||A||_1
-    exact and ||A^-1||_1 a Hager-Higham estimate (1 if the scene is empty).
+    bases and M the cross kernel at the coarse nodes.  Solves go through the
+    Woodbury identity, those with A^T too: A = S H gives A^-T = H A^-1 H^-1,
+    H = diag(h) the per-node half-lengths.  ``rcond`` is 1/(||A||_1 est
+    ||A^-1||_1), with ||A||_1 exact and ||A^-1||_1 a Hager-Higham estimate (1 if
+    the scene is empty).
     """
 
     def __init__(self, scene, k, quad=QuadratureSpec()):
@@ -241,6 +243,7 @@ class CrackSystem:
         self.n = quad.nodes_per_crack
         self.m_cracks = len(scene.cracks)
         self.points = np.array([_crack_nodes(c, self.n) for c in scene.cracks]).reshape(-1, 2)
+        self._h = np.repeat([c.half_length for c in scene.cracks], self.n)
         self.rcond = 1.0
         if self.m_cracks == 0:
             return
@@ -310,12 +313,15 @@ class CrackSystem:
         colsum = np.zeros((mc, n))
         for p, q in _pairs(mc):
             # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
-            # transpose of M_pq up to the quadrature weight c h of its column crack.
+            # transpose of M_pq up to the quadrature weight c h of its column crack;
+            # |U_p K U_q^T| sums by columns into crack q's column sums, by rows into p's.
             kern = _cross_kernel(self.k, nodes[p], nodes[q])
             np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
             np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
-            colsum[q] += _block_column_sums(bases[p], cap[rows[p], rows[q]], bases[q])
-            colsum[p] += _block_column_sums(bases[q], cap[rows[q], rows[p]], bases[p])
+            full = kern if bases[q] is None else _real_left(bases[q], kern.T).T
+            block = np.abs(full if bases[p] is None else _real_left(bases[p], full))
+            colsum[q] += c * cracks[q].half_length * block.sum(axis=0)
+            colsum[p] += c * cracks[p].half_length * block.sum(axis=1)
         # Woodbury: A^-1 = D^-1 - D^-1 U M C^-1 U^T D^-1 with the capacitance
         # matrix C = I + U^T D^-1 U M.  The block row of a crack with U_p = I
         # is multiplied through by D_p, which makes it A's own row and spares
@@ -372,36 +378,11 @@ class CrackSystem:
                     len(group), self.n, width)
         return psi.reshape(-1, width)
 
-    def _solve_transposed(self, g):
-        """A^-T g for g of shape (m*n, L): every LU of `_solve`, through LAPACK
-        getrs with trans=1."""
-        width = g.shape[1]
-        g = g.reshape(self.m_cracks, self.n, width)
-        t = np.zeros((len(self._cap[0]), width), dtype=complex)
-        ys = []
-        for group, gslice, basis, lu, _, m_rows in self._groups:
-            if basis is None:
-                t[gslice] = g[group].reshape(-1, width)
-            else:
-                ys.append(_ZGETRS(*lu, _side_by_side(g[group]), trans=1)[0])
-                t -= m_rows.T @ _stacked(_real_left(basis.T, ys[-1]), len(group))
-        t = _ZGETRS(*self._cap, t, trans=1)[0]
-        out = np.empty(g.shape, dtype=complex)
-        ys = iter(ys)
-        for group, gslice, basis, lu, _, _ in self._groups:
-            if basis is None:
-                out[group] = t[gslice].reshape(len(group), self.n, width)
-            else:
-                ut = _real_left(basis, _side_by_side(t[gslice].reshape(len(group), -1, width)))
-                y = next(ys) + _ZGETRS(*lu, ut, trans=1)[0]
-                out[group] = _stacked(y, len(group)).reshape(len(group), self.n, width)
-        return out.reshape(-1, width)
-
     def _inverse_norm_estimate(self):
         """Hager-Higham lower bound on ||A^-1||_1, the iteration of LAPACK xLACN2.
 
-        Up to five solves with A and four with A^H (A^-H b = conj(A^-T conj b)),
-        then the alternating-sign vector that catches a local maximum.
+        Up to five solves with A and four with A^H, all through `_solve`, then
+        the alternating-sign vector that catches a local maximum.
         """
         size = len(self.points)
 
@@ -409,10 +390,10 @@ class CrackSystem:
             return self._solve(x[:, None])[:, 0]
 
         def adjoint_sign(y):
-            """|A^-H sign(y)|, with sign(0) = 1 as in xLACN2."""
+            """|A^-H sign(y)| = |H A^-1 H^-1 conj sign(y)|, with sign(0) = 1 as in xLACN2."""
             a = np.abs(y)
             s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
-            return np.abs(self._solve_transposed(s.conj()[:, None])[:, 0])
+            return np.abs(self._h * solve(s.conj() / self._h))
 
         y = solve(np.full(size, 1.0 / size, dtype=complex))
         est = np.abs(y).sum()
@@ -442,8 +423,7 @@ class CrackSystem:
         out = np.zeros((len(dirs), n_obs), dtype=complex)
         if self.m_cracks:
             psi = self._solve(-np.exp(1j * self.k * (self.points @ dirs.T)))
-            weights = np.repeat([c.half_length * math.pi / self.n for c in self.scene.cracks],
-                                self.n)
+            weights = self._h * math.pi / self.n
             theta = observation_directions(n_obs)
             phases = np.exp(-1j * self.k * (theta @ self.points.T))      # (N, m*n)
             out = (phases @ (weights[:, None] * psi)).T

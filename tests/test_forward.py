@@ -308,17 +308,43 @@ def test_unresolved_pair_keeps_its_nodes(pair, k, n, sizes):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("sc, ks", [(sample_scene(), BAND_KS), (Scene(CLOSE_PAIR), (K_RECIP,))])
+@pytest.mark.parametrize("sc, ks", [(sample_scene(), BAND_KS), (Scene(CLOSE_PAIR), (K_RECIP,)),
+                                    (sample_scene(0.05, 0.09, 0.03), BAND_KS)])
 def test_inverse_norm_estimate_within_five_percent(sc, ks):
+    # With unequal half-lengths H = diag(h) is no multiple of I, so a wrong
+    # h_p/h_q in the cross blocks' share of ||A||_1 shows.  There the
+    # iteration stops at a local maximum near 0.65 of the exact ||A^-1||_1,
+    # a known weakness of the estimator, and only its upper bound holds.
+    equal_halves = len({c.half_length for c in sc.cracks}) == 1
     for k in ks:
         system = CrackSystem(sc, k, QuadratureSpec(64))
         a = _reference_matrix(sc, k, 64)
         exact = np.linalg.norm(np.linalg.inv(a), 1)
         est = system._inverse_norm_estimate()
         # a lower bound, since every vector it tries has unit 1-norm
-        assert 0.95 * exact <= est <= (1.0 + 1e-12) * exact
+        assert est <= (1.0 + 1e-12) * exact
+        if equal_halves:
+            assert 0.95 * exact <= est
         # ||A||_1 is exact
         assert system.rcond == pytest.approx(1.0 / (np.linalg.norm(a, 1) * est), rel=1e-12)
+
+
+@pytest.mark.parametrize("sc, sizes", [
+    (sample_scene(0.05, 0.09, 0.03), [64, 64, 64]),
+    (Scene(CLOSE_PAIR + (Crack((-0.6, 0.7), 0.03, 1.0),)), [64, 64, 16]),
+])
+def test_transposed_solve_is_the_solve_scaled_by_half_lengths(sc, sizes):
+    # A = S H with S complex-symmetric and H = diag(h), so A^-T = H A^-1 H^-1,
+    # the identity the condition estimate's adjoint solves rely on; the second
+    # scene mixes cracks that keep their nodes (U = I) with one that does not
+    system = CrackSystem(sc, K_RECIP, QuadratureSpec(64))
+    assert system._basis_sizes() == sizes
+    h = np.repeat([c.half_length for c in sc.cracks], 64)
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal(len(h)) + 1j * rng.standard_normal(len(h))
+    ref = np.linalg.solve(_reference_matrix(sc, K_RECIP, 64).T, g)
+    got = h * system._solve((g / h)[:, None])[:, 0]
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_ill_conditioning_gate_raises(monkeypatch, k, three_cracks):

@@ -214,6 +214,22 @@ def test_cli_ill_conditioned_system_exits_1(monkeypatch, tmp_path, scene_file, c
     assert not list(tmp_path.glob("out*"))
 
 
+def test_cli_crossing_cracks_with_coincident_nodes_exit_1(tmp_path, capsys):
+    # crack B crosses crack A exactly at A's 5th and B's 20th of 64 Chebyshev
+    # nodes, where the Hankel kernel is infinite
+    sigma = np.cos((2.0 * np.arange(1, 65) - 1.0) * math.pi / 128)
+    scene = tmp_path / "crossing.txt"
+    cio.write_scene(scene, Scene((Crack((0.0, 0.0), 0.3, 0.0),
+                                  Crack((0.3 * sigma[4], -0.3 * sigma[19]), 0.3, math.pi / 2))))
+    assert main(["simulate", "--scene", str(scene), "--lambda", str(2 * math.pi / 5),
+                 "--generator", "full", "--quad-nodes", "64",
+                 "--out", str(tmp_path / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coincide" in err and "--quad-nodes" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_cli_mif_on_single_frequency_fails(tmp_path, scene_file, capsys):
     tensor = str(tmp_path / "one.txt")
     assert main(["simulate", "--scene", scene_file, "--lambda", "0.5",

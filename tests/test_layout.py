@@ -5,7 +5,10 @@ The pipeline is the code behind the CLI commands (``src/crackdsm``),
 Every public module-level function or class of ``src/crackdsm``, and every
 public method, must be named by an identifier somewhere in that code outside
 its own definition.  A name only tests call belongs in a test helper module
-such as ``tests/paper.py``.
+such as ``tests/paper.py``.  The same holds for every private module-level
+function, class and constant of ``src/crackdsm`` (dunders such as
+``__version__`` excepted), and each of its modules must use every name it
+imports.
 
 The check reads identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  It cannot see a name that only other dead code calls,
@@ -13,6 +16,7 @@ nor tell apart two definitions that share a name.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +37,29 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _private_definitions(tree):
+    """(name, node) for private module-level functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def _imports(tree):
+    """(bound name, node) for every import statement but ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node
+
+
 def _identifier_uses(tree):
     """(name, line) for every name, attribute and imported name in the tree."""
     for node in ast.walk(tree):
@@ -51,18 +78,47 @@ def _pipeline_files():
                 yield path
 
 
-def test_every_public_name_is_used_by_the_pipeline():
+@functools.cache
+def _pipeline():
+    """Syntax tree per pipeline file, and (file, line) per identifier used."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in _pipeline_files()}
     uses = {}
     for path, tree in trees.items():
         for name, line in _identifier_uses(tree):
             uses.setdefault(name, []).append((path, line))
+    return trees, uses
+
+
+def _unused(definitions):
+    """``module.label`` for each (path, label, name, node) whose name nothing
+    in the pipeline outside the node's own lines uses."""
+    uses = _pipeline()[1]
+    return [f"{path.stem}.{label}" for path, label, name, node in definitions
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in uses.get(name, []))]
+
+
+def test_every_public_name_is_used_by_the_pipeline():
+    trees = _pipeline()[0]
+    unused = _unused((path, label, name, node) for path in sorted(PACKAGE.glob("*.py"))
+                     for label, name, node in _public_definitions(trees[path]))
+    assert unused == [], f"public names no pipeline code uses: {unused}"
+
+
+def test_every_private_name_is_used_by_the_pipeline():
+    trees = _pipeline()[0]
+    unused = _unused((path, name, name, node) for path in sorted(PACKAGE.glob("*.py"))
+                     for name, node in _private_definitions(trees[path]))
+    assert unused == [], f"private names no pipeline code uses: {unused}"
+
+
+def test_every_import_is_used_by_its_module():
+    trees = _pipeline()[0]
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for label, name, node in _public_definitions(trees[path]):
-            outside = [(p, line) for p, line in uses.get(name, [])
-                       if p != path or not node.lineno <= line <= node.end_lineno]
-            if not outside:
-                unused.append(f"{path.stem}.{label}")
-    assert unused == [], f"public names no pipeline code uses: {unused}"
+        uses = list(_identifier_uses(trees[path]))
+        for name, node in _imports(trees[path]):
+            if all(n != name or node.lineno <= line <= node.end_lineno for n, line in uses):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == [], f"imports their module never uses: {unused}"
