@@ -76,7 +76,9 @@ def _grid_radii(scene, grid):
     """Per-crack offsets (x - c_m) and distances r_m over the flattened grid."""
     pts = grid.points()
     offs = [pts - np.asarray(c.center) for c in scene.cracks]
-    return offs, [np.linalg.norm(o, axis=1) for o in offs]
+    # an overflowing distance is inf, and IndicatorMap.from_raw refuses its map
+    with np.errstate(over="ignore"):
+        return offs, [np.linalg.norm(o, axis=1) for o in offs]
 
 
 def predict_structure1(scene, k, grid):
@@ -174,8 +176,11 @@ def predict_mif(scene, k_list, incident_angle, grid):
     check_scaled_scene(scene, kF)
     d = np.array([[math.cos(incident_angle), math.sin(incident_angle)]])
     corners = np.array([(x, y) for y in (grid.y_min, grid.y_max) for x in (grid.x_min, grid.x_max)])
-    rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max()) for c in scene.cracks),
-               default=0.0)
+    with np.errstate(over="ignore"):
+        rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max())
+                    for c in scene.cracks), default=0.0)
+    if not math.isfinite(rmax):
+        raise DomainError("grid-to-crack distance overflows")
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))
     ks, weights = _gauss_legendre_panels(k1, kF, n_panels)
     return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, ks, weights, d, grid)))

@@ -6,6 +6,10 @@ outputs byte-for-byte (all generators are deterministic, noise is seeded).
 
 The commands only parse, call and report.  Bad input, such as a malformed --grid
 or a non-finite --incident-angle, exits 1 with "error: ..." and writes nothing.
+
+`simulate` and `predict` import the solver (`forward`) and the closed-form
+generators and predictors (`asymptotic`) when they run, so `image`, `peaks`
+and `compare`, which need neither, start without loading scipy.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ import numpy as np
 
 from . import __version__
 from .errors import CrackDsmError
-from .forward import AcquisitionConfig, FarFieldTensor, QuadratureSpec, far_field_tensor
-from .asymptotic import (farfield_order1, farfield_order2, predict_aif,
-                         predict_mif, predict_structure1, predict_structure2)
-from .imaging import (find_local_maxima, indicator_aif, indicator_if,
-                      indicator_mif, indicator_single, map_distance)
+from .imaging import (AcquisitionConfig, FarFieldTensor, find_local_maxima,
+                      indicator_aif, indicator_if, indicator_mif, indicator_single,
+                      map_distance)
 from . import io as cio
 
 
@@ -95,26 +97,35 @@ def _add_noise(tensor, snr_db, seed):
 def cmd_simulate(args):
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
+    if args.generator != "full" and args.quad_nodes is not None:
+        raise CrackDsmError(f"--quad-nodes goes with --generator full, not {args.generator}")
+    if args.noise_snr is None and args.seed is not None:
+        raise CrackDsmError("--seed goes with --noise-snr")
     config = AcquisitionConfig(wavenumbers=ks, n_obs=args.n_obs,
                                incident_angles=_incident_angles(args))
+    quad_nodes = seed = None
     if args.generator == "full":
-        tensor = far_field_tensor(scene, config,
-                                  QuadratureSpec(nodes_per_crack=args.quad_nodes))
+        from .forward import QuadratureSpec, far_field_tensor
+        quad = QuadratureSpec() if args.quad_nodes is None else QuadratureSpec(args.quad_nodes)
+        quad_nodes = quad.nodes_per_crack
+        tensor = far_field_tensor(scene, config, quad)
     else:
+        from .asymptotic import farfield_order1, farfield_order2
         gen = farfield_order1 if args.generator == "order1" else farfield_order2
         dirs = config.incident_directions()
         tensor = FarFieldTensor([gen(scene, k, dirs, config) for k in config.wavenumbers],
                                 config)
     if args.noise_snr is not None:
-        tensor = _add_noise(tensor, args.noise_snr, args.seed)
+        seed = 0 if args.seed is None else args.seed
+        tensor = _add_noise(tensor, args.noise_snr, seed)
     cio.write_tensor(args.out, tensor)
     cio.write_manifest(args.out + ".manifest.json", _manifest(
         args, "simulate",
         inputs={"scene": args.scene},
         params={"wavenumbers": list(ks), "n_obs": args.n_obs,
                 "incident_angles": list(config.incident_angles),
-                "generator": args.generator, "quad_nodes": args.quad_nodes,
-                "noise_snr": args.noise_snr, "seed": args.seed},
+                "generator": args.generator, "quad_nodes": quad_nodes,
+                "noise_snr": args.noise_snr, "seed": seed},
         outputs=[args.out]))
     return 0
 
@@ -151,6 +162,8 @@ def cmd_image(args):
 
 
 def cmd_predict(args):
+    from .asymptotic import (predict_aif, predict_mif, predict_structure1,
+                             predict_structure2)
     grid = cio.parse_grid(args.grid)
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
@@ -224,10 +237,11 @@ def build_parser():
     p.add_argument("--n-obs", type=int, default=30, help="observation count N")
     p.add_argument("--generator", choices=["full", "order1", "order2"],
                    default="full")
-    p.add_argument("--quad-nodes", type=int, default=64)
+    p.add_argument("--quad-nodes", type=int,
+                   help="collocation nodes per crack for --generator full (default 64)")
     p.add_argument("--noise-snr", type=float,
                    help="add complex white noise at this SNR (dB)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="noise seed for --noise-snr (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -41,7 +41,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import j0 as sp_j0, y0 as sp_y0
 
 from .errors import DomainError, InputMismatchError, SolverError
-from .imaging import observation_directions
+from .imaging import AcquisitionConfig, FarFieldTensor, observation_directions
 from .scene import crack_tangent, require_valid
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -61,63 +61,6 @@ class QuadratureSpec:
         n = self.nodes_per_crack
         if n < 8 or n % 2 != 0:
             raise DomainError(f"nodes_per_crack must be even and >= 8, got {n}")
-
-
-@dataclass(frozen=True)
-class AcquisitionConfig:
-    """Wavenumbers, observation count, and incident-direction angles."""
-
-    wavenumbers: tuple
-    n_obs: int
-    incident_angles: tuple
-
-    def __post_init__(self):
-        ks = tuple(float(k) for k in self.wavenumbers)
-        angs = tuple(float(a) for a in self.incident_angles)
-        if len(ks) < 1 or not all(0 < k < math.inf for k in ks):
-            raise DomainError("wavenumbers must be finite and positive")
-        if any(b <= a for a, b in zip(ks, ks[1:])):
-            raise DomainError("wavenumbers must be strictly increasing")
-        if self.n_obs < 8:
-            raise DomainError("need at least 8 observation directions")
-        if len(angs) < 1:
-            raise DomainError("need at least one incident direction")
-        if not all(math.isfinite(a) for a in angs):
-            raise DomainError("incident angles must be finite")
-        object.__setattr__(self, "wavenumbers", ks)
-        object.__setattr__(self, "incident_angles", angs)
-
-    @property
-    def n_freq(self):
-        return len(self.wavenumbers)
-
-    @property
-    def n_incident(self):
-        return len(self.incident_angles)
-
-    def incident_directions(self):
-        a = np.asarray(self.incident_angles)
-        return np.column_stack([np.cos(a), np.sin(a)])
-
-    def observation_directions(self):
-        return observation_directions(self.n_obs)
-
-
-@dataclass
-class FarFieldTensor:
-    """Complex far-field values indexed [frequency, incident, observation]."""
-
-    values: np.ndarray
-    config: AcquisitionConfig
-
-    def __post_init__(self):
-        expected = (self.config.n_freq, self.config.n_incident, self.config.n_obs)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != expected:
-            raise InputMismatchError(
-                f"tensor shape {self.values.shape} does not match config {expected}")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise InputMismatchError("tensor entries must be finite")
 
 
 def _chebyshev_nodes(n):
@@ -431,7 +374,7 @@ class CrackSystem:
         return out if d.ndim == 2 else out[0]
 
 
-def far_field_tensor(scene, config, quad=QuadratureSpec()):
+def far_field_tensor(scene, config: AcquisitionConfig, quad=QuadratureSpec()):
     """Full-solver tensor over all (wavenumber, incident direction) pairs.
 
     One factorization and one multi-direction solve per wavenumber.
@@ -442,7 +385,7 @@ def far_field_tensor(scene, config, quad=QuadratureSpec()):
     return FarFieldTensor(np.array(values), config)
 
 
-def reciprocity_residual(scene, k, config, quad=QuadratureSpec()):
+def reciprocity_residual(scene, k, config: AcquisitionConfig, quad=QuadratureSpec()):
     """max |psi_inf(theta_n, d_l) - psi_inf(-d_l, -theta_n)|.
 
     Requires the incident set to equal the observation set (L = N, d_l =

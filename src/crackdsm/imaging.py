@@ -1,4 +1,6 @@
-"""Sampling grids, indicator maps, and the direct-sampling indicator functions.
+"""Acquisition settings, far-field tensors, sampling grids, indicator maps, and
+the direct-sampling indicator functions.  Numpy only: the commands that image
+and read maps never load scipy.
 
 The four indicators share one kernel, `_steered_sum`: far-field rows
 correlated with the steering vectors e^{-ik theta_n . x}, optionally
@@ -63,7 +65,10 @@ class IndicatorMap:
 
     @classmethod
     def from_raw(cls, grid, raw):
+        """Max-normalised map; raw values that are not finite are refused."""
         raw = np.asarray(raw, dtype=float).reshape(grid.shape)
+        if not np.all(np.isfinite(raw)):
+            raise DomainError("indicator map is not finite; the input overflows")
         peak = raw.max()
         if peak < _ZERO_MAP_EPS:
             return cls(grid, np.zeros(grid.shape), zero_map=True)
@@ -88,6 +93,63 @@ def observation_directions(n_obs):
     """Unit vectors at the angles 2*pi*n/N for n = 1..N, shape (N, 2)."""
     ang = 2.0 * np.pi * np.arange(1, n_obs + 1) / n_obs
     return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+@dataclass(frozen=True)
+class AcquisitionConfig:
+    """Wavenumbers, observation count, and incident-direction angles."""
+
+    wavenumbers: tuple
+    n_obs: int
+    incident_angles: tuple
+
+    def __post_init__(self):
+        ks = tuple(float(k) for k in self.wavenumbers)
+        angs = tuple(float(a) for a in self.incident_angles)
+        if len(ks) < 1 or not all(0 < k < math.inf for k in ks):
+            raise DomainError("wavenumbers must be finite and positive")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise DomainError("wavenumbers must be strictly increasing")
+        if self.n_obs < 8:
+            raise DomainError("need at least 8 observation directions")
+        if len(angs) < 1:
+            raise DomainError("need at least one incident direction")
+        if not all(math.isfinite(a) for a in angs):
+            raise DomainError("incident angles must be finite")
+        object.__setattr__(self, "wavenumbers", ks)
+        object.__setattr__(self, "incident_angles", angs)
+
+    @property
+    def n_freq(self):
+        return len(self.wavenumbers)
+
+    @property
+    def n_incident(self):
+        return len(self.incident_angles)
+
+    def incident_directions(self):
+        a = np.asarray(self.incident_angles)
+        return np.column_stack([np.cos(a), np.sin(a)])
+
+    def observation_directions(self):
+        return observation_directions(self.n_obs)
+
+
+@dataclass
+class FarFieldTensor:
+    """Complex far-field values indexed [frequency, incident, observation]."""
+
+    values: np.ndarray
+    config: AcquisitionConfig
+
+    def __post_init__(self):
+        expected = (self.config.n_freq, self.config.n_incident, self.config.n_obs)
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != expected:
+            raise InputMismatchError(
+                f"tensor shape {self.values.shape} does not match config {expected}")
+        if not np.all(np.isfinite(self.values.view(float))):
+            raise InputMismatchError("tensor entries must be finite")
 
 
 def _steered_sum(ks, rows, comp, grid):

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CrackDsmError, InputMismatchError
-from .forward import AcquisitionConfig, FarFieldTensor
-from .imaging import ImagingGrid, IndicatorMap
+from .imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
 from .scene import Crack, Scene
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crackdsm.forward import AcquisitionConfig
+from crackdsm.imaging import AcquisitionConfig
 from paper import sample_scene
 
 K_HALF = 2 * math.pi / 0.5  # wavenumber at the benchmark wavelength 0.5

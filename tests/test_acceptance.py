@@ -13,11 +13,11 @@ from scipy.special import jv
 
 from crackdsm.asymptotic import (farfield_order1, farfield_order2,
                                  predict_structure1, structure_fields)
-from crackdsm.forward import (AcquisitionConfig, CrackSystem, FarFieldTensor,
-                              QuadratureSpec, far_field_tensor,
+from crackdsm.forward import (CrackSystem, QuadratureSpec, far_field_tensor,
                               reciprocity_residual)
-from crackdsm.imaging import (ImagingGrid, find_local_maxima, indicator_aif,
-                              indicator_mif, indicator_single)
+from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
+                              find_local_maxima, indicator_aif, indicator_mif,
+                              indicator_single)
 from crackdsm.scene import Crack, Scene
 from paper import (aligned_max_gap, jacobi_anger, mif_radial_envelope,
                    sample_scene, uniform_direction_sum, weighted_direction_sum)

@@ -8,8 +8,7 @@ from crackdsm.errors import DomainError, InputMismatchError, SceneError
 from crackdsm.asymptotic import (farfield_order1, farfield_order2,
                                  predict_aif, predict_mif, predict_structure1,
                                  predict_structure2, structure_fields)
-from crackdsm.forward import AcquisitionConfig
-from crackdsm.imaging import ImagingGrid
+from crackdsm.imaging import AcquisitionConfig, ImagingGrid
 from crackdsm.scene import Crack, Scene
 from paper import (argmax_point, mif_radial_envelope, uniform_direction_sum,
                    weighted_direction_sum)

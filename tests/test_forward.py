@@ -8,11 +8,10 @@ from scipy.special import hankel1, j0 as scipy_j0
 
 from crackdsm import forward
 from crackdsm.errors import DomainError, InputMismatchError, SceneError, SolverError
-from crackdsm.forward import (AcquisitionConfig, CrackSystem, FarFieldTensor,
-                              QuadratureSpec, _log_quadrature_matrix, _node_gaps,
-                              far_field_tensor, reciprocity_residual)
+from crackdsm.forward import (CrackSystem, QuadratureSpec, _log_quadrature_matrix,
+                              _node_gaps, far_field_tensor, reciprocity_residual)
 from crackdsm.asymptotic import farfield_order1
-from crackdsm.imaging import observation_directions
+from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, observation_directions
 from crackdsm.scene import Crack, Scene, crack_tangent, validate_scene
 from paper import aligned_max_gap, sample_scene
 

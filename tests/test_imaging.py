@@ -8,12 +8,11 @@ from scipy.special import j0
 
 from crackdsm.errors import DomainError, InputMismatchError
 from crackdsm.asymptotic import farfield_order1, predict_structure1
-from crackdsm.forward import (AcquisitionConfig, FarFieldTensor, QuadratureSpec,
-                              far_field_tensor)
-from crackdsm.imaging import (ImagingGrid, IndicatorMap, find_local_maxima,
-                              indicator_aif, indicator_if, indicator_mif,
-                              indicator_single, map_distance,
-                              observation_directions)
+from crackdsm.forward import QuadratureSpec, far_field_tensor
+from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
+                              IndicatorMap, find_local_maxima, indicator_aif,
+                              indicator_if, indicator_mif, indicator_single,
+                              map_distance, observation_directions)
 from crackdsm.scene import Crack, Scene
 from paper import argmax_point
 
@@ -67,6 +66,15 @@ def test_indicator_map_normalization():
     assert imap.values.max() == 1.0 and not imap.zero_map
     zero = IndicatorMap.from_raw(grid, np.zeros(9))
     assert zero.zero_map and np.all(zero.values == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_indicator_map_refuses_non_finite_values(bad):
+    grid = ImagingGrid(0, 1, 0, 1, 3, 3)
+    raw = np.arange(9.0)
+    raw[4] = bad
+    with pytest.raises(DomainError, match="not finite"):
+        IndicatorMap.from_raw(grid, raw)
 
 
 # ---------------------------------------------------------------- indicators

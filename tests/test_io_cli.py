@@ -10,8 +10,7 @@ import pytest
 from crackdsm import io as cio
 from crackdsm.cli import main
 from crackdsm.errors import InputMismatchError
-from crackdsm.forward import AcquisitionConfig, FarFieldTensor
-from crackdsm.imaging import ImagingGrid, IndicatorMap
+from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
 from crackdsm.scene import Crack, Scene
 from paper import sample_scene
 
@@ -159,6 +158,21 @@ def test_cli_noise_is_seeded(tmp_path, scene_file):
     b1 = (tmp_path / "n1.txt").read_bytes()
     assert b1 == (tmp_path / "n2.txt").read_bytes()
     assert b1 != (tmp_path / "n3.txt").read_bytes()
+
+
+def test_cli_manifest_records_only_what_the_generator_reads(tmp_path, scene_file):
+    def params(*flags):
+        out = str(tmp_path / "data.txt")
+        assert main(["simulate", "--scene", scene_file, "--lambda", "0.5", *flags,
+                     "--out", out]) == 0
+        stored = json.loads(Path(out + ".manifest.json").read_text())["params"]
+        return stored["quad_nodes"], stored["seed"]
+
+    assert params("--generator", "order1") == (None, None)
+    assert params("--generator", "order1", "--noise-snr", "20") == (None, 0)
+    assert params("--generator", "full", "--quad-nodes", "16") == (16, None)
+    assert params("--generator", "full", "--quad-nodes", "16",
+                  "--noise-snr", "20", "--seed", "5") == (16, 5)
 
 
 def test_cli_full_generator_multi_frequency(tmp_path, scene_file):
@@ -522,6 +536,13 @@ _BAD_INPUTS = {
     "s1_incident_angle": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
                                  "--lambda", "0.5", "--incident-angle", "1.0",
                                  "--grid=-1,1,-1,1,5,5"]),
+    # --quad-nodes is read only by the full solver, --seed only with --noise-snr
+    "order1_quad_nodes": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
+                                 "--lambda", "0.5", "--quad-nodes", "3"]),
+    "order2_quad_nodes": (None, ["simulate", "--scene", "{scene}", "--generator", "order2",
+                                 "--lambda", "0.5", "--quad-nodes", "64"]),
+    "seed_without_noise": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
+                                  "--lambda", "0.5", "--seed", "5"]),
 }
 
 
@@ -539,4 +560,23 @@ def test_cli_rejects_bad_input(tmp_path, scene_file, capsys, case):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+# the far crack's distances to the grid overflow when squared, though its
+# k-scaled coordinates pass the scene check
+@pytest.mark.parametrize("predictor, flags", [
+    ("s1", ["--lambda", "0.5"]),
+    ("s2", ["--lambda", "0.5"]),
+    ("aif", ["--lambda", "0.5", "--n-incident", "4"]),
+    ("mif", ["--lambda-range", "0.3,0.7", "--n-freq", "3"]),
+])
+def test_cli_predict_refuses_overflowing_scene(tmp_path, capsys, predictor, flags):
+    scene = tmp_path / "far.txt"
+    scene.write_text("1e200 0.2 0.05 0\n0 0 0.05 0.5\n")
+    rc = main(["predict", "--scene", str(scene), "--predictor", predictor, *flags,
+               "--grid=-1,1,-1,1,11,11", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.glob("out*"))

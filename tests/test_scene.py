@@ -120,11 +120,40 @@ def test_validation_order_invariant():
         sorted((v.kind, round(v.value, 12)) for v in rev)
 
 
-def test_geometry_and_imaging_import_without_scipy():
-    # only the solver and the predictors need scipy
-    code = ("import sys, crackdsm.scene, crackdsm.imaging, crackdsm.errors; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_geometry_and_imaging_import_without_scipy(tmp_path, three_cracks):
+    # only the solver and the predictors need scipy; simulate and predict load
+    # them when they run, and then only scipy.special
+    from crackdsm import io as cio
+    from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
+
+    scene, tensor, map_a, map_b = (str(tmp_path / name) for name in
+                                   ("scene.txt", "data.txt", "a.csv", "b.csv"))
+    cio.write_scene(scene, three_cracks)
+    cio.write_tensor(tensor, FarFieldTensor(np.ones((1, 1, 8)),
+                                            AcquisitionConfig((4 * math.pi,), 8, (0.0,))))
+    grid = ImagingGrid(-1, 1, -1, 1, 5, 5)
+    for path in (map_a, map_b):
+        cio.write_map_csv(path, IndicatorMap.from_raw(grid, np.arange(25.0)))
+    out = str(tmp_path / "out")
+    run = "from crackdsm.cli import main; assert main({argv!r}) == 0; "
+    cases = {
+        "import crackdsm.scene, crackdsm.imaging, crackdsm.errors; ": "scipy",
+        "import crackdsm.io; ": "scipy",
+        "import crackdsm.cli; ": "scipy",
+        run.format(argv=["image", "--tensor", tensor, "--method", "single",
+                         "--grid=-1,1,-1,1,5,5", "--out", out]): "scipy",
+        run.format(argv=["peaks", "--map", map_a, "--scene", scene]): "scipy",
+        run.format(argv=["compare", "--a", map_a, "--b", map_b]): "scipy",
+        run.format(argv=["predict", "--scene", scene, "--predictor", "s1", "--lambda", "0.5",
+                         "--grid=-1,1,-1,1,5,5", "--out", out]): "scipy.linalg",
+        run.format(argv=["simulate", "--scene", scene, "--lambda", "0.5", "--generator",
+                         "order1", "--out", out]): "scipy.linalg",
+    }
     src = str(Path(crackdsm.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    for code, banned in cases.items():
+        probe = code + ("import sys; print(sorted(m for m in sys.modules "
+                        f"if m == {banned!r} or m.startswith({banned + '.'!r})))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]", code
