@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crackdsm
+from crackdsm import io as cio
 from crackdsm.errors import DomainError, SceneError
+from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
 from crackdsm.scene import Crack, Scene, crack_tangent, validate_scene
 from paper import sample_scene
 
@@ -123,9 +125,6 @@ def test_validation_order_invariant():
 def test_geometry_and_imaging_import_without_scipy(tmp_path, three_cracks):
     # only the solver and the predictors need scipy; simulate and predict load
     # them when they run, and then only scipy.special
-    from crackdsm import io as cio
-    from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
-
     scene, tensor, map_a, map_b = (str(tmp_path / name) for name in
                                    ("scene.txt", "data.txt", "a.csv", "b.csv"))
     cio.write_scene(scene, three_cracks)
