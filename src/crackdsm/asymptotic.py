@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import j0 as sp_j0, j1 as sp_j1
 
 from .errors import DomainError, InputMismatchError
-from .imaging import IndicatorMap, observation_directions
+from .imaging import IndicatorMap, observation_directions, unit_vectors
 from .scene import check_scaled_scene, crack_tangent, require_valid
 
 
@@ -148,7 +148,7 @@ def predict_aif(scene, k, incident_angles, grid):
     incident_angles = np.asarray(incident_angles, dtype=float)
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
-    dirs = np.column_stack([np.cos(incident_angles), np.sin(incident_angles)])
+    dirs = unit_vectors(incident_angles)
     return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, [k], [1.0], dirs, grid)))
 
 
@@ -174,7 +174,7 @@ def predict_mif(scene, k_list, incident_angle, grid):
         raise DomainError("wavenumbers must be finite, positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
     check_scaled_scene(scene, kF)
-    d = np.array([[math.cos(incident_angle), math.sin(incident_angle)]])
+    d = unit_vectors([incident_angle])
     corners = np.array([(x, y) for y in (grid.y_min, grid.y_max) for x in (grid.x_min, grid.x_max)])
     with np.errstate(over="ignore"):
         rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max())

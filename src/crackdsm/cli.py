@@ -4,8 +4,10 @@ Every command that writes files also writes a <out>.manifest.json recording
 the resolved parameters and argv; replaying the stored argv reproduces the
 outputs byte-for-byte (all generators are deterministic, noise is seeded).
 
-The commands only parse, call and report.  Bad input, such as a malformed --grid
-or a non-finite --incident-angle, exits 1 with "error: ..." and writes nothing.
+The commands only parse, call and report.  Bad input, such as a malformed --grid,
+a non-finite --incident-angle, a flag the command does not read (--l-index
+outside `image --method single`) or a command line argparse refuses, exits 1
+with "error: ..." and writes nothing.
 
 `simulate` and `predict` import the solver (`forward`) and the closed-form
 generators and predictors (`asymptotic`) when they run, so `image`, `peaks`
@@ -24,7 +26,7 @@ from . import __version__
 from .errors import CrackDsmError
 from .imaging import (AcquisitionConfig, FarFieldTensor, find_local_maxima,
                       indicator_aif, indicator_if, indicator_mif, indicator_single,
-                      map_distance)
+                      map_distance, unit_vectors)
 from . import io as cio
 
 
@@ -70,15 +72,17 @@ def _incident_angles(args):
     return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
 
 
-def _manifest(args, command, inputs, params, outputs):
-    return {
+def _write_manifest(args, command, inputs, params, outputs):
+    """<outputs[0]>.manifest.json: the command, its argv, inputs, resolved
+    parameters and outputs."""
+    cio.write_manifest(outputs[0] + ".manifest.json", {
         "command": command,
         "argv": list(args._argv),
         "inputs": inputs,
         "params": params,
         "outputs": outputs,
         "tool_version": __version__,
-    }
+    })
 
 
 def _add_noise(tensor, snr_db, seed):
@@ -119,14 +123,13 @@ def cmd_simulate(args):
         seed = 0 if args.seed is None else args.seed
         tensor = _add_noise(tensor, args.noise_snr, seed)
     cio.write_tensor(args.out, tensor)
-    cio.write_manifest(args.out + ".manifest.json", _manifest(
-        args, "simulate",
-        inputs={"scene": args.scene},
-        params={"wavenumbers": list(ks), "n_obs": args.n_obs,
-                "incident_angles": list(config.incident_angles),
-                "generator": args.generator, "quad_nodes": quad_nodes,
-                "noise_snr": args.noise_snr, "seed": seed},
-        outputs=[args.out]))
+    _write_manifest(args, "simulate",
+                    inputs={"scene": args.scene},
+                    params={"wavenumbers": list(ks), "n_obs": args.n_obs,
+                            "incident_angles": list(config.incident_angles),
+                            "generator": args.generator, "quad_nodes": quad_nodes,
+                            "noise_snr": args.noise_snr, "seed": seed},
+                    outputs=[args.out])
     return 0
 
 
@@ -135,29 +138,33 @@ def _write_map(args, command, imap, inputs, params):
     pgm_path = csv_path[:-4] + ".pgm"
     cio.write_map_csv(csv_path, imap)
     cio.write_map_pgm(pgm_path, imap)
-    cio.write_manifest(csv_path + ".manifest.json", _manifest(
-        args, command, inputs, params, outputs=[csv_path, pgm_path]))
+    _write_manifest(args, command, inputs, params, outputs=[csv_path, pgm_path])
     if imap.zero_map:
         print("warning: all-zero map", file=sys.stderr)
     return 0
 
 
 def cmd_image(args):
+    method = args.method
+    if method == "mif" and args.f_index is not None:
+        raise CrackDsmError("--f-index goes with --method single, if or aif, not mif")
+    if method != "single" and args.l_index is not None:
+        raise CrackDsmError(f"--l-index goes with --method single, not {method}")
     grid = cio.parse_grid(args.grid)
     tensor = cio.read_tensor(args.tensor)
-    method = args.method
+    f_index = (args.f_index or 0) if method != "mif" else None
+    l_index = (args.l_index or 0) if method == "single" else None
     if method == "single":
-        imap = indicator_single(tensor, args.f_index, args.l_index, grid)
+        imap = indicator_single(tensor, f_index, l_index, grid)
     elif method == "if":
-        imap = indicator_if(tensor, args.f_index, grid)
+        imap = indicator_if(tensor, f_index, grid)
     elif method == "aif":
-        imap = indicator_aif(tensor, args.f_index, grid)
+        imap = indicator_aif(tensor, f_index, grid)
     else:
         imap = indicator_mif(tensor, grid)
     return _write_map(args, "image", imap,
                       inputs={"tensor": args.tensor},
-                      params={"method": method, "f_index": args.f_index,
-                              "l_index": args.l_index,
+                      params={"method": method, "f_index": f_index, "l_index": l_index,
                               "grid": cio.format_grid(grid)})
 
 
@@ -178,8 +185,7 @@ def cmd_predict(args):
             raise CrackDsmError("predictor s1 takes no --incident-angle")
         imap = predict_structure1(scene, ks[0], grid)
     elif predictor == "s2":
-        ang = _incident_angle(args)
-        d = np.array([math.cos(ang), math.sin(ang)])
+        d = unit_vectors([_incident_angle(args)])[0]
         imap = predict_structure2(scene, ks[0], d, grid)
     elif predictor == "aif":
         imap = predict_aif(scene, ks[0], _incident_angles(args), grid)
@@ -214,8 +220,15 @@ def cmd_peaks(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as CrackDsmError, so it exits 1 like other bad input."""
+
+    def error(self, message):
+        raise CrackDsmError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crackdsm",
         description="Direct sampling imaging of small straight cracks")
     parser.add_argument("--version", action="version", version=__version__)
@@ -249,8 +262,10 @@ def build_parser():
     p.add_argument("--tensor", required=True)
     p.add_argument("--method", choices=["single", "if", "aif", "mif"],
                    required=True)
-    p.add_argument("--f-index", type=int, default=0)
-    p.add_argument("--l-index", type=int, default=0)
+    p.add_argument("--f-index", type=int,
+                   help="frequency index for single, if and aif (default 0)")
+    p.add_argument("--l-index", type=int,
+                   help="incident-direction index for single (default 0)")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_image)
@@ -286,9 +301,9 @@ def main(argv=None):
     for i in reversed(range(len(bound) - 1)):
         if bound[i] == "--grid":
             bound[i:i + 2] = ["--grid=" + bound[i + 1]]
-    args = build_parser().parse_args(bound)
-    args._argv = argv
     try:
+        args = build_parser().parse_args(bound)
+        args._argv = argv
         return args.func(args)
     except CrackDsmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,6 +123,14 @@ def _crack_nodes(crack, m):
     return np.asarray(crack.center) + crack.half_length * np.outer(sigma, crack_tangent(crack))
 
 
+def _i_hankel0(z):
+    """i H0(z) = -Y0(z) + i J0(z), the only evaluation of J0 and Y0 in this module."""
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real = -sp_y0(z)
+    out.imag = sp_j0(z)
+    return out
+
+
 def _cross_kernel(k, x, y):
     """i H0(k|x_i - y_j|) = -Y0 + i J0 between two node sets of shape (., 2);
     SolverError where two nodes coincide, as Y0 is infinite there."""
@@ -131,10 +139,7 @@ def _cross_kernel(k, x, y):
         i = np.nonzero(kr == 0.0)[0][0]
         raise SolverError(f"nodes of two cracks coincide at ({x[i, 0]:.6g}, {x[i, 1]:.6g}); "
                           "try another --quad-nodes")
-    kern = np.empty(kr.shape, dtype=complex)
-    kern.real = -sp_y0(kr)
-    kern.imag = sp_j0(kr)
-    return kern
+    return _i_hankel0(kr)
 
 
 def _chebyshev_tail(kern):
@@ -202,12 +207,10 @@ class CrackSystem:
         """
         k, n, half = self.k, self.n, crack.half_length
         gaps, log_gaps = _node_gaps(n)
-        z = (k * half) * gaps
-        j0 = sp_j0(z)
         c = math.pi / (4.0 * n)
-        block = np.empty((n, n), dtype=complex)
-        block.real = (log_gaps / (2.0 * n) - logmat / (2.0 * math.pi)) * j0 - c * sp_y0(z)
-        block.imag = c * j0
+        block = _i_hankel0((k * half) * gaps)
+        block.real = (log_gaps / (2.0 * n) - logmat / (2.0 * math.pi)) * block.imag + c * block.real
+        block.imag *= c
         np.fill_diagonal(block, np.diag(logmat) / (-2.0 * math.pi)
                          - (math.log(k * half / 2.0) + _EULER_GAMMA) / (2.0 * n) + 1j * c)
         block *= half
@@ -394,12 +397,10 @@ def reciprocity_residual(scene, k, config: AcquisitionConfig, quad=QuadratureSpe
     """
     if config.n_incident != config.n_obs:
         raise InputMismatchError("reciprocity check needs L = N")
-    obs = config.observation_directions()
+    obs = observation_directions(config.n_obs)
     inc = config.incident_directions()
     if not np.allclose(obs, inc, atol=1e-12):
         raise InputMismatchError("reciprocity check needs d_l = theta_l")
-    if len(scene.cracks) == 0:
-        return 0.0
     n = config.n_obs
     if n % 2 != 0:
         raise InputMismatchError("reciprocity check needs an even N")

@@ -89,10 +89,15 @@ class PeakReport:
     crack_matches: list = field(default_factory=list)  # (center, dist, value)
 
 
+def unit_vectors(angles):
+    """The directions (cos a, sin a) of the given angles a, shape (len(angles), 2)."""
+    a = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(a), np.sin(a)])
+
+
 def observation_directions(n_obs):
     """Unit vectors at the angles 2*pi*n/N for n = 1..N, shape (N, 2)."""
-    ang = 2.0 * np.pi * np.arange(1, n_obs + 1) / n_obs
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+    return unit_vectors(2.0 * np.pi * np.arange(1, n_obs + 1) / n_obs)
 
 
 @dataclass(frozen=True)
@@ -128,11 +133,7 @@ class AcquisitionConfig:
         return len(self.incident_angles)
 
     def incident_directions(self):
-        a = np.asarray(self.incident_angles)
-        return np.column_stack([np.cos(a), np.sin(a)])
-
-    def observation_directions(self):
-        return observation_directions(self.n_obs)
+        return unit_vectors(self.incident_angles)
 
 
 @dataclass
@@ -175,11 +176,7 @@ def _check_indices(tensor, f_index, l_index=None):
 
 
 def _single(row, k, grid):
-    norm = np.linalg.norm(row) * math.sqrt(row.size)
-    if norm < _ZERO_MAP_EPS:
-        return IndicatorMap(grid, np.zeros(grid.shape), zero_map=True)
-    raw = np.abs(_steered_sum(k, [row], (0.0, 0.0), grid)) / norm
-    return IndicatorMap.from_raw(grid, raw)
+    return IndicatorMap.from_raw(grid, np.abs(_steered_sum(k, [row], (0.0, 0.0), grid)))
 
 
 def indicator_single(tensor, f_index, l_index, grid):

@@ -22,12 +22,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _read_text(path):
-    """File contents as text; OSError or undecodable bytes -> CrackDsmError."""
+def _records(path):
+    """The file's data lines, stripped, without blank lines and # comments;
+    OSError or undecodable bytes -> CrackDsmError."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CrackDsmError(f"cannot read {path}: {exc}") from None
+    lines = (raw.strip() for raw in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def atomic_write_bytes(path, data):
@@ -77,14 +80,11 @@ def write_scene(path, scene):
 
 def read_scene(path):
     cracks = []
-    for raw in _read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _records(path):
         try:
             cx, cy, half, rot = (float(p) for p in line.split())
         except ValueError:
-            raise InputMismatchError(f"bad scene line: {raw!r}") from None
+            raise InputMismatchError(f"bad scene line: {line!r}") from None
         cracks.append(Crack((cx, cy), half, rot))
     return Scene(tuple(cracks))
 
@@ -114,10 +114,7 @@ def read_tensor(path):
     header = {}
     rows = []
     in_data = False
-    for raw in _read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _records(path):
         if in_data:
             rows.append(line.split())
             continue
@@ -187,8 +184,7 @@ def write_map_csv(path, imap):
 
 
 def read_map_csv(path):
-    lines = [ln for ln in _read_text(path).splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    lines = _records(path)
     try:
         grid = parse_grid(lines[0])
         values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

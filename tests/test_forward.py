@@ -255,7 +255,7 @@ def test_reciprocity_residual_matches_pairwise_loop(k):
     cfg = _mirror_config(k, 16)
     system = CrackSystem(sc, k, QuadratureSpec(32))
     fwd = system.far_field(cfg.incident_directions(), 16)
-    rev = system.far_field(-cfg.observation_directions(), 16)
+    rev = system.far_field(-observation_directions(16), 16)
     assert fwd.shape == rev.shape == (16, 16)
     loop = max(abs(fwd[l, m] - rev[m, (l + 8) % 16])
                for l in range(16) for m in range(16))

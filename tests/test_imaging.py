@@ -113,6 +113,7 @@ def test_zero_data_flagged(k):
     tensor = FarFieldTensor(np.zeros((1, 1, 16), dtype=complex), cfg)
     grid = ImagingGrid(-1, 1, -1, 1, 11, 11)
     assert indicator_single(tensor, 0, 0, grid).zero_map
+    assert indicator_if(tensor, 0, grid).zero_map
     assert indicator_aif(tensor, 0, grid).zero_map
 
 

@@ -104,6 +104,22 @@ def test_pgm_header_and_size(tmp_path):
     assert top[0, 3] == 65535
 
 
+def test_readers_skip_indented_comment_lines(tmp_path, k):
+    # a line whose first non-blank character is "#" is a comment to every reader
+    cfg = AcquisitionConfig((k,), 8, (0.0,))
+    files = [(cio.read_scene, cio.write_scene, sample_scene()),
+             (cio.read_tensor, cio.write_tensor, FarFieldTensor(np.ones((1, 1, 8)), cfg)),
+             (cio.read_map_csv, cio.write_map_csv,
+              IndicatorMap(ImagingGrid(0, 1, 0, 1, 2, 2), np.eye(2)))]
+    for i, (read, write, obj) in enumerate(files):
+        path, back = tmp_path / f"in{i}.txt", tmp_path / f"back{i}.txt"
+        write(path, obj)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(["  # note\n", *lines[:-1], "\t# note\n", lines[-1]]))
+        write(back, read(path))
+        assert back.read_text() == "".join(lines)
+
+
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "m.json"
     payload = {"b": 1, "a": [1, 2], "c": {"z": None}}
@@ -173,6 +189,31 @@ def test_cli_manifest_records_only_what_the_generator_reads(tmp_path, scene_file
     assert params("--generator", "full", "--quad-nodes", "16") == (16, None)
     assert params("--generator", "full", "--quad-nodes", "16",
                   "--noise-snr", "20", "--seed", "5") == (16, 5)
+
+
+def test_cli_image_records_only_the_indices_the_method_reads(tmp_path, scene_file, capsys):
+    tensor = str(tmp_path / "band.txt")
+    assert main(["simulate", "--scene", scene_file, "--lambda-range", "0.4,0.6",
+                 "--n-freq", "2", "--generator", "order1", "--out", tensor]) == 0
+
+    def indices(method, *flags):
+        out = str(tmp_path / "map")
+        assert main(["image", "--tensor", tensor, "--method", method, *flags,
+                     "--grid=-1,1,-1,1,5,5", "--out", out]) == 0
+        stored = json.loads(Path(out + ".csv.manifest.json").read_text())["params"]
+        return stored["f_index"], stored["l_index"]
+
+    assert indices("single") == (0, 0)
+    assert indices("single", "--f-index", "1", "--l-index", "0") == (1, 0)
+    assert indices("if") == (0, None)
+    assert indices("aif", "--f-index", "1") == (1, None)
+    assert indices("mif") == (None, None)
+    for flag in ("--f-index", "--l-index"):
+        out = str(tmp_path / "refused")
+        assert main(["image", "--tensor", tensor, "--method", "mif", flag, "0",
+                     "--grid=-1,1,-1,1,5,5", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} goes with")
+        assert not list(tmp_path.glob("refused*"))
 
 
 def test_cli_full_generator_multi_frequency(tmp_path, scene_file):
@@ -428,6 +469,32 @@ def test_cli_version(capsys):
     assert exc.value.code == 0
 
 
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["image", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: crackdsm image")
+
+
+# argparse's own refusals exit 1 with "error: ..." like any other bad input
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["image", "--tensor", "{scene}", "--method", "foo", "--grid=-1,1,-1,1,5,5",
+     "--out", "{out}"],
+    ["simulate", "--scene", "{scene}", "--lambda", "0.5", "--n-obs", "abc", "--out", "{out}"],
+    ["predict", "--scene", "{scene}", "--predictor", "s1", "--lambda", "0.5",
+     "--grid=-1,1,-1,1,5,5"],
+    ["simulate", "--scene", "{scene}", "--lambda", "0.5", "--bogus", "--out", "{out}"],
+], ids=["unknown_command", "invalid_choice", "not_an_integer", "missing_out", "unknown_flag"])
+def test_cli_bad_command_line_exits_1(tmp_path, scene_file, capsys, argv):
+    argv = [a.format(scene=scene_file, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "usage" not in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.txt"]
+
+
 def test_cli_grid_forms_record_same_spec(tmp_path, scene_file):
     specs = []
     for i, grid_args in enumerate([["--grid", "0.0,1.50,-0.25,0.75,11,9"],
@@ -543,6 +610,11 @@ _BAD_INPUTS = {
                                  "--lambda", "0.5", "--quad-nodes", "64"]),
     "seed_without_noise": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
                                   "--lambda", "0.5", "--seed", "5"]),
+    # --l-index is read only by --method single
+    "if_l_index": (None, ["image", "--tensor", "{tensor}", "--method", "if",
+                          "--l-index", "0", "--grid=-1,1,-1,1,5,5"]),
+    "aif_l_index": (None, ["image", "--tensor", "{tensor}", "--method", "aif",
+                           "--l-index", "0", "--grid=-1,1,-1,1,5,5"]),
 }
 
 

@@ -10,8 +10,11 @@ function, class and constant of ``src/crackdsm`` (dunders such as
 ``__version__`` excepted), and each of its modules must use every name it
 imports.
 
-The check reads identifiers from the syntax tree, so comments, docstrings and
-strings do not count.  It cannot see a name that only other dead code calls,
+One more check keeps the solver's Hankel kernel in one place: `forward` uses
+``sp_j0`` and ``sp_y0`` in one function only.
+
+The checks read identifiers from the syntax tree, so comments, docstrings and
+strings do not count.  They cannot see a name that only other dead code calls,
 nor tell apart two definitions that share a name.
 """
 
@@ -122,3 +125,22 @@ def test_every_import_is_used_by_its_module():
             if all(n != name or node.lineno <= line <= node.end_lineno for n, line in uses):
                 unused.append(f"{path.stem}.{name}")
     assert unused == [], f"imports their module never uses: {unused}"
+
+
+def _units(tree):
+    """(label, node) per module-level statement, methods taken one by one."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_forward_evaluates_the_hankel_kernel_in_one_function():
+    # J0 and Y0 at the same points make one kernel i H0 = -Y0 + i J0; a second
+    # place that evaluates them is a second copy of that kernel
+    tree = _pipeline()[0][PACKAGE / "forward.py"]
+    users = {label for label, unit in _units(tree) for node in ast.walk(unit)
+             if isinstance(node, ast.Name) and node.id in ("sp_j0", "sp_y0")}
+    assert len(users) == 1, f"sp_j0/sp_y0 used in more than one place of forward: {sorted(users)}"
