@@ -1,15 +1,18 @@
 """Closed-form far-field generators and indicator-map predictors.
 
-The generators are the small-crack expansions of the far-field pattern (a
+The generators are the small-crack expansions of the far-field pattern: a
 logarithmic leading term, plus a tangential-derivative correction at second
-order).  The predictors are the matching closed-form shapes of the indicator
-maps: J0 combinations for a single direction, J0*Js cosine series for a few
-directions, and the band integral of that series over the wavenumbers for
-one direction.  The cosine series are summed exactly by the Jacobi-Anger
-identity J0(z) + 2 sum_{s>=1} i^s J_s(z) cos(s psi) = e^{iz cos psi}, so both
-are sums of J0 times plane waves e^{ik (c_m - x).d}.  The identities behind
-these forms (the direction sums, the truncated series and the paper's
-Lambda = J0^2 + J1^2 envelope) are test references in ``tests/paper.py``.
+order.  Each predictor is the indicators' steering kernel,
+`imaging._steered_sum`, on these closed-form rows at P observation directions,
+since a uniform direction sum of plane waves is a Bessel function:
+(1/P) sum_p e^{ik theta_p.(x - c)} = J0(k r) and
+(1/P) sum_p (theta_p.t) e^{ik theta_p.(x - c)} = i J1(k r) (r_hat.t), up to
+aliasing terms J_{jP}(k r) below round-off for P = ceil(z + 12 z^{1/3} + 12),
+z = k times the largest crack-to-grid distance.  So `s1` is J0 over order-1
+rows, `s2` adds the J1 rotation term of order-2 rows, and `aif` and `mif` are
+J0 times the plane waves e^{ik (c_m - x).d} over compensated order-1 rows,
+`mif` integrated over the band by Gauss-Legendre in k.  The Bessel closed
+forms are test references in ``tests/paper.py``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import j0 as sp_j0, j1 as sp_j1
 
 from .errors import DomainError, InputMismatchError
-from .imaging import IndicatorMap, observation_directions, unit_vectors
+from .imaging import IndicatorMap, _steered_sum, observation_directions, unit_vectors
 from .scene import check_scaled_scene, crack_tangent, require_valid
+
+# Largest k * r_max a predictor accepts: P, and mif's panel count, grow with it.
+_MAX_KR = 1e4
 
 
 def _log_weight(half_length):
@@ -31,10 +36,34 @@ def _log_weight(half_length):
 
 
 def _equal_half_length(scene):
-    ls = {c.half_length for c in scene.cracks}
-    if len(ls) != 1:
+    if len({c.half_length for c in scene.cracks}) != 1:
         raise InputMismatchError("operation requires all cracks to share one half-length")
-    return ls.pop()
+
+
+def _order1_rows(scene, k, d, n_obs):
+    """Order-1 far field at ``n_obs`` directions, with no scene check."""
+    d = np.asarray(d, dtype=float)
+    theta = observation_directions(n_obs)
+    out = np.zeros(d.shape[:-1] + (n_obs,), dtype=complex)
+    for crack in scene.cracks:
+        w = 2.0 * math.pi / _log_weight(crack.half_length)
+        c = np.asarray(crack.center)
+        out += (w * np.exp(1j * k * (d @ c)))[..., None] * np.exp(-1j * k * theta @ c)
+    return out
+
+
+def _order2_rows(scene, k, d, n_obs):
+    """Order-2 far field at ``n_obs`` directions, with no scene check."""
+    d = np.asarray(d, dtype=float)
+    theta = observation_directions(n_obs)
+    out = _order1_rows(scene, k, d, n_obs)
+    for crack in scene.cracks:
+        c = np.asarray(crack.center)
+        t = crack_tangent(crack)
+        phase = np.exp(1j * k * (d @ c))[..., None] * np.exp(-1j * k * theta @ c)
+        out += (-math.pi * crack.half_length**2 * (1j * k * (d @ t)[..., None])
+                * (-1j * k * (theta @ t)) * phase)
+    return out
 
 
 def farfield_order1(scene, k, d, config):
@@ -43,14 +72,7 @@ def farfield_order1(scene, k, d, config):
     One incident direction ``d`` (2,) gives (N,); L directions (L, 2) give (L, N).
     """
     require_valid(scene, k)
-    d = np.asarray(d, dtype=float)
-    theta = observation_directions(config.n_obs)
-    out = np.zeros(d.shape[:-1] + (config.n_obs,), dtype=complex)
-    for crack in scene.cracks:
-        w = 2.0 * math.pi / _log_weight(crack.half_length)
-        c = np.asarray(crack.center)
-        out += (w * np.exp(1j * k * (d @ c)))[..., None] * np.exp(-1j * k * theta @ c)
-    return out
+    return _order1_rows(scene, k, d, config.n_obs)
 
 
 def farfield_order2(scene, k, d, config):
@@ -60,82 +82,48 @@ def farfield_order2(scene, k, d, config):
     The correction per crack is
     -pi*l^2 * (ik d.t) e^{ik d.c} * (-ik theta.t) e^{-ik theta.c}.
     """
-    half = _equal_half_length(scene)
-    d = np.asarray(d, dtype=float)
-    theta = observation_directions(config.n_obs)
-    out = farfield_order1(scene, k, d, config)
-    for crack in scene.cracks:
-        c = np.asarray(crack.center)
-        t = crack_tangent(crack)
-        phase = np.exp(1j * k * (d @ c))[..., None] * np.exp(-1j * k * theta @ c)
-        out += -math.pi * half**2 * (1j * k * (d @ t)[..., None]) * (-1j * k * (theta @ t)) * phase
-    return out
+    _equal_half_length(scene)
+    require_valid(scene, k)
+    return _order2_rows(scene, k, d, config.n_obs)
 
 
-def _grid_radii(scene, grid):
-    """Per-crack offsets (x - c_m) and distances r_m over the flattened grid."""
-    pts = grid.points()
-    offs = [pts - np.asarray(c.center) for c in scene.cracks]
-    # an overflowing distance is inf, and IndicatorMap.from_raw refuses its map
+def _grid_reach(scene, grid):
+    """The largest distance from a crack centre to the grid, which a corner attains."""
+    corners = np.array([(x, y) for y in (grid.y_min, grid.y_max) for x in (grid.x_min, grid.x_max)])
     with np.errstate(over="ignore"):
-        return offs, [np.linalg.norm(o, axis=1) for o in offs]
+        rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max())
+                    for c in scene.cracks), default=0.0)
+    if not math.isfinite(rmax):
+        raise DomainError("grid-to-crack distance overflows")
+    return rmax
+
+
+def _n_directions(k, rmax):
+    """Directions P at which the direction sum is J0 to round-off for k*r <= k*rmax."""
+    z = k * rmax
+    if not z <= _MAX_KR:
+        raise DomainError(f"k times the grid-to-crack distance is {z:.6g}, "
+                          f"above the predictors' limit {_MAX_KR:g}")
+    return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 12.0)
 
 
 def predict_structure1(scene, k, grid):
     """Single-direction map shape |sum_m J0(k r_m)/ln(l_m/2)|, max-normalized."""
     check_scaled_scene(scene, k)
-    _, radii = _grid_radii(scene, grid)
-    raw = np.zeros(grid.nx * grid.ny)
-    for crack, r in zip(scene.cracks, radii):
-        raw += sp_j0(k * r) / _log_weight(crack.half_length)
-    return IndicatorMap.from_raw(grid, np.abs(raw))
-
-
-def structure_fields(scene, k, d, grid):
-    """Flattened (Phi1, Phi2) arrays of the two-term map decomposition.
-
-    Phi1 carries the J0 terms with weight (2*pi)^2/ln(l/2); Phi2 the
-    direction- and rotation-sensitive J1 terms with weight 2*pi^2*k^2*l^2
-    (relative weighting from the structure derivation).  Phi2 is defined as 0
-    at exact coincidence x = c_m.
-    """
-    check_scaled_scene(scene, k)
-    half = _equal_half_length(scene)
-    d = np.asarray(d, dtype=float)
-    offs, radii = _grid_radii(scene, grid)
-    phi1 = np.zeros(grid.nx * grid.ny, dtype=complex)
-    phi2 = np.zeros(grid.nx * grid.ny, dtype=complex)
-    for crack, off, r in zip(scene.cracks, offs, radii):
-        c = np.asarray(crack.center)
-        t = crack_tangent(crack)
-        w1 = (2.0 * math.pi) ** 2 / _log_weight(half)
-        phase = np.exp(1j * k * (d @ c))
-        phi1 += w1 * phase * sp_j0(k * r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial_dot = np.where(r > 0.0, (off @ t) / np.where(r > 0.0, r, 1.0), 0.0)
-        phi2 += (-2.0 * math.pi**2 * k**2 * half**2 * 1j
-                 * (d @ t) * phase * radial_dot * sp_j1(k * r))
-    return phi1, phi2
+    rows = _order1_rows(scene, k, (0.0, 0.0), _n_directions(k, _grid_reach(scene, grid)))
+    return IndicatorMap.from_raw(grid, np.abs(_steered_sum(k, [rows], (0.0, 0.0), grid)))
 
 
 def predict_structure2(scene, k, d, grid):
-    """Two-term map |Phi1 + Phi2| normalized; requires equal half-lengths."""
-    phi1, phi2 = structure_fields(scene, k, d, grid)
-    return IndicatorMap.from_raw(grid, np.abs(phi1 + phi2))
+    """Two-term map |Phi1 + Phi2| normalized; requires equal half-lengths.
 
-
-def _j0_plane_waves(scene, ks, weights, dirs, grid):
-    """Flattened sum_m w_m sum_q weights_q J0(k_q r_m) sum_l e^{ik_q (c_m - x).d_l}.
-
-    w_m = (2*pi)^2/ln(l_m/2), r_m = |x - c_m| and ``dirs`` the (L, 2) directions d_l.
+    Phi1 = sum_m (2*pi)^2/ln(l/2) e^{ik d.c_m} J0(k r_m) and
+    Phi2 = sum_m -2*pi^2 k^2 l^2 i (d.t_m) e^{ik d.c_m} (r_hat_m.t_m) J1(k r_m).
     """
-    offs, radii = _grid_radii(scene, grid)
-    raw = np.zeros(grid.nx * grid.ny, dtype=complex)
-    for crack, off, r in zip(scene.cracks, offs, radii):
-        w = (2.0 * math.pi) ** 2 / _log_weight(crack.half_length)
-        for k, wq in zip(ks, weights):
-            raw += (w * wq) * sp_j0(k * r) * np.exp(-1j * k * (off @ dirs.T)).sum(axis=1)
-    return raw
+    check_scaled_scene(scene, k)
+    _equal_half_length(scene)
+    rows = _order2_rows(scene, k, d, _n_directions(k, _grid_reach(scene, grid)))
+    return IndicatorMap.from_raw(grid, np.abs(_steered_sum(k, [rows], (0.0, 0.0), grid)))
 
 
 def predict_aif(scene, k, incident_angles, grid):
@@ -149,7 +137,8 @@ def predict_aif(scene, k, incident_angles, grid):
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
     dirs = unit_vectors(incident_angles)
-    return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, [k], [1.0], dirs, grid)))
+    rows = _order1_rows(scene, k, dirs, _n_directions(k, _grid_reach(scene, grid)))
+    return IndicatorMap.from_raw(grid, np.abs(_steered_sum(k, rows, dirs, grid)))
 
 
 def _gauss_legendre_panels(a, b, n_panels):
@@ -163,9 +152,9 @@ def predict_mif(scene, k_list, incident_angle, grid):
     """Multi-frequency map shape |sum_m w_m int_k1^kF J0(k r_m) e^{ik (c_m - x).d} dk|.
 
     The integrand is the band form of `predict_aif`'s J0*Js cosine series with
-    one direction d, summed in closed form.  The integral is composite
-    Gauss-Legendre in k, one 8-point panel per oscillation period of the
-    integrand at the farthest grid point, which a grid corner attains.
+    one direction d.  The integral is composite Gauss-Legendre in k, one
+    8-point panel per oscillation period of the integrand at the farthest grid
+    point; each node k_q has its own direction count P(k_q).
     """
     k_list = np.asarray(k_list, dtype=float)
     if k_list.size < 2:
@@ -175,12 +164,11 @@ def predict_mif(scene, k_list, incident_angle, grid):
     k1, kF = float(k_list[0]), float(k_list[-1])
     check_scaled_scene(scene, kF)
     d = unit_vectors([incident_angle])
-    corners = np.array([(x, y) for y in (grid.y_min, grid.y_max) for x in (grid.x_min, grid.x_max)])
-    with np.errstate(over="ignore"):
-        rmax = max((float(np.linalg.norm(corners - c.center, axis=1).max())
-                    for c in scene.cracks), default=0.0)
-    if not math.isfinite(rmax):
-        raise DomainError("grid-to-crack distance overflows")
+    rmax = _grid_reach(scene, grid)
+    _n_directions(kF, rmax)  # refuses a far geometry before the panels are sized
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))
-    ks, weights = _gauss_legendre_panels(k1, kF, n_panels)
-    return IndicatorMap.from_raw(grid, np.abs(_j0_plane_waves(scene, ks, weights, d, grid)))
+    raw = np.zeros(grid.shape, dtype=complex)
+    for kq, wq in zip(*_gauss_legendre_panels(k1, kF, n_panels)):
+        n_dirs = _n_directions(kq, rmax)
+        raw += (wq / n_dirs) * _steered_sum(kq, _order1_rows(scene, kq, d, n_dirs), d, grid)
+    return IndicatorMap.from_raw(grid, np.abs(raw))

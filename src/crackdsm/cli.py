@@ -10,8 +10,8 @@ outside `image --method single`) or a command line argparse refuses, exits 1
 with "error: ..." and writes nothing.
 
 `simulate` and `predict` import the solver (`forward`) and the closed-form
-generators and predictors (`asymptotic`) when they run, so `image`, `peaks`
-and `compare`, which need neither, start without loading scipy.
+generators and predictors (`asymptotic`) when they run.  Only `forward` loads
+scipy, so every command but `simulate --generator full` runs without it.
 """
 
 from __future__ import annotations

@@ -327,8 +327,11 @@ class CrackSystem:
     def _inverse_norm_estimate(self):
         """Hager-Higham lower bound on ||A^-1||_1, the iteration of LAPACK xLACN2.
 
-        Up to five solves with A and four with A^H, all through `_solve`, then
-        the alternating-sign vector that catches a local maximum.
+        Up to five solves with A and four with A^H, all through `_solve`.  The
+        iteration starts from xLACN2's alternating-sign vector
+        (-1)^i (1 + i/(n-1)), scaled to unit 1-norm, not from the uniform
+        vector: on unequal half-lengths the uniform start stops at a local
+        maximum near 0.65 of ||A^-1||_1.
         """
         size = len(self.points)
 
@@ -341,7 +344,8 @@ class CrackSystem:
             s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
             return np.abs(self._h * solve(s.conj() / self._h))
 
-        y = solve(np.full(size, 1.0 / size, dtype=complex))
+        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
+        y = solve((alt / np.abs(alt).sum()).astype(complex))
         est = np.abs(y).sum()
         j = int(np.argmax(adjoint_sign(y)))
         for _ in range(4):
@@ -354,8 +358,7 @@ class CrackSystem:
             last, j = j, int(np.argmax(z))
             if z[last] == z[j]:
                 break
-        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
-        return max(est, 2.0 * np.abs(solve(alt.astype(complex))).sum() / (3.0 * size))
+        return est
 
     def far_field(self, d, n_obs):
         """Far-field pattern at the N uniform observation directions.

@@ -3,6 +3,9 @@
 No command calls these.  The direction sums, the Jacobi-Anger series and the
 Lambda = J0^2 + J1^2 envelope are the identities behind the closed forms of
 `crackdsm.asymptotic`; acceptance criteria 01, 02 and 10b check them.  The
+J0/J1 closed forms of the predictors, `structure_fields` and
+`j0_plane_wave_sum`, evaluate scipy's Bessel functions directly; the
+predictors themselves sum plane waves over observation directions.  The
 benchmark scene is read from ``scenes/three_cracks.txt``, its one source.
 """
 
@@ -16,7 +19,7 @@ from scipy.special import j0, j1, jv
 from crackdsm.errors import DomainError
 from crackdsm.imaging import observation_directions
 from crackdsm.io import read_scene
-from crackdsm.scene import Scene
+from crackdsm.scene import Scene, crack_tangent
 
 SCENE_FILE = Path(__file__).resolve().parent.parent / "scenes" / "three_cracks.txt"
 
@@ -51,6 +54,48 @@ def weighted_direction_sum(n_dirs, k, x, phi_vec):
     theta = observation_directions(n_dirs)
     vals = (theta @ phi_vec) * np.exp(1j * k * theta @ x)
     return complex((2.0 * math.pi / n_dirs) * np.sum(vals))
+
+
+def structure_fields(scene, k, d, grid):
+    """Flattened (Phi1, Phi2) arrays of the two-term map decomposition.
+
+    Phi1 carries the J0 terms with weight (2*pi)^2/ln(l/2); Phi2 the
+    direction- and rotation-sensitive J1 terms with weight 2*pi^2*k^2*l^2
+    (relative weighting from the structure derivation).  Phi2 is defined as 0
+    at exact coincidence x = c_m.  ``predict_structure2`` maps |Phi1 + Phi2|.
+    """
+    d = np.asarray(d, dtype=float)
+    phi1 = np.zeros(grid.nx * grid.ny, dtype=complex)
+    phi2 = np.zeros(grid.nx * grid.ny, dtype=complex)
+    for crack in scene.cracks:
+        c, t, half = np.asarray(crack.center), crack_tangent(crack), crack.half_length
+        off = grid.points() - c
+        r = np.linalg.norm(off, axis=1)
+        phase = np.exp(1j * k * (d @ c))
+        phi1 += (2.0 * math.pi) ** 2 / math.log(half / 2.0) * phase * j0(k * r)
+        radial_dot = np.where(r > 0.0, (off @ t) / np.where(r > 0.0, r, 1.0), 0.0)
+        phi2 += (-2.0 * math.pi**2 * k**2 * half**2 * 1j
+                 * (d @ t) * phase * radial_dot * j1(k * r))
+    return phi1, phi2
+
+
+def j0_plane_wave_sum(scene, ks, weights, dirs, grid):
+    """Flattened sum_m w_m sum_q weights_q J0(k_q r_m) sum_l e^{ik_q (c_m - x).d_l}.
+
+    w_m = (2*pi)^2/ln(l_m/2), r_m = |x - c_m| and ``dirs`` the (L, 2)
+    directions d_l.  One k with d = 0 is the ``predict_structure1`` map, one k
+    with L directions ``predict_aif``'s and a band of Gauss-Legendre nodes with
+    one direction ``predict_mif``'s.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    raw = np.zeros(grid.nx * grid.ny, dtype=complex)
+    for crack in scene.cracks:
+        off = grid.points() - np.asarray(crack.center)
+        r = np.linalg.norm(off, axis=1)
+        w = (2.0 * math.pi) ** 2 / math.log(crack.half_length / 2.0)
+        for k, wq in zip(ks, weights):
+            raw += (w * wq) * j0(k * r) * np.exp(-1j * k * (off @ dirs.T)).sum(axis=1)
+    return raw
 
 
 def jacobi_anger(z, phi, terms):

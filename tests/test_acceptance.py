@@ -11,8 +11,7 @@ import time
 import numpy as np
 from scipy.special import jv
 
-from crackdsm.asymptotic import (farfield_order1, farfield_order2,
-                                 predict_structure1, structure_fields)
+from crackdsm.asymptotic import farfield_order1, farfield_order2, predict_structure1
 from crackdsm.forward import (CrackSystem, QuadratureSpec, far_field_tensor,
                               reciprocity_residual)
 from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
@@ -20,7 +19,8 @@ from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
                               indicator_single)
 from crackdsm.scene import Crack, Scene
 from paper import (aligned_max_gap, jacobi_anger, mif_radial_envelope,
-                   sample_scene, uniform_direction_sum, weighted_direction_sum)
+                   sample_scene, structure_fields, uniform_direction_sum,
+                   weighted_direction_sum)
 
 K = 2 * math.pi / 0.5
 GRID = ImagingGrid(-1.0, 1.0, -1.0, 1.0, 201, 201)

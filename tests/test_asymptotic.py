@@ -5,12 +5,14 @@ import pytest
 import scipy.special as scipy_special
 
 from crackdsm.errors import DomainError, InputMismatchError, SceneError
-from crackdsm.asymptotic import (farfield_order1, farfield_order2,
+from crackdsm.asymptotic import (_gauss_legendre_panels, _grid_reach,
+                                 farfield_order1, farfield_order2,
                                  predict_aif, predict_mif, predict_structure1,
-                                 predict_structure2, structure_fields)
-from crackdsm.imaging import AcquisitionConfig, ImagingGrid
+                                 predict_structure2)
+from crackdsm.imaging import AcquisitionConfig, ImagingGrid, unit_vectors
 from crackdsm.scene import Crack, Scene
-from paper import (argmax_point, mif_radial_envelope, uniform_direction_sum,
+from paper import (argmax_point, j0_plane_wave_sum, mif_radial_envelope,
+                   sample_scene, structure_fields, uniform_direction_sum,
                    weighted_direction_sum)
 
 
@@ -290,6 +292,35 @@ def test_mif_matches_converged_band_integral(three_cracks):
     want = np.abs(raw) / np.abs(raw).max()
     imap = predict_mif(three_cracks, ks, alpha, grid)
     assert np.max(np.abs(imap.values.ravel() - want)) < 1e-8
+
+
+@pytest.mark.parametrize("scene", [sample_scene(), sample_scene(0.05, 0.09, 0.03)],
+                         ids=["equal", "unequal"])
+@pytest.mark.parametrize("side", [1.0, 8.0])
+def test_predictors_match_their_bessel_closed_forms(scene, side):
+    # the predictors sum plane waves over P observation directions; their J0/J1
+    # closed forms, from scipy, hold to round-off once P exceeds z = k r_max by
+    # its margin.  z runs from 17 (k1 on [-1, 1]^2) to 250 (kF on [-8, 8]^2)
+    grid = ImagingGrid(-side, side, -side, side, 61, 61)
+    k = 2 * math.pi / 0.5
+    ks = sorted(2 * math.pi / lam for lam in np.linspace(0.3, 0.7, 5))
+    angles = [2 * math.pi * i / 8 for i in range(1, 9)]
+    d = np.array([[0.0, 1.0]])
+    rmax = _grid_reach(scene, grid)
+    nodes, weights = _gauss_legendre_panels(
+        ks[0], ks[-1], math.ceil((ks[-1] - ks[0]) * rmax / (2 * math.pi)))
+    cases = [(predict_structure1(scene, k, grid),
+              j0_plane_wave_sum(scene, [k], [1.0], np.zeros((1, 2)), grid)),
+             (predict_aif(scene, k, angles, grid),
+              j0_plane_wave_sum(scene, [k], [1.0], unit_vectors(angles), grid)),
+             (predict_mif(scene, ks, math.pi / 2, grid),
+              j0_plane_wave_sum(scene, nodes, weights, d, grid))]
+    if len({c.half_length for c in scene.cracks}) == 1:
+        cases.append((predict_structure2(scene, k, d[0], grid),
+                      sum(structure_fields(scene, k, d[0], grid))))
+    for imap, raw in cases:
+        want = np.abs(raw) / np.abs(raw).max()
+        assert np.max(np.abs(imap.values.ravel() - want)) <= 1e-12
 
 
 def test_mif_peak_and_raw_center_value(k):

@@ -635,8 +635,10 @@ def test_cli_rejects_bad_input(tmp_path, scene_file, capsys, case):
     assert not list(tmp_path.glob("out*"))
 
 
-# the far crack's distances to the grid overflow when squared, though its
-# k-scaled coordinates pass the scene check
+# the crack at 1e200 has distances to the grid that overflow when squared,
+# though its k-scaled coordinates pass the scene check; the one at 1e100 has
+# finite distances, but a map would need about k * 1e100 directions (or, for
+# mif, k-panels)
 @pytest.mark.parametrize("predictor, flags", [
     ("s1", ["--lambda", "0.5"]),
     ("s2", ["--lambda", "0.5"]),
@@ -645,10 +647,11 @@ def test_cli_rejects_bad_input(tmp_path, scene_file, capsys, case):
 ])
 def test_cli_predict_refuses_overflowing_scene(tmp_path, capsys, predictor, flags):
     scene = tmp_path / "far.txt"
-    scene.write_text("1e200 0.2 0.05 0\n0 0 0.05 0.5\n")
-    rc = main(["predict", "--scene", str(scene), "--predictor", predictor, *flags,
-               "--grid=-1,1,-1,1,11,11", "--out", str(tmp_path / "out")])
-    assert rc == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and "Traceback" not in err
-    assert not list(tmp_path.glob("out*"))
+    for far in ("1e200 0.2 0.05 0", "1e100 0 0.05 0"):
+        scene.write_text(far + "\n0 0 0.05 0.5\n")
+        rc = main(["predict", "--scene", str(scene), "--predictor", predictor, *flags,
+                   "--grid=-1,1,-1,1,11,11", "--out", str(tmp_path / "out")])
+        assert rc == 1, far
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))

@@ -123,8 +123,9 @@ def test_validation_order_invariant():
 
 
 def test_geometry_and_imaging_import_without_scipy(tmp_path, three_cracks):
-    # only the solver and the predictors need scipy; simulate and predict load
-    # them when they run, and then only scipy.special
+    # only the solver needs scipy: every command but simulate --generator full
+    # runs without loading it.  One process runs them all, printing the scipy
+    # modules loaded after the imports and after each command
     scene, tensor, map_a, map_b = (str(tmp_path / name) for name in
                                    ("scene.txt", "data.txt", "a.csv", "b.csv"))
     cio.write_scene(scene, three_cracks)
@@ -134,25 +135,32 @@ def test_geometry_and_imaging_import_without_scipy(tmp_path, three_cracks):
     for path in (map_a, map_b):
         cio.write_map_csv(path, IndicatorMap.from_raw(grid, np.arange(25.0)))
     out = str(tmp_path / "out")
-    run = "from crackdsm.cli import main; assert main({argv!r}) == 0; "
-    cases = {
-        "import crackdsm.scene, crackdsm.imaging, crackdsm.errors; ": "scipy",
-        "import crackdsm.io; ": "scipy",
-        "import crackdsm.cli; ": "scipy",
-        run.format(argv=["image", "--tensor", tensor, "--method", "single",
-                         "--grid=-1,1,-1,1,5,5", "--out", out]): "scipy",
-        run.format(argv=["peaks", "--map", map_a, "--scene", scene]): "scipy",
-        run.format(argv=["compare", "--a", map_a, "--b", map_b]): "scipy",
-        run.format(argv=["predict", "--scene", scene, "--predictor", "s1", "--lambda", "0.5",
-                         "--grid=-1,1,-1,1,5,5", "--out", out]): "scipy.linalg",
-        run.format(argv=["simulate", "--scene", scene, "--lambda", "0.5", "--generator",
-                         "order1", "--out", out]): "scipy.linalg",
-    }
+    predictors = {"s1": ["--lambda", "0.5"], "s2": ["--lambda", "0.5"],
+                  "aif": ["--lambda", "0.5", "--n-incident", "4"],
+                  "mif": ["--lambda-range", "0.3,0.7", "--n-freq", "3"]}
+    commands = [
+        ["image", "--tensor", tensor, "--method", "single", "--grid=-1,1,-1,1,5,5",
+         "--out", out],
+        ["peaks", "--map", map_a, "--scene", scene],
+        ["compare", "--a", map_a, "--b", map_b],
+        *(["predict", "--scene", scene, "--predictor", name, *flags,
+           "--grid=-1,1,-1,1,5,5", "--out", out] for name, flags in predictors.items()),
+        *(["simulate", "--scene", scene, "--lambda", "0.5", "--generator", gen,
+           "--out", out] for gen in ("order1", "order2")),
+    ]
+    probe = ("import sys\n"
+             "import crackdsm.scene, crackdsm.imaging, crackdsm.errors, crackdsm.io\n"
+             "import crackdsm.cli\n"
+             "def scipy():\n"
+             "    print('loaded', sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+             "scipy()\n"
+             f"for argv in {commands!r}:\n"
+             "    assert crackdsm.cli.main(argv) == 0, argv\n"
+             "    scipy()\n")
     src = str(Path(crackdsm.__file__).resolve().parents[1])
-    for code, banned in cases.items():
-        probe = code + ("import sys; print(sorted(m for m in sys.modules "
-                        f"if m == {banned!r} or m.startswith({banned + '.'!r})))")
-        done = subprocess.run([sys.executable, "-c", probe],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "[]", code
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded ")]
+    assert len(loaded) == len(commands) + 1
+    for what, modules in zip([["import"], *commands], loaded):
+        assert modules == "loaded []", what[:5]
