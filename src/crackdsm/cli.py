@@ -17,6 +17,7 @@ scipy, so every command but `simulate --generator full` runs without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -227,7 +228,9 @@ class _Parser(argparse.ArgumentParser):
         raise CrackDsmError(message)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; parse_args keeps no state."""
     parser = _Parser(
         prog="crackdsm",
         description="Direct sampling imaging of small straight cracks")

@@ -5,8 +5,10 @@ and read maps never load scipy.
 The four indicators share one kernel, `_steered_sum`: far-field rows
 correlated with the steering vectors e^{-ik theta_n . x}, optionally
 compensated by e^{-ik d . x}.  On the tensor-product grid each phase splits
-into x and y factors, so a map is one product By diag(u) Ax^T.  Maps have
-max 1 (zero maps are flagged, not divided).
+into x and y factors, so a map is one product By diag(u) Ax^T.  Each grid axis
+is uniform, so `_axis_phases` builds the n phases of a column from about
+2 sqrt(n) exponentials, a coarse and a fine table, and one complex product.
+Maps have max 1 (zero maps are flagged, not divided).
 """
 
 from __future__ import annotations
@@ -153,6 +155,21 @@ class FarFieldTensor:
             raise InputMismatchError("tensor entries must be finite")
 
 
+def _axis_phases(coords, w, u=1.0):
+    """(n, W) phases u e^{i w x_j} on the uniform axis x_j = coords[j].
+
+    With j = a b + c and b = ceil(sqrt(n)), e^{i w x_j} = e^{i w x_{ab}} e^{i w c h}:
+    a coarse table (with u folded in) times a fine one, about 2 sqrt(n)
+    exponentials per column instead of n.
+    """
+    n = len(coords)
+    b = math.isqrt(n - 1) + 1
+    h = (coords[-1] - coords[0]) / (n - 1)
+    coarse = u * np.exp(1j * np.outer(coords[::b], w))      # (ceil(n/b), W)
+    fine = np.exp(1j * np.outer(h * np.arange(b), w))       # (b, W)
+    return (coarse[:, None, :] * fine).reshape(-1, len(w))[:n]
+
+
 def _steered_sum(ks, rows, comp, grid):
     """(ny, nx) map of sum_t sum_n rows[t, n] e^{i ks[t] (theta_n - comp[t]) . x}.
 
@@ -162,9 +179,9 @@ def _steered_sum(ks, rows, comp, grid):
     rows = np.asarray(rows)
     theta = observation_directions(rows.shape[1])
     wave = np.reshape(ks, (-1, 1, 1)) * (theta - np.reshape(comp, (-1, 1, 2)))  # (T, N, 2)
-    ax = np.exp(1j * np.outer(grid.x_coords(), wave[..., 0]))    # (nx, T*N)
-    by = np.exp(1j * np.outer(grid.y_coords(), wave[..., 1]))    # (ny, T*N)
-    return by @ (ax * rows.ravel()).T
+    ax = _axis_phases(grid.x_coords(), wave[..., 0].ravel(), rows.ravel())   # (nx, T*N)
+    by = _axis_phases(grid.y_coords(), wave[..., 1].ravel())                 # (ny, T*N)
+    return by @ ax.T
 
 
 def _check_indices(tensor, f_index, l_index=None):
@@ -216,6 +233,22 @@ def indicator_mif(tensor, grid):
     return IndicatorMap.from_raw(grid, np.abs(total))
 
 
+def _clear_of(p, taken, min_separation):
+    """all(np.linalg.norm(p - q) >= min_separation for q in taken), in one pass.
+
+    The pass rounds a distance differently from `norm`, whose `dot` may fuse
+    a multiply-add, by at most a few ulps; distances that close to
+    min_separation are re-decided by the scalar expression.
+    """
+    diff = p - taken
+    dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+    slack = 8.0 * np.finfo(float).eps * min_separation
+    if np.any(dist < min_separation - slack):
+        return False
+    return all(np.linalg.norm(diff[j]) >= min_separation
+               for j in np.flatnonzero(dist <= min_separation + slack))
+
+
 def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
     """Strict grid-local maxima above floor, greedily pruned by separation.
 
@@ -237,12 +270,14 @@ def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
                 continue
             strict &= v > padded[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
     iy, ix = np.nonzero(strict & (v >= floor))
-    xs, ys = imap.grid.x_coords(), imap.grid.y_coords()
-    cand = sorted(zip(iy.tolist(), ix.tolist()), key=lambda p: (-v[p[0], p[1]], p[0], p[1]))
+    order = np.lexsort((ix, iy, -v[iy, ix]))
+    iy, ix = iy[order], ix[order]
+    cand = np.column_stack([imap.grid.x_coords()[ix], imap.grid.y_coords()[iy]])
+    taken = np.empty_like(cand)
     kept = []
-    for gy, gx in cand:
-        p = np.array([xs[gx], ys[gy]])
-        if all(np.linalg.norm(p - np.asarray(q.position)) >= min_separation for q in kept):
+    for p, gy, gx in zip(cand, iy, ix):
+        if _clear_of(p, taken[:len(kept)], min_separation):
+            taken[len(kept)] = p
             kept.append(Peak((float(p[0]), float(p[1])), float(v[gy, gx])))
     report = PeakReport(peaks=kept)
     if scene is not None:

@@ -17,6 +17,10 @@ from .errors import DomainError, SceneError
 # at its shortest wavelength, so the crack-size ceiling must stay above that.
 SEPARATION_HARD = 0.75
 KL_HARD = 2.0
+# Largest k * (|cx| + |cy| + half-length) accepted.  A phase k x of that size
+# is rounded by up to 1e7 * 2^-53 ~ 1.1e-9, so e^{ikx} keeps 8 digits; at
+# 1e200 the phases carry none.
+KX_HARD = 1e7
 
 
 @dataclass(frozen=True)
@@ -71,20 +75,22 @@ def crack_tangent(crack):
 
 def check_scaled_scene(scene, k):
     """Raise DomainError unless k is a finite positive wavenumber, and
-    SceneError unless every crack's k-scaled coordinates are finite."""
+    SceneError unless every crack has k (|cx| + |cy| + h) <= KX_HARD."""
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"wavenumber must be finite and positive, got {k}")
     for m, crack in enumerate(scene.cracks):
         (cx, cy), half = crack.center, crack.half_length
-        if not math.isfinite(k * (abs(cx) + abs(cy) + half)):
-            raise SceneError(f"crack {m} lies too far out: its coordinates times "
-                             f"k = {k:.6g} overflow")
+        reach = k * (abs(cx) + abs(cy) + half)
+        if not reach <= KX_HARD:
+            raise SceneError(f"crack {m} lies too far out: k (|cx| + |cy| + h) = "
+                             f"{reach:.6g} is above {KX_HARD:g}, where its phases "
+                             "lose their digits or overflow")
 
 
 def validate_scene(scene, k):
     """The list of violations of separation (k*dist > 3/4) and crack size (k*l < 2).
 
-    Raises instead when k or the k-scaled geometry is not finite."""
+    Raises instead when k is not finite or a crack lies beyond KX_HARD."""
     check_scaled_scene(scene, k)
     out = []
     centers = [np.asarray(c.center) for c in scene.cracks]

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import j0, j1, jv
 
 from crackdsm.errors import DomainError
-from crackdsm.imaging import observation_directions
+from crackdsm.imaging import Peak, PeakReport, observation_directions
 from crackdsm.io import read_scene
 from crackdsm.scene import Scene, crack_tangent
 
@@ -151,3 +151,48 @@ def aligned_max_gap(reference, approx):
     if ref_scale == 0.0:
         return 0.0
     return float(np.max(np.abs(reference - alpha * approx)) / ref_scale)
+
+
+def direct_steered_sum(ks, rows, comp, grid):
+    """`imaging._steered_sum` with one complex exponential per grid coordinate
+    and column, as it was before the coarse/fine phase tables."""
+    rows = np.asarray(rows)
+    theta = observation_directions(rows.shape[1])
+    wave = np.reshape(ks, (-1, 1, 1)) * (theta - np.reshape(comp, (-1, 1, 2)))
+    ax = np.exp(1j * np.outer(grid.x_coords(), wave[..., 0]))
+    by = np.exp(1j * np.outer(grid.y_coords(), wave[..., 1]))
+    return by @ (ax * rows.ravel()).T
+
+
+def loop_local_maxima(imap, min_separation, floor=0.0, scene=None):
+    """`imaging.find_local_maxima` with its pruning as one scalar
+    `np.linalg.norm` per (candidate, kept peak) pair, as it was first written."""
+    v = imap.values
+    ny, nx = v.shape
+    padded = np.full((ny + 2, nx + 2), -np.inf)
+    padded[1:-1, 1:-1] = v
+    strict = np.ones((ny, nx), dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            strict &= v > padded[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+    iy, ix = np.nonzero(strict & (v >= floor))
+    xs, ys = imap.grid.x_coords(), imap.grid.y_coords()
+    cand = sorted(zip(iy.tolist(), ix.tolist()), key=lambda p: (-v[p[0], p[1]], p[0], p[1]))
+    kept = []
+    for gy, gx in cand:
+        p = np.array([xs[gx], ys[gy]])
+        if all(np.linalg.norm(p - np.asarray(q.position)) >= min_separation for q in kept):
+            kept.append(Peak((float(p[0]), float(p[1])), float(v[gy, gx])))
+    report = PeakReport(peaks=kept)
+    if scene is not None:
+        for crack in scene.cracks:
+            c = np.asarray(crack.center)
+            if kept:
+                dists = [np.linalg.norm(c - np.asarray(q.position)) for q in kept]
+                j = int(np.argmin(dists))
+                report.crack_matches.append((crack.center, float(dists[j]), kept[j].value))
+            else:
+                report.crack_matches.append((crack.center, math.inf, 0.0))
+    return report

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
+from crackdsm import asymptotic, imaging
 from crackdsm.errors import DomainError, InputMismatchError
-from crackdsm.asymptotic import farfield_order1, predict_structure1
+from crackdsm.asymptotic import (farfield_order1, predict_aif, predict_mif,
+                                 predict_structure1, predict_structure2)
 from crackdsm.forward import QuadratureSpec, far_field_tensor
 from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
                               IndicatorMap, find_local_maxima, indicator_aif,
                               indicator_if, indicator_mif, indicator_single,
                               map_distance, observation_directions)
 from crackdsm.scene import Crack, Scene
-from paper import argmax_point
+from paper import argmax_point, direct_steered_sum, loop_local_maxima
 
 
 def _tensor_order1(scene, k, angles, n_obs=30):
@@ -266,6 +268,72 @@ def test_find_local_maxima_rejects_bad_separation():
         find_local_maxima(_map_from(grid, np.zeros((5, 5))), 0.2, floor=math.nan)
 
 
+def _pruning_cases(k, three_cracks):
+    """(map, separation, floor) triples: indicator maps, noisy maps and random
+    maps, with separations that are exact multiples of the grid step."""
+    tensor = _tensor_order1(three_cracks, k, [0.3, math.pi / 2, 2.5])
+    rng = np.random.default_rng(5)
+    # steps 1/64 and 1/16 make exact distances; 1/50 and 1/20 do not
+    for n, noisy in ((129, False), (101, False), (33, True), (41, True)):
+        grid = ImagingGrid(-1, 1, -1, 1, n, n)
+        h = (grid.x_max - grid.x_min) / (grid.nx - 1)
+        maps = [indicator_single(tensor, 0, 1, grid), indicator_if(tensor, 0, grid),
+                indicator_aif(tensor, 0, grid), predict_structure1(three_cracks, k, grid)]
+        if noisy:
+            maps = [IndicatorMap.from_raw(grid, np.clip(
+                m.values + 0.05 * rng.standard_normal(grid.shape), 0.0, None)) for m in maps]
+        for imap in maps:
+            for sep, floor in ((0.2, 0.5), (0.2, 0.0), (2 * h, 0.0), (5 * h, 0.1)):
+                yield imap, sep, floor
+    for seed, n in ((1, 41), (2, 41), (3, 41)):
+        grid = ImagingGrid(-1, 1, -1, 1, n, n)
+        h = (grid.x_max - grid.x_min) / (grid.nx - 1)
+        imap = IndicatorMap(grid, np.random.default_rng(seed).uniform(size=grid.shape))
+        for sep in (2 * h, 3 * h, 5 * h, 0.3):
+            yield imap, sep, 0.0
+
+
+def test_vectorised_pruning_matches_the_scalar_loop(k, three_cracks):
+    for imap, sep, floor in _pruning_cases(k, three_cracks):
+        want = loop_local_maxima(imap, sep, floor=floor, scene=three_cracks)
+        got = find_local_maxima(imap, sep, floor=floor, scene=three_cracks)
+        assert got == want, (imap.grid, sep, floor)
+
+
+def test_pruning_decides_exact_ties_at_the_separation():
+    # (3h, 4h) and (2h, 0) lie exactly 5h and 2h away on a dyadic grid
+    grid = ImagingGrid(0, 1, 0, 1, 17, 17)
+    h = 1 / 16
+    v = np.zeros((17, 17))
+    v[4, 4], v[8, 7], v[4, 6], v[12, 12] = 1.0, 0.9, 0.8, 0.7
+    values = [p.value for p in find_local_maxima(_map_from(grid, v), 5 * h).peaks]
+    assert values == [1.0, 0.9, 0.7]
+    values = [p.value for p in find_local_maxima(_map_from(grid, v), 2 * h).peaks]
+    assert values == [1.0, 0.9, 0.8, 0.7]
+
+
+def test_pruning_follows_the_scalar_norm_where_roundings_differ():
+    # np.linalg.norm may round a distance one ulp away from sqrt(dx^2 + dy^2);
+    # with the separation set to one of the two, the scalar one decides
+    grid = ImagingGrid(-1, 1, -1, 1, 101, 101)
+    xs = grid.x_coords()
+    rng = np.random.default_rng(0)
+    cases = {}
+    for a, b, c, d in rng.integers(0, 101, size=(4000, 4)):
+        if abs(a - c) < 2 or abs(b - d) < 2:
+            continue
+        diff = np.array([xs[c] - xs[a], xs[d] - xs[b]])
+        scalar = np.linalg.norm(diff)
+        vector = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
+        if scalar != vector:
+            cases.setdefault(scalar > vector, ((a, b, c, d), max(scalar, vector)))
+    for (a, b, c, d), sep in cases.values():
+        v = np.zeros(grid.shape)
+        v[b, a], v[d, c] = 1.0, 0.9
+        imap = _map_from(grid, v)
+        assert find_local_maxima(imap, sep) == loop_local_maxima(imap, sep)
+
+
 def test_map_distance_trivial_and_mismatch():
     g1 = ImagingGrid(0, 1, 0, 1, 5, 5)
     g2 = ImagingGrid(0, 1, 0, 1, 7, 7)
@@ -310,6 +378,50 @@ def _brute_corr(row, k, grid, d=(0.0, 0.0), turn=0.0):
 
 def _unit_peak(raw):
     return raw / raw.max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 61, 101, 201, 1001])
+def test_axis_phases_match_the_direct_exponential(n):
+    # the coarse/fine tables round to within 1.6 eps * max(1, |w| max|x|) of
+    # e^{i w x} on these axes (measured); |w x| reaches 2e3, the [-32, 32]^2
+    # predictor grid's scale
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    for lo, hi in ((-1.0, 1.0), (-32.0, 32.0), (0.3, 7.1), (-32.0, 0.5)):
+        x = np.linspace(lo, hi, n)
+        wmax = 2e3 / max(abs(lo), abs(hi))
+        w = np.concatenate([rng.uniform(-wmax, wmax, 200), [wmax, -wmax, 0.0]])
+        u = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+        got = imaging._axis_phases(x, w, u)
+        assert got.shape == (n, w.size)
+        err = np.abs(got - u * np.exp(1j * np.outer(x, w))) / np.abs(u)
+        assert np.all(err <= 4.0 * eps * np.maximum(1.0, np.abs(w) * np.abs(x).max()))
+
+
+@pytest.mark.parametrize("side", [61, 101])
+@pytest.mark.parametrize("half_width", [1.0, 4.0])
+def test_every_map_matches_the_direct_exponential_kernel(monkeypatch, k, three_cracks,
+                                                         side, half_width):
+    grid = ImagingGrid(-half_width, half_width, -half_width, half_width, side, side)
+    angles = [2 * math.pi * l / 8 for l in range(1, 9)]
+    ks = tuple(sorted(2 * math.pi / np.linspace(0.3, 0.7, 5)))
+    multi = _tensor_order1(three_cracks, k, angles)
+    band = _band_order1(three_cracks, ks, math.pi / 2)
+    maps = {
+        "single": lambda: indicator_single(multi, 0, 3, grid),
+        "if": lambda: indicator_if(multi, 0, grid),
+        "aif": lambda: indicator_aif(multi, 0, grid),
+        "mif": lambda: indicator_mif(band, grid),
+        "s1": lambda: predict_structure1(three_cracks, k, grid),
+        "s2": lambda: predict_structure2(three_cracks, k, np.array([0.0, 1.0]), grid),
+        "predict aif": lambda: predict_aif(three_cracks, k, angles, grid),
+        "predict mif": lambda: predict_mif(three_cracks, ks, math.pi / 2, grid),
+    }
+    got = {name: make().values for name, make in maps.items()}
+    monkeypatch.setattr(imaging, "_steered_sum", direct_steered_sum)
+    monkeypatch.setattr(asymptotic, "_steered_sum", direct_steered_sum)
+    for name, make in maps.items():
+        assert np.max(np.abs(got[name] - make().values)) <= 1e-13, name
 
 
 def test_indicators_match_brute_force_sum(k):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crackdsm import io as cio
-from crackdsm.cli import main
+from crackdsm.cli import build_parser, main
 from crackdsm.errors import InputMismatchError
 from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
 from crackdsm.scene import Crack, Scene
@@ -226,6 +226,42 @@ def test_cli_full_generator_multi_frequency(tmp_path, scene_file):
     assert list(t.config.wavenumbers) == sorted(t.config.wavenumbers)
 
 
+def test_cli_calls_in_one_process_share_no_state(tmp_path, scene_file, capsys):
+    # main reuses one parser; each call must still see only its own argv
+    tensor = str(tmp_path / "band.txt")
+    assert main(["simulate", "--scene", scene_file, "--lambda-range", "0.4,0.6",
+                 "--n-freq", "2", "--generator", "order1", "--out", tensor]) == 0
+    grid = "--grid=-1,1,-1,1,7,7"
+    calls = {"single": ["image", "--tensor", tensor, "--method", "single",
+                        "--f-index", "1", grid],
+             "if": ["image", "--tensor", tensor, "--method", "if", grid],
+             "refused": ["image", "--tensor", tensor, "--method", "mif", "--f-index", "0",
+                         grid],
+             "unparsed": ["image", "--tensor", tensor, "--method", "nope", grid],
+             "mif": ["image", "--tensor", tensor, "--method", "mif", grid]}
+
+    def run(name, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        out = str(tmp_path / f"{name}-{fresh}")
+        rc = main([*calls[name], "--out", out])
+        err = capsys.readouterr().err
+        if rc:
+            return rc, err, sorted(p.name for p in tmp_path.glob(f"{name}-*"))
+        manifest = json.loads(Path(out + ".csv.manifest.json").read_text())
+        return (rc, manifest["params"], Path(out + ".csv").read_bytes(),
+                Path(out + ".pgm").read_bytes())
+
+    parser = build_parser()
+    in_turn = [run(name, False) for name in calls]
+    assert build_parser() is parser
+    assert in_turn == [run(name, True) for name in calls]
+    assert [r[1]["f_index"] for r in in_turn[:2]] == [1, 0]
+    assert [r[1]["l_index"] for r in in_turn[:2]] == [0, None]
+    assert [r[0] for r in in_turn[2:4]] == [1, 1] and in_turn[2][2] == in_turn[3][2] == []
+    assert in_turn[4][1]["f_index"] is None
+
+
 def test_cli_empty_scene_full_generator_zero(tmp_path):
     scene = tmp_path / "empty.txt"
     cio.write_scene(scene, Scene(()))
@@ -256,6 +292,20 @@ def test_cli_rejects_scene_that_overflows_when_scaled_by_k(tmp_path, capsys, arg
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflow" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("generator", ["full", "order1", "order2"])
+def test_cli_simulate_refuses_far_out_crack(tmp_path, capsys, generator):
+    # k * 1e200 is finite, but a phase that large keeps no digit: the solver
+    # used to write a finite tensor of noise
+    scene = tmp_path / "far.txt"
+    scene.write_text("1e200 0.2 0.05 0\n0 0 0.05 0.5\n")
+    assert main(["simulate", "--scene", str(scene), "--lambda", "0.5",
+                 "--generator", generator, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: crack 0 lies too far out")
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
 
 
@@ -635,10 +685,9 @@ def test_cli_rejects_bad_input(tmp_path, scene_file, capsys, case):
     assert not list(tmp_path.glob("out*"))
 
 
-# the crack at 1e200 has distances to the grid that overflow when squared,
-# though its k-scaled coordinates pass the scene check; the one at 1e100 has
-# finite distances, but a map would need about k * 1e100 directions (or, for
-# mif, k-panels)
+# the crack at 1e200 has distances to the grid that overflow when squared; the
+# one at 1e100 has finite distances, but a map would need about k * 1e100
+# directions (or, for mif, k-panels).  The scene check refuses both.
 @pytest.mark.parametrize("predictor, flags", [
     ("s1", ["--lambda", "0.5"]),
     ("s2", ["--lambda", "0.5"]),

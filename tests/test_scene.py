@@ -13,7 +13,7 @@ import crackdsm
 from crackdsm import io as cio
 from crackdsm.errors import DomainError, SceneError
 from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
-from crackdsm.scene import Crack, Scene, crack_tangent, validate_scene
+from crackdsm.scene import KX_HARD, Crack, Scene, crack_tangent, validate_scene
 from paper import sample_scene
 
 
@@ -88,11 +88,21 @@ def test_validate_scene_rejects_bad_wavenumber():
 
 
 def test_validate_scene_rejects_overflowing_scaled_coordinates():
-    # the solver's phases and distances use k times the coordinates
+    # the solver's phases and distances use k times the coordinates; a finite
+    # k * 1e308 is refused too, since its phases carry no digits
     far = Scene((Crack((1e308, 0.2), 0.05, 0.0),))
-    with pytest.raises(SceneError, match="overflow"):
-        validate_scene(far, 4 * math.pi)
-    assert validate_scene(far, 0.5) == []
+    for k in (4 * math.pi, 0.5):
+        with pytest.raises(SceneError, match="overflow"):
+            validate_scene(far, k)
+
+
+def test_scene_check_keeps_phases_to_8_digits():
+    # KX_HARD * 2^-53 is the rounding of the largest phase accepted
+    assert KX_HARD * 2.0**-53 <= 1e-8
+    k = 4 * math.pi
+    assert validate_scene(Scene((Crack((KX_HARD / k - 1.0, 0.0), 0.05, 0.0),)), k) == []
+    with pytest.raises(SceneError, match="too far out"):
+        validate_scene(Scene((Crack((0.0, -1.0 - KX_HARD / k), 0.05, 0.0),)), k)
 
 
 def test_benchmark_scene_passes_at_half_wavelength():
