@@ -249,6 +249,21 @@ def _clear_of(p, taken, min_separation):
                for j in np.flatnonzero(dist <= min_separation + slack))
 
 
+def _nearest(c, taken):
+    """(j, norm) for the first row j of taken with the least
+    np.linalg.norm(c - taken[j]), in one pass.
+
+    As in `_clear_of`, the pass rounds a distance a few ulps away from `norm`;
+    the rows that close to the least distance are re-measured by `norm`.
+    """
+    diff = c - taken
+    dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+    near = np.flatnonzero(dist <= dist.min() * (1.0 + 16.0 * np.finfo(float).eps))
+    exact = [float(np.linalg.norm(diff[j])) for j in near]
+    i = int(np.argmin(exact))
+    return int(near[i]), exact[i]
+
+
 def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
     """Strict grid-local maxima above floor, greedily pruned by separation.
 
@@ -282,11 +297,9 @@ def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
     report = PeakReport(peaks=kept)
     if scene is not None:
         for crack in scene.cracks:
-            c = np.asarray(crack.center)
             if kept:
-                dists = [np.linalg.norm(c - np.asarray(q.position)) for q in kept]
-                j = int(np.argmin(dists))
-                report.crack_matches.append((crack.center, float(dists[j]), kept[j].value))
+                j, dist = _nearest(np.asarray(crack.center), taken[:len(kept)])
+                report.crack_matches.append((crack.center, dist, kept[j].value))
             else:
                 report.crack_matches.append((crack.center, math.inf, 0.0))
     return report

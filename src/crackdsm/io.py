@@ -1,11 +1,15 @@
 """Text file formats (scene, far-field tensor, indicator map) and manifests.
 
 All writers are atomic (temp file + rename) and deterministic: floats use
-%.17g so write -> read -> write round-trips byte-identically.
-"""
+%.17g so write -> read -> write round-trips byte-identically.  Map and tensor
+rows are encoded without a formatter call per value.  For 1e-6 < |v| < 1e16 the
+17 digits are |v| * 10**(16 - e) with e in [-6, 16], so the factor <= 1e22 is
+exact; Dekker's two-product keeps the product exact until it is rounded half to
+even, as %.17g rounds."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -33,8 +37,9 @@ def _records(path):
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def atomic_write_bytes(path, data):
-    """Write via temp file and rename, mode 0o666 less the umask; OSError -> CrackDsmError."""
+def atomic_write_chunks(path, chunks):
+    """Write the byte strings one after another to a temp file, then rename it
+    to path; mode 0o666 less the umask; OSError -> CrackDsmError."""
     path = Path(path)
     umask = os.umask(0)
     os.umask(umask)
@@ -43,7 +48,8 @@ def atomic_write_bytes(path, data):
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -54,7 +60,153 @@ def atomic_write_bytes(path, data):
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_chunks(path, [text.encode("utf-8")])
+
+
+# ------------------------------------------------------------ %.17g encoder
+#
+# Each value gets a slot of 24 bytes, three little-endian uint64 words, which
+# holds its text with NUL bytes where %.17g has no character:
+#   byte 0       "-" for a negative value
+#   bytes 1-4    the zeros %.17g shows before the first digit (as many as -e
+#                for -4 <= e < 0, where e is the decimal exponent)
+#   byte 5       the first of the 17 digits; bytes 6-21 the other 16, trailing
+#                zeros after the point set to NUL
+#   then a point (or NUL) goes in at byte 6 + e, 6 for e < -4, and moves the
+#   bytes after it on by one; byte 23 is the separator or the newline.
+# For e < -4 the first digit, point and 16 digits move to bytes 1-18 and
+# "e-05" or "e-06" fills bytes 19-22.  Zero is laid out as 1, its digit then
+# set to 0.  Any other value outside 1e-6 < |v| < 1e16 holds one 0x01 byte,
+# replaced by its %.17g text.  The NUL bytes of a block are removed in one pass.
+
+# Values per block.  The encoder's arrays take about 250 bytes per value, so a
+# block's temporaries stay near 0.5 MB and none reaches glibc's 128 KiB mmap
+# threshold; larger blocks are no faster.
+_BLOCK = 2048
+_U = np.uint64
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _dekker_split(a):
+    """(hi, lo) with a = hi + lo exactly and hi, lo of at most 26 bits."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+# for i < 10**2 and i < 10**4: its two or four ASCII digits, the first in the
+# low byte, and how many of them are trailing zeros
+_DIGITS2 = np.array([48 + i // 10 | (48 + i % 10) << 8 for i in range(100)], _U)
+_ZEROS2 = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)])
+_DIGITS4 = (_DIGITS2[:, None] | _DIGITS2 << 16).reshape(-1)
+_ZEROS4 = np.where(_ZEROS2 == 2, 2 + _ZEROS2[:, None], _ZEROS2).reshape(-1)
+_WORD = np.array([[0], [8], [16]])  # first byte of each slot word
+# indexed by byte t + 16 of a word: the bytes below t set, the bytes from t
+# on set, a point at byte t (none at index 0)
+_BELOW = np.array([(1 << 8 * min(max(t, 0), 8)) - 1 for t in range(-16, 32)], _U)
+_FROM = np.array([2**64 - (1 << 8 * min(max(t, 0), 8)) for t in range(-16, 32)], _U)
+_POINT = np.array([46 << 8 * t if 0 <= t < 8 else 0 for t in range(-16, 32)], _U)
+_LEAD = np.array([int.from_bytes(b"0" * k, "big") << 8 * (4 - k) for k in range(5)], _U)
+_EXPONENT = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
+
+
+def _mantissa17(a, e):
+    """round(a * 10**(16 - e)) half to even, exactly, as int64.
+
+    Dekker's two-product gives the product as p + err exactly.  Where the
+    result lies in [1e16, 1e17), p > 2**53 is an even integer, so rounding
+    p + err is p + rint(err).
+    """
+    k = 16 - e
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    p = a * _POW10[k]
+    ah, al = _dekker_split(a)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _decimal17(a):
+    """(e, m) with m in [1e16, 1e17) the 17 digits of a, rounded half to even,
+    and e its decimal exponent, for 1e-6 < a < 1e16."""
+    e = np.maximum(np.floor(np.log10(a)), -6.0).astype(np.int64)
+    m = _mantissa17(a, e)
+    for _ in range(2):  # log10 may put e one off near a power of ten
+        step = (m >= 10**17).astype(np.int64) - (m < 10**16)
+        redo = np.flatnonzero(step)
+        if redo.size == 0:
+            break
+        e[redo] += step[redo]
+        m[redo] = _mantissa17(a[redo], e[redo])
+    return e, m
+
+
+def _digit_words(m):
+    """(lo, hi, trailing): digits 2-9 and 10-17 of m as ASCII, the first in
+    the low byte, and how many of its 17 digits are trailing zeros."""
+    quads = np.empty((4, m.size), np.int64)  # digits 2-5, 6-9, 10-13 and 14-17
+    quads[0], quads[1] = np.divmod(m // 10**8 % 10**8, 10**4)
+    quads[2], quads[3] = np.divmod(m % 10**8, 10**4)
+    tz, z = _ZEROS4[quads], quads == 0
+    trailing = tz[3] + z[3] * (tz[2] + z[2] * (tz[1] + z[1] * tz[0]))
+    d = _DIGITS4[quads]
+    return d[0] | d[1] << 32, d[2] | d[3] << 32, trailing
+
+
+def _encode_block(v, sep, row_end):
+    """The %.17g texts of the values v, each followed by sep, or by a newline
+    where row_end is set, as bytes."""
+    a = np.abs(v)
+    fast = (a > 1e-6) & (a < 1e16)
+    zero = a == 0.0
+    a[~fast] = 1.0
+    e, m = _decimal17(a)
+    lo, hi, trailing = _digit_words(m)
+    e4 = np.where(e >= -4, e, 0)  # exponent-form values are laid out as e = 0
+    before = np.maximum(e4 + 1, 0)  # digits before the point
+    shown = np.maximum(before, 17 - trailing)  # digits printed
+    first = m // 10**16
+    first[zero] = 0
+    y = np.empty((3, v.size), _U)
+    y[0] = (np.where(np.signbit(v), _U(45), _U(0)) | _LEAD[np.maximum(-e4, 0)] << 8
+            | (48 + first).astype(_U) << 40 | lo << 48)
+    y[1] = lo >> 16 | hi << 48
+    y[2] = hi >> 16
+    y &= _BELOW[5 + shown + 16 - _WORD]
+    moved = y << 8
+    moved[1:] |= y[:-1] >> 56
+    t = 6 + e4 + 16 - _WORD
+    y &= _BELOW[t]
+    moved &= _FROM[t + 1]
+    y |= moved
+    y |= _POINT[np.where(shown > before, t, 0)]
+    y[2] |= np.where(row_end, _U(10 << 56), _U(ord(sep) << 56))
+    other = np.flatnonzero(~fast & ~zero)
+    y[0, other], y[1, other] = 1 << 8, 0
+    y[2, other] &= 255 << 56
+    slots = np.ascontiguousarray(y.T).view(np.uint8)
+    expo = np.flatnonzero(e < -4)
+    if expo.size:
+        slots[expo, 1:19] = slots[expo, 5:23]
+        slots[expo, 19:23] = _EXPONENT[e[expo] + 6]
+    flat = slots.reshape(-1)
+    body = flat[flat != 0].tobytes()
+    if other.size == 0:
+        return body
+    texts = [_fmt(x).encode() for x in v[other].tolist()] + [b""]
+    return b"".join(itertools.chain.from_iterable(zip(body.split(b"\x01"), texts)))
+
+
+def _encode_rows(values, sep):
+    r"""Yield the bytes of sep.join("%.17g" % v for v in row) + "\n" for the
+    rows of a 2-D float array, in blocks of at most _BLOCK values."""
+    ncols = values.shape[1]
+    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        row_end = np.arange(start + 1, start + 1 + block.size) % ncols == 0
+        yield _encode_block(block, sep, row_end)
 
 
 # ---------------------------------------------------------------- scene files
@@ -94,19 +246,18 @@ def read_scene(path):
 
 def write_tensor(path, tensor):
     cfg = tensor.config
-    lines = ["# far-field tensor v1\n"]
-    lines.append(f"F {cfg.n_freq}\n")
-    lines.append(f"L {cfg.n_incident}\n")
-    lines.append(f"N {cfg.n_obs}\n")
-    lines.append("wavenumbers " + " ".join(_fmt(k) for k in cfg.wavenumbers) + "\n")
-    lines.append("incident_angles " + " ".join(_fmt(a) for a in cfg.incident_angles) + "\n")
-    lines.append("data f l n re im\n")
-    for f in range(cfg.n_freq):
-        for l in range(cfg.n_incident):
-            for n in range(cfg.n_obs):
-                v = tensor.values[f, l, n]
-                lines.append(f"{f} {l} {n} {_fmt(v.real)} {_fmt(v.imag)}\n")
-    atomic_write_text(path, "".join(lines))
+    header = "".join([
+        "# far-field tensor v1\n",
+        f"F {cfg.n_freq}\nL {cfg.n_incident}\nN {cfg.n_obs}\n",
+        "wavenumbers " + " ".join(map(_fmt, cfg.wavenumbers)) + "\n",
+        "incident_angles " + " ".join(map(_fmt, cfg.incident_angles)) + "\n",
+        "data f l n re im\n"])
+    values = tensor.values.reshape(-1)
+    # one "f l n re im" row per entry, n varying fastest; %.17g prints
+    # the integer indices as str does
+    rows = np.column_stack([*np.indices(tensor.values.shape).reshape(3, -1),
+                            values.real, values.imag])
+    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_rows(rows, " ")))
 
 
 def read_tensor(path):
@@ -139,16 +290,23 @@ def read_tensor(path):
     if len(entries) != F * L * N:
         raise InputMismatchError(
             f"tensor has {len(entries)} data rows, header needs F*L*N = {F * L * N}")
-    values = np.zeros((F, L, N), dtype=complex)
-    seen = np.zeros((F, L, N), dtype=bool)
-    for f, l, n, v in entries:
-        if not (0 <= f < F and 0 <= l < L and 0 <= n < N):
-            raise InputMismatchError(f"tensor index ({f}, {l}, {n}) out of range")
-        if seen[f, l, n]:
-            raise InputMismatchError(f"duplicate tensor entry ({f}, {l}, {n})")
-        seen[f, l, n] = True
-        values[f, l, n] = v
-    return FarFieldTensor(values, cfg)
+    # the first entry in file order that is out of range or repeats one before it
+    fs, ls, ns, vs = zip(*entries)
+    index = np.array([fs, ls, ns]).T  # not int64 if an index overflows it
+    outside = np.flatnonzero(~np.all((index >= 0) & (index < (F, L, N)), axis=1))
+    inside = outside[0] if outside.size else len(entries)  # entries before it
+    flat = np.ravel_multi_index(index[:inside].astype(np.int64).T, (F, L, N))
+    repeat = np.ones(inside, dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False
+    if repeat.any():
+        raise InputMismatchError("duplicate tensor entry ({}, {}, {})".format(
+            *entries[np.argmax(repeat)][:3]))
+    if outside.size:
+        raise InputMismatchError("tensor index ({}, {}, {}) out of range".format(
+            *entries[inside][:3]))
+    values = np.zeros(F * L * N, dtype=complex)
+    values[flat] = vs
+    return FarFieldTensor(values.reshape(F, L, N), cfg)
 
 
 # ------------------------------------------------------------------ map files
@@ -173,14 +331,10 @@ def parse_grid(text):
 
 
 def write_map_csv(path, imap):
-    g = imap.grid
-    lines = ["# indicator-map-csv v1\n",
-             "# x_min,x_max,y_min,y_max,nx,ny\n",
-             format_grid(g) + "\n"]
-    row_fmt = ",".join(["%.17g"] * g.nx) + "\n"  # same text as _fmt, one call per row
-    for row in imap.values:  # y ascending, row-major
-        lines.append(row_fmt % tuple(row.tolist()))
-    atomic_write_text(path, "".join(lines))
+    header = ("# indicator-map-csv v1\n# x_min,x_max,y_min,y_max,nx,ny\n"
+              + format_grid(imap.grid) + "\n")
+    # y ascending, row-major
+    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_rows(imap.values, ",")))
 
 
 def read_map_csv(path):
@@ -204,7 +358,7 @@ def write_map_pgm(path, imap):
     scaled = np.clip(np.round(imap.values * 65535.0), 0, 65535).astype(np.uint16)
     header = f"P5\n{g.nx} {g.ny}\n65535\n".encode("ascii")
     body = scaled[::-1].astype(">u2").tobytes()
-    atomic_write_bytes(path, header + body)
+    atomic_write_chunks(path, [header, body])
 
 
 # ------------------------------------------------------------------ manifests

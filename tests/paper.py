@@ -7,6 +7,8 @@ J0/J1 closed forms of the predictors, `structure_fields` and
 `j0_plane_wave_sum`, evaluate scipy's Bessel functions directly; the
 predictors themselves sum plane waves over observation directions.  The
 benchmark scene is read from ``scenes/three_cracks.txt``, its one source.
+`format_rows` formats each value with "%.17g" on its own; the map and tensor
+writers' encoder must give its bytes exactly.
 """
 
 import dataclasses
@@ -196,3 +198,10 @@ def loop_local_maxima(imap, min_separation, floor=0.0, scene=None):
             else:
                 report.crack_matches.append((crack.center, math.inf, 0.0))
     return report
+
+
+def format_rows(values, sep):
+    r"""The bytes of sep.join("%.17g" % v for v in row) + "\n" for each row of a
+    2-D float array, one value at a time, as map files were first written."""
+    rows = np.asarray(values, dtype=float).tolist()
+    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in rows).encode()

@@ -334,6 +334,18 @@ def test_pruning_follows_the_scalar_norm_where_roundings_differ():
         assert find_local_maxima(imap, sep) == loop_local_maxima(imap, sep)
 
 
+def test_crack_matches_take_the_first_of_equally_near_peaks():
+    # the crack at (4h, 8h) lies 4h from the peaks at (4h, 4h) and (4h, 12h)
+    # on a dyadic grid; the higher one, kept first, is its match
+    grid = ImagingGrid(0, 1, 0, 1, 17, 17)
+    v = np.zeros((17, 17))
+    v[12, 4], v[4, 4], v[16, 16] = 1.0, 0.9, 0.8
+    scene = Scene((Crack((0.25, 0.5), 0.05, 0.0), Crack((0.9, 0.1), 0.05, 0.0)))
+    report = find_local_maxima(_map_from(grid, v), 0.1, scene=scene)
+    assert report == loop_local_maxima(_map_from(grid, v), 0.1, scene=scene)
+    assert report.crack_matches[0] == ((0.25, 0.5), 0.25, 1.0)
+
+
 def test_map_distance_trivial_and_mismatch():
     g1 = ImagingGrid(0, 1, 0, 1, 5, 5)
     g2 = ImagingGrid(0, 1, 0, 1, 7, 7)

@@ -104,6 +104,32 @@ def test_pgm_header_and_size(tmp_path):
     assert top[0, 3] == 65535
 
 
+_HUGE = "0 0 99999999999999999999 5 5"  # an index beyond int64
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({3: "0 0 1 5 5", 6: "0 2 0 5 5"}, "duplicate tensor entry (0, 0, 1)"),
+    ({3: "0 0 9 5 5", 6: "0 0 1 5 5"}, "tensor index (0, 0, 9) out of range"),
+    ({3: "0 0 -1 5 5", 6: _HUGE}, "tensor index (0, 0, -1) out of range"),
+    ({3: "0 0 1 5 5", 6: _HUGE}, "duplicate tensor entry (0, 0, 1)"),
+    ({3: _HUGE, 6: "0 0 1 5 5"}, "tensor index (0, 0, 99999999999999999999) out of range"),
+])
+def test_read_tensor_names_the_first_bad_entry(tmp_path, faults, message):
+    # entry lines 0-7 hold n = 0-7; each fault replaces one, and the message
+    # names the fault that comes first in the file
+    path = tmp_path / "t.txt"
+    cfg = AcquisitionConfig((1.0,), 8, (0.0,))
+    cio.write_tensor(path, FarFieldTensor(np.ones((1, 1, 8)), cfg))
+    lines = path.read_text().splitlines()
+    data = lines.index("data f l n re im") + 1
+    for row, text in faults.items():
+        lines[data + row] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputMismatchError) as err:
+        cio.read_tensor(path)
+    assert str(err.value) == message
+
+
 def test_readers_skip_indented_comment_lines(tmp_path, k):
     # a line whose first non-blank character is "#" is a comment to every reader
     cfg = AcquisitionConfig((k,), 8, (0.0,))

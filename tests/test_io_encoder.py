@@ -1,0 +1,109 @@
+"""The map and tensor writers' %.17g encoder against "%.17g" value by value.
+
+`io._encode_rows` must give the bytes of `paper.format_rows` exactly, on any
+float64, including the ones where a shortcut would round differently: values
+next to powers of ten, exact ties at the 17th digit, the ends of its fast
+range, zeros, subnormals and non-finite values.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crackdsm import io as cio
+from crackdsm.imaging import AcquisitionConfig, FarFieldTensor
+from paper import format_rows
+
+
+def _encoded(values, sep):
+    return b"".join(cio._encode_rows(np.asarray(values, dtype=float), sep))
+
+
+def _assert_rows_match(values, sep=","):
+    values = np.asarray(values, dtype=float)
+    assert _encoded(values, sep) == format_rows(values, sep)
+
+
+def _from_bits(sign, exponent, fraction):
+    return np.array([(sign << 63) | (exponent << 52) | fraction], np.uint64).view(float)[0]
+
+
+# any finite bit pattern, with half of the exponents drawn near the encoder's
+# fast range 1e-6 < |v| < 1e16 (binary exponents -20 to 53)
+_finite = st.builds(_from_bits, st.integers(0, 1),
+                    st.one_of(st.integers(0, 2046), st.integers(1003, 1076)),
+                    st.integers(0, 2**52 - 1))
+
+
+@given(data=st.data(), ny=st.integers(1, 7), nx=st.integers(1, 7),
+       sep=st.sampled_from([",", " "]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_encoder_matches_format_on_bit_patterns(data, ny, nx, sep):
+    values = data.draw(st.lists(_finite, min_size=ny * nx, max_size=ny * nx))
+    _assert_rows_match(np.reshape(values, (ny, nx)), sep)
+
+
+def _ulps_around(x, count):
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_encoder_near_powers_of_ten():
+    values = [v for p in range(-9, 19) for v in _ulps_around(float(f"1e{p}"), 2)]
+    _assert_rows_match([values, [-v for v in values]])
+
+
+def test_encoder_exact_ties_round_half_to_even():
+    # m * 2**(-1-p) with m odd has the decimal digits of m * 5**(p+1), the last
+    # a 5; with 18 of them the value lies halfway between two 17-digit results.
+    # p = 1 to 24 puts the ties between 1e-8 and 1e16
+    rng = np.random.default_rng(18)
+    ties = []
+    for p in range(25):
+        scale = 5 ** (p + 1)
+        lo, hi = -(-10**17 // scale), min((10**18 - 1) // scale, 2**53 - 1)
+        for m in rng.integers(lo, hi + 1, size=200) if lo < hi else []:
+            m = int(m) | 1
+            if m <= hi:
+                assert len(str(m * scale)) == 18
+                ties.append(m * 2.0 ** (-1 - p))
+    _assert_rows_match(np.reshape(ties[:len(ties) // 8 * 8], (-1, 8)), " ")
+
+
+def test_encoder_zeros_limits_and_non_finite_values():
+    tiny = 5e-324
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072009e-308,
+              *_ulps_around(1e-6, 2), *_ulps_around(1e16, 2), -1e-6, -1e16,
+              1 - 2**-53, 1.0, 1e300, -1.2345678901234567e-300, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, 1e-5, 1e-4, 1e-3, 0.5, 3.0, 100.0]
+    _assert_rows_match([values])
+    _assert_rows_match(np.reshape(values, (-1, 1)), " ")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 20000), (50, 211), (211, 50)])
+def test_encoder_rows_across_blocks(shape):
+    # rows that start, end or lie across the encoder's blocks of values
+    values = np.random.default_rng(shape[1]).random(shape) ** 3
+    _assert_rows_match(values)
+
+
+def test_write_tensor_rows_are_the_value_by_value_format(tmp_path):
+    cfg = AcquisitionConfig((1.0, 2.5), 12, (0.0, 1.0, 2.0))
+    rng = np.random.default_rng(4)
+    values = (rng.standard_normal((2, 3, 12)) + 1j * rng.standard_normal((2, 3, 12))) * 1e-3
+    values.flat[:6] = [0.0, -0.0, 1e-9, complex(-1e-300, 5e-324), 1e20, -1e-6]
+    path = tmp_path / "t.txt"
+    cio.write_tensor(path, FarFieldTensor(values, cfg))
+    header = ("# far-field tensor v1\nF 2\nL 3\nN 12\nwavenumbers 1 2.5\n"
+              "incident_angles 0 1 2\ndata f l n re im\n")
+    rows = "".join(f"{f} {l} {n} {v.real:.17g} {v.imag:.17g}\n"
+                   for (f, l, n), v in np.ndenumerate(values))
+    assert path.read_bytes() == (header + rows).encode()

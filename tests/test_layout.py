@@ -10,8 +10,9 @@ function, class and constant of ``src/crackdsm`` (dunders such as
 ``__version__`` excepted), and each of its modules must use every name it
 imports.
 
-One more check keeps the solver's Hankel kernel in one place: `forward` uses
-``sp_j0`` and ``sp_y0`` in one function only.
+Two more checks keep one implementation each: `forward` uses ``sp_j0`` and
+``sp_y0`` (the solver's Hankel kernel) in one function only, and ``.17g``
+appears in `io` only, whose encoder writes every map and tensor row.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -144,3 +145,9 @@ def test_forward_evaluates_the_hankel_kernel_in_one_function():
     users = {label for label, unit in _units(tree) for node in ast.walk(unit)
              if isinstance(node, ast.Name) and node.id in ("sp_j0", "sp_y0")}
     assert len(users) == 1, f"sp_j0/sp_y0 used in more than one place of forward: {sorted(users)}"
+
+
+def test_only_io_formats_floats_at_17_digits():
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if ".17g" in path.read_text() and path.name != "io.py")
+    assert users == [], f".17g formatting outside io: {users}"
