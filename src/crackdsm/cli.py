@@ -4,10 +4,10 @@ Every command that writes files also writes a <out>.manifest.json recording
 the resolved parameters and argv; replaying the stored argv reproduces the
 outputs byte-for-byte (all generators are deterministic, noise is seeded).
 
-The commands only parse, call and report.  Bad input, such as a malformed --grid,
-a non-finite --incident-angle, a flag the command does not read (--l-index
-outside `image --method single`) or a command line argparse refuses, exits 1
-with "error: ..." and writes nothing.
+The commands only parse, call and report.  `_READS` alone says which flags each
+--generator, --method and --predictor reads, for refusals, nulls and --help.
+Bad input (a malformed --grid, a non-finite --incident-angle, an unread flag or
+a command line argparse refuses) exits 1 with "error: ..." and writes nothing.
 
 `simulate` and `predict` import the solver (`forward`) and the closed-form
 generators and predictors (`asymptotic`) when they run.  Only `forward` loads
@@ -29,6 +29,32 @@ from .imaging import (AcquisitionConfig, FarFieldTensor, find_local_maxima,
                       indicator_aif, indicator_if, indicator_mif, indicator_single,
                       map_distance, unit_vectors)
 from . import io as cio
+
+
+# option -> mode -> the gated flags the mode reads (image passes them in this order)
+_READS = {
+    "generator": {"full": ("quad_nodes",), "order1": (), "order2": ()},
+    "method": {"single": ("f_index", "l_index"), "if": ("f_index",), "aif": ("f_index",),
+               "mif": ()},
+    "predictor": {"s1": (), "s2": ("incident_angle",),
+                  "aif": ("incident_angle", "n_incident"),
+                  "mif": ("incident_angle", "lambda_range", "n_freq")},
+}
+
+
+def _readers(option, flag):
+    """The modes of `option` that read `flag`, as "single, if or aif"."""
+    *rest, last = [m for m, reads in _READS[option].items() if flag in reads]
+    return f"{', '.join(rest)} or {last}" if rest else last
+
+
+def _refuse_unread(args, option):
+    """Refuse a gated flag given to a mode of `option` that does not read it."""
+    mode = getattr(args, option)
+    for flag in dict.fromkeys(f for reads in _READS[option].values() for f in reads):
+        if flag not in _READS[option][mode] and getattr(args, flag) is not None:
+            raise CrackDsmError(f"--{flag.replace('_', '-')} goes with --{option} "
+                                f"{_readers(option, flag)}, not {mode}")
 
 
 def _wavenumbers(args):
@@ -55,44 +81,39 @@ def _wavenumbers(args):
     return (2.0 * math.pi / args.wavelength,)
 
 
-def _incident_angle(args):
-    """--incident-angle, pi/2 when not given."""
+def _incident_angles(args):
+    """--incident-angle (pi/2 when not given), or --n-incident L directions 2*pi*l/L."""
+    if args.n_incident is not None:
+        if args.incident_angle is not None:
+            raise CrackDsmError("give --incident-angle or --n-incident, not both")
+        L = args.n_incident
+        return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
     if args.incident_angle is None:
-        return math.pi / 2
+        return (math.pi / 2,)
     if not math.isfinite(args.incident_angle):
         raise CrackDsmError(f"--incident-angle must be finite, got {args.incident_angle}")
-    return args.incident_angle
-
-
-def _incident_angles(args):
-    if args.n_incident is None:
-        return (_incident_angle(args),)
-    if args.incident_angle is not None:
-        raise CrackDsmError("give --incident-angle or --n-incident, not both")
-    L = args.n_incident
-    return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
+    return (args.incident_angle,)
 
 
 def _write_manifest(args, command, inputs, params, outputs):
     """<outputs[0]>.manifest.json: the command, its argv, inputs, resolved
     parameters and outputs."""
     cio.write_manifest(outputs[0] + ".manifest.json", {
-        "command": command,
-        "argv": list(args._argv),
-        "inputs": inputs,
-        "params": params,
-        "outputs": outputs,
-        "tool_version": __version__,
-    })
+        "command": command, "argv": list(args._argv), "inputs": inputs, "params": params,
+        "outputs": outputs, "tool_version": __version__})
 
 
 def _add_noise(tensor, snr_db, seed):
     """Additive complex white noise at the given SNR (dB); exploration utility."""
     if not math.isfinite(snr_db):
         raise CrackDsmError(f"--noise-snr must be finite, got {snr_db}")
+    if seed < 0:
+        raise CrackDsmError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    signal_power = float(np.mean(np.abs(tensor.values) ** 2))
-    noise_power = signal_power / (10.0 ** (snr_db / 10.0))
+    signal_power = np.mean(np.abs(tensor.values) ** 2)
+    # an extreme SNR gives noise 0 (the tensor as it is) or infinite (refused as such)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        noise_power = signal_power / np.float64(10.0) ** (snr_db / 10.0)
     scale = math.sqrt(noise_power / 2.0)
     noise = scale * (rng.standard_normal(tensor.values.shape)
                      + 1j * rng.standard_normal(tensor.values.shape))
@@ -102,8 +123,7 @@ def _add_noise(tensor, snr_db, seed):
 def cmd_simulate(args):
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
-    if args.generator != "full" and args.quad_nodes is not None:
-        raise CrackDsmError(f"--quad-nodes goes with --generator full, not {args.generator}")
+    _refuse_unread(args, "generator")
     if args.noise_snr is None and args.seed is not None:
         raise CrackDsmError("--seed goes with --noise-snr")
     config = AcquisitionConfig(wavenumbers=ks, n_obs=args.n_obs,
@@ -146,27 +166,17 @@ def _write_map(args, command, imap, inputs, params):
 
 
 def cmd_image(args):
-    method = args.method
-    if method == "mif" and args.f_index is not None:
-        raise CrackDsmError("--f-index goes with --method single, if or aif, not mif")
-    if method != "single" and args.l_index is not None:
-        raise CrackDsmError(f"--l-index goes with --method single, not {method}")
+    _refuse_unread(args, "method")
     grid = cio.parse_grid(args.grid)
     tensor = cio.read_tensor(args.tensor)
-    f_index = (args.f_index or 0) if method != "mif" else None
-    l_index = (args.l_index or 0) if method == "single" else None
-    if method == "single":
-        imap = indicator_single(tensor, f_index, l_index, grid)
-    elif method == "if":
-        imap = indicator_if(tensor, f_index, grid)
-    elif method == "aif":
-        imap = indicator_aif(tensor, f_index, grid)
-    else:
-        imap = indicator_mif(tensor, grid)
+    indicator = {"single": indicator_single, "if": indicator_if, "aif": indicator_aif,
+                 "mif": indicator_mif}[args.method]
+    indices = {flag: getattr(args, flag) or 0 for flag in _READS["method"][args.method]}
+    imap = indicator(tensor, *indices.values(), grid)
     return _write_map(args, "image", imap,
                       inputs={"tensor": args.tensor},
-                      params={"method": method, "f_index": f_index, "l_index": l_index,
-                              "grid": cio.format_grid(grid)})
+                      params={"method": args.method, "f_index": None, "l_index": None,
+                              **indices, "grid": cio.format_grid(grid)})
 
 
 def cmd_predict(args):
@@ -175,27 +185,22 @@ def cmd_predict(args):
     grid = cio.parse_grid(args.grid)
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
+    _refuse_unread(args, "predictor")
     predictor = args.predictor
-    if predictor != "mif" and len(ks) > 1:
-        raise CrackDsmError(f"predictor {predictor} takes one wavenumber; give --lambda")
-    if predictor != "aif" and args.n_incident is not None:
-        raise CrackDsmError(f"predictor {predictor} takes at most one --incident-angle, "
-                            "not --n-incident")
+    angles = (list(_incident_angles(args))
+              if "incident_angle" in _READS["predictor"][predictor] else None)
     if predictor == "s1":
-        if args.incident_angle is not None:
-            raise CrackDsmError("predictor s1 takes no --incident-angle")
         imap = predict_structure1(scene, ks[0], grid)
     elif predictor == "s2":
-        d = unit_vectors([_incident_angle(args)])[0]
-        imap = predict_structure2(scene, ks[0], d, grid)
+        imap = predict_structure2(scene, ks[0], unit_vectors(angles)[0], grid)
     elif predictor == "aif":
-        imap = predict_aif(scene, ks[0], _incident_angles(args), grid)
+        imap = predict_aif(scene, ks[0], angles, grid)
     else:
-        imap = predict_mif(scene, ks, _incident_angle(args), grid)
+        imap = predict_mif(scene, ks, angles[0], grid)
     return _write_map(args, "predict", imap,
                       inputs={"scene": args.scene},
                       params={"predictor": predictor, "wavenumbers": list(ks),
-                              "grid": cio.format_grid(grid)})
+                              "incident_angles": angles, "grid": cio.format_grid(grid)})
 
 
 def cmd_compare(args):
@@ -231,9 +236,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process; parse_args keeps no state."""
-    parser = _Parser(
-        prog="crackdsm",
-        description="Direct sampling imaging of small straight cracks")
+    parser = _Parser(prog="crackdsm",
+                     description="Direct sampling imaging of small straight cracks")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -242,8 +246,7 @@ def build_parser():
                        help="single wavelength (k = 2*pi/lambda)")
         p.add_argument("--lambda-range", help="'min,max' wavelengths, uniform spacing")
         p.add_argument("--n-freq", type=int, help="frequency count F for --lambda-range")
-        p.add_argument("--n-incident", type=int,
-                       help="L uniform incident directions 2*pi*l/L")
+        p.add_argument("--n-incident", type=int, help="L uniform incident directions 2*pi*l/L")
         p.add_argument("--incident-angle", type=float,
                        help="single incident angle in radians (default pi/2)")
 
@@ -251,10 +254,9 @@ def build_parser():
     p.add_argument("--scene", required=True)
     add_acquisition(p)
     p.add_argument("--n-obs", type=int, default=30, help="observation count N")
-    p.add_argument("--generator", choices=["full", "order1", "order2"],
-                   default="full")
-    p.add_argument("--quad-nodes", type=int,
-                   help="collocation nodes per crack for --generator full (default 64)")
+    p.add_argument("--generator", choices=list(_READS["generator"]), default="full")
+    p.add_argument("--quad-nodes", type=int, help="collocation nodes per crack for "
+                   f"--generator {_readers('generator', 'quad_nodes')} (default 64)")
     p.add_argument("--noise-snr", type=float,
                    help="add complex white noise at this SNR (dB)")
     p.add_argument("--seed", type=int, help="noise seed for --noise-snr (default 0)")
@@ -263,20 +265,18 @@ def build_parser():
 
     p = sub.add_parser("image", help="apply an indicator to a tensor file")
     p.add_argument("--tensor", required=True)
-    p.add_argument("--method", choices=["single", "if", "aif", "mif"],
-                   required=True)
-    p.add_argument("--f-index", type=int,
-                   help="frequency index for single, if and aif (default 0)")
-    p.add_argument("--l-index", type=int,
-                   help="incident-direction index for single (default 0)")
+    p.add_argument("--method", choices=list(_READS["method"]), required=True)
+    p.add_argument("--f-index", type=int, help="frequency index for "
+                   f"{_readers('method', 'f_index')} (default 0)")
+    p.add_argument("--l-index", type=int, help="incident-direction index for "
+                   f"{_readers('method', 'l_index')} (default 0)")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("predict", help="closed-form map predictor")
     p.add_argument("--scene", required=True)
-    p.add_argument("--predictor", choices=["s1", "s2", "aif", "mif"],
-                   required=True)
+    p.add_argument("--predictor", choices=list(_READS["predictor"]), required=True)
     add_acquisition(p)
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)

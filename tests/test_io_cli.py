@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -202,6 +203,15 @@ def test_cli_noise_is_seeded(tmp_path, scene_file):
     assert b1 != (tmp_path / "n3.txt").read_bytes()
 
 
+def test_cli_noise_far_below_the_signal_leaves_the_tensor_as_it_is(tmp_path, scene_file):
+    # at 4000 dB the noise power underflows to 0 and no noise is added
+    base = ["simulate", "--scene", scene_file, "--lambda", "0.5", "--generator", "order1"]
+    clean, noisy = tmp_path / "clean.txt", tmp_path / "noisy.txt"
+    assert main([*base, "--out", str(clean)]) == 0
+    assert main([*base, "--noise-snr", "4000", "--out", str(noisy)]) == 0
+    assert noisy.read_bytes() == clean.read_bytes()
+
+
 def test_cli_manifest_records_only_what_the_generator_reads(tmp_path, scene_file):
     def params(*flags):
         out = str(tmp_path / "data.txt")
@@ -240,6 +250,105 @@ def test_cli_image_records_only_the_indices_the_method_reads(tmp_path, scene_fil
                      "--grid=-1,1,-1,1,5,5", "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} goes with")
         assert not list(tmp_path.glob("refused*"))
+
+
+# command: (its mode option, {mode: the gated flags the mode reads}), written out
+# here apart from the table in cli, so that each checks the other
+_MODES_READ = {
+    "simulate": ("generator", {"full": {"--quad-nodes"}, "order1": set(), "order2": set()}),
+    "image": ("method", {"single": {"--f-index", "--l-index"}, "if": {"--f-index"},
+                         "aif": {"--f-index"}, "mif": set()}),
+    "predict": ("predictor", {"s1": set(), "s2": {"--incident-angle"},
+                              "aif": {"--incident-angle", "--n-incident"},
+                              "mif": {"--incident-angle", "--lambda-range", "--n-freq"}}),
+}
+_BAND = ["--lambda-range", "0.3,0.7", "--n-freq", "3"]
+_BAND_KS = [2 * math.pi / lam for lam in (0.7, 0.5, 0.3)]
+# gated flag: (the modes named in its refusal, the tokens that give it, its
+# manifest key, the value recorded when given, and when omitted)
+_GATED = {
+    "--quad-nodes": ("full", ["--quad-nodes", "16"], "quad_nodes", 16, 64),
+    "--f-index": ("single, if or aif", ["--f-index", "1"], "f_index", 1, 0),
+    "--l-index": ("single", ["--l-index", "1"], "l_index", 1, 0),
+    "--incident-angle": ("s2, aif or mif", ["--incident-angle", "1.0"], "incident_angles",
+                         [1.0], [math.pi / 2]),
+    "--n-incident": ("aif", ["--n-incident", "4"], "incident_angles",
+                     [math.pi / 2, math.pi, 1.5 * math.pi, 2 * math.pi], [math.pi / 2]),
+    # the band flags come as a pair, and a refusal names --lambda-range; with
+    # neither, mif gets one wavelength, which it refuses
+    "--lambda-range": ("mif", _BAND, "wavenumbers", _BAND_KS, None),
+    "--n-freq": ("mif", _BAND, "wavenumbers", _BAND_KS, None),
+}
+
+
+def _gated_cases():
+    for command, (_, modes) in _MODES_READ.items():
+        for flag in sorted(set().union(*modes.values())):
+            for mode in modes:
+                yield command, mode, flag
+
+
+@pytest.mark.parametrize("command, mode, flag", list(_gated_cases()))
+def test_cli_mode_reads_exactly_its_gated_flags(tmp_path, scene_file, capsys,
+                                                command, mode, flag):
+    option, modes = _MODES_READ[command]
+    _, tokens, key, given, default = _GATED[flag]
+    if command == "simulate":
+        argv = ["simulate", "--scene", scene_file, "--lambda", "0.5", "--generator", mode]
+    elif command == "image":
+        # F = 2 wavenumbers and L = 2 directions, or L = 1 for mif, which needs it
+        L = 1 if mode == "mif" else 2
+        cfg = AcquisitionConfig((2.0, 3.0), 8, (0.5, 2.0)[:L])
+        values = np.random.default_rng(1).standard_normal((2, L, 8)) + 1j
+        cio.write_tensor(tmp_path / "data.txt", FarFieldTensor(values, cfg))
+        argv = ["image", "--tensor", str(tmp_path / "data.txt"), "--method", mode,
+                "--grid=-1,1,-1,1,5,5"]
+    else:
+        argv = ["predict", "--scene", scene_file, "--predictor", mode, "--grid=-1,1,-1,1,5,5"]
+
+    def run(flags):
+        if command == "predict" and "--lambda-range" not in flags:
+            flags += _BAND if mode == "mif" and key != "wavenumbers" else ["--lambda", "0.5"]
+        rc = main([*argv, *flags, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if rc:
+            assert not list(tmp_path.glob("out*"))
+            return rc, err
+        manifest, = tmp_path.glob("out*.manifest.json")
+        params = json.loads(manifest.read_text())["params"]
+        for path in tmp_path.glob("out*"):
+            path.unlink()
+        return rc, params[key]
+
+    reads = flag in modes[mode]
+    if reads:
+        assert run(list(tokens)) == (0, pytest.approx(given))
+    else:
+        named = "--lambda-range" if flag == "--n-freq" else flag
+        assert run(list(tokens)) == (
+            1, f"error: {named} goes with --{option} {_GATED[named][0]}, not {mode}\n")
+    rc, recorded = run([])
+    if key == "wavenumbers":
+        # mif needs the band; the other predictors record their --lambda
+        assert rc == (1 if reads else 0)
+    elif any(_GATED[f][2] == key for f in modes[mode]):
+        assert (rc, recorded) == (0, pytest.approx(default))
+    else:
+        assert (rc, recorded) == (0, None)
+
+
+@pytest.mark.parametrize("command", ["simulate", "image"])
+def test_cli_help_names_the_modes_that_read_each_gated_flag(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # one block per option: its flags, then its help on the same or the next line
+    blocks = re.split(r"\n(?=  -)", capsys.readouterr().out)
+    _, modes = _MODES_READ[command]
+    for flag in set().union(*modes.values()):
+        block, = [b for b in blocks if b.lstrip().startswith(flag + " ")]
+        named = set(re.findall(r"\w+", block)) & set(modes)
+        assert named == {m for m, reads in modes.items() if flag in reads}, flag
 
 
 def test_cli_full_generator_multi_frequency(tmp_path, scene_file):
@@ -491,7 +600,8 @@ def test_cli_predict_rejects_n_incident(tmp_path, scene_file, capsys, predictor,
     rc = main(["predict", "--scene", scene_file, "--predictor", predictor, *flags,
                "--n-incident", "8", "--grid=-1,1,-1,1,11,11", "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: predictor {predictor} takes at most one")
+    assert capsys.readouterr().err.startswith(
+        f"error: --n-incident goes with --predictor aif, not {predictor}")
     assert not list(tmp_path.glob("out*"))
 
 
@@ -667,6 +777,11 @@ _BAD_INPUTS = {
                                       "--incident-angle", "inf", "--grid=-1,1,-1,1,5,5"]),
     "noise_snr_minus_inf": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
                                    "--lambda", "0.5", "--noise-snr=-inf"]),
+    # noise 10**400 times the signal is infinite: "tensor entries must be finite"
+    "noise_snr_minus_4000": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
+                                    "--lambda", "0.5", "--noise-snr=-4000"]),
+    "seed_negative": (None, ["simulate", "--scene", "{scene}", "--generator", "order1",
+                             "--lambda", "0.5", "--noise-snr", "20", "--seed", "-1"]),
     "s1_band": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
                        "--lambda-range", "0.3,0.7", "--n-freq", "5", "--grid=-1,1,-1,1,5,5"]),
     # --incident-angle is refused where no single incident direction takes it
