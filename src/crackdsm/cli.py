@@ -241,14 +241,23 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_acquisition(p):
+    def add_acquisition(p, option=None):
+        """The acquisition flags; with `option`, the help of each flag it gates
+        names the modes that read it."""
+        def gated(text, flag, default=""):
+            return (f"{text}, for --{option} {_readers(option, flag)}" if option else text) + default
+
         p.add_argument("--lambda", dest="wavelength", type=float,
                        help="single wavelength (k = 2*pi/lambda)")
-        p.add_argument("--lambda-range", help="'min,max' wavelengths, uniform spacing")
-        p.add_argument("--n-freq", type=int, help="frequency count F for --lambda-range")
-        p.add_argument("--n-incident", type=int, help="L uniform incident directions 2*pi*l/L")
+        p.add_argument("--lambda-range",
+                       help=gated("'min,max' wavelengths, uniform spacing", "lambda_range"))
+        p.add_argument("--n-freq", type=int,
+                       help=gated("frequency count F for --lambda-range", "n_freq"))
+        p.add_argument("--n-incident", type=int,
+                       help=gated("L uniform incident directions 2*pi*l/L", "n_incident"))
         p.add_argument("--incident-angle", type=float,
-                       help="single incident angle in radians (default pi/2)")
+                       help=gated("single incident angle in radians", "incident_angle",
+                                  " (default pi/2)"))
 
     p = sub.add_parser("simulate", help="generate a far-field tensor file")
     p.add_argument("--scene", required=True)
@@ -277,7 +286,7 @@ def build_parser():
     p = sub.add_parser("predict", help="closed-form map predictor")
     p.add_argument("--scene", required=True)
     p.add_argument("--predictor", choices=list(_READS["predictor"]), required=True)
-    add_acquisition(p)
+    add_acquisition(p, "predictor")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)

@@ -20,10 +20,9 @@ Cross-crack blocks use plain Gauss-Chebyshev quadrature.  Their kernel is
 smooth on separated cracks, so block (p, q) is U_p M_pq U_q^T to round-off:
 M_pq samples it at m_p x m_q coarse Chebyshev nodes, and U_p interpolates
 from crack p's m_p coarse nodes to its n nodes.  m_p is chosen from the data
-(`CrackSystem._basis_sizes`); a crack that needs n/2 or more keeps all its
-nodes, U_p = I.  The system A = D + U M U^T, with D the self blocks, is
-solved by the Woodbury identity through the self-block LUs and one LU of a
-small capacitance matrix.
+(`CrackSystem._basis_sizes`) and is at most n.  The system A = D + U M U^T,
+with D the self blocks, is solved by the Woodbury identity through the
+self-block LUs and one LU of a small capacitance matrix.
 
 Every block carries the weight h_q of its column crack and the kernel is
 symmetric, so A = S H with S complex-symmetric and H = diag(h), h the half-length
@@ -217,25 +216,26 @@ class CrackSystem:
         return block
 
     def _basis_sizes(self):
-        """Basis size m_p per crack, n where the crack keeps its nodes (U_p = I).
+        """Basis size m_p per crack, the largest its pairs need.
 
         Block (p, q) is c h_q K(x_i, y_j), K = i H0(k|x - y|), on a tensor grid
         of a smooth kernel, so it equals U_p M_pq U_q^T with M_pq = c h_q K at
         the coarse nodes once the Chebyshev coefficients of the m x m samples
         of K have a negligible tail.  m doubles from _FIRST_RANK; a pair still
-        unresolved below n/2 takes all n nodes, as does a lone crack.
+        unresolved below n takes n.  A lone crack takes _FIRST_RANK: its rows
+        of M are zero, so its capacitance block is I.
         """
         n, cracks = self.n, self.scene.cracks
         pair_sizes = {}
         for p, q in _pairs(self.m_cracks):
             m = _FIRST_RANK
-            while 2 * m < n:
+            while m < n:
                 kern = _cross_kernel(self.k, _crack_nodes(cracks[p], m), _crack_nodes(cracks[q], m))
                 if _chebyshev_tail(kern) < _TAIL_TOL:
                     break
                 m *= 2
-            pair_sizes[p, q] = m if 2 * m < n else n
-        return [max((m for pair, m in pair_sizes.items() if p in pair), default=n)
+            pair_sizes[p, q] = min(m, n)
+        return [max((m for pair, m in pair_sizes.items() if p in pair), default=_FIRST_RANK)
                 for p in range(self.m_cracks)]
 
     def _factor(self, logmat):
@@ -252,7 +252,7 @@ class CrackSystem:
                 rows[p] = slice(offset + i * m, offset + (i + 1) * m)
             slices.append(slice(offset, rows[group[-1]].stop))
             offset = slices[-1].stop
-        bases = [None if m == n else _interpolation_matrix(n, m) for m in sizes]
+        bases = [_interpolation_matrix(n, m) for m in sizes]
         nodes = [_crack_nodes(crack, m) for crack, m in zip(cracks, sizes)]
         cap = np.zeros((offset, offset), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
@@ -264,26 +264,17 @@ class CrackSystem:
             kern = _cross_kernel(self.k, nodes[p], nodes[q])
             np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
             np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
-            full = kern if bases[q] is None else _real_left(bases[q], kern.T).T
-            block = np.abs(full if bases[p] is None else _real_left(bases[p], full))
+            block = np.abs(_real_left(bases[p], _real_left(bases[q], kern.T).T))
             colsum[q] += c * cracks[q].half_length * block.sum(axis=0)
             colsum[p] += c * cracks[p].half_length * block.sum(axis=1)
         # Woodbury: A^-1 = D^-1 - D^-1 U M C^-1 U^T D^-1 with the capacitance
-        # matrix C = I + U^T D^-1 U M.  The block row of a crack with U_p = I
-        # is multiplied through by D_p, which makes it A's own row and spares
-        # the inverse of that self block.
+        # matrix C = I + U^T D^-1 U M.
         self._groups, blocks, lus = [], {}, {}
         for ((half, m), group), gslice in zip(members.items(), slices):
             if half not in blocks:
                 blocks[half] = self._self_block(cracks[group[0]], logmat)
-            colsum[group] += np.abs(blocks[half]).sum(axis=0)
-            if m == n:
-                for p in group:
-                    cap[rows[p], rows[p]] = blocks[half]
-                self._groups.append((group, gslice, None, None, None, None))
-                continue
-            if half not in lus:
                 lus[half] = lu_factor(blocks[half], check_finite=False)
+            colsum[group] += np.abs(blocks[half]).sum(axis=0)
             basis, lu = bases[group[0]], lus[half]
             v = lu_solve(lu, basis)                                          # D_p^-1 U_p
             m_rows = cap[gslice].copy()
@@ -307,21 +298,13 @@ class CrackSystem:
         b = np.empty((len(self._cap[0]), width), dtype=complex)
         ys = []
         for group, gslice, basis, lu, _, _ in self._groups:
-            if basis is None:
-                b[gslice] = f[group].reshape(-1, width)
-            else:
-                ys.append(lu_solve(lu, _side_by_side(f[group])))
-                b[gslice] = _stacked(_real_left(basis.T, ys[-1]), len(group))
+            ys.append(lu_solve(lu, _side_by_side(f[group])))
+            b[gslice] = _stacked(_real_left(basis.T, ys[-1]), len(group))
         x = lu_solve(self._cap, b)
         psi = np.empty(f.shape, dtype=complex)
-        ys = iter(ys)
-        for group, gslice, basis, _, v, m_rows in self._groups:
-            if basis is None:
-                psi[group] = x[gslice].reshape(len(group), self.n, width)
-            else:
-                mx = _side_by_side((m_rows @ x).reshape(len(group), -1, width))
-                psi[group] = _stacked(next(ys) - v @ mx, len(group)).reshape(
-                    len(group), self.n, width)
+        for (group, _, _, _, v, m_rows), y in zip(self._groups, ys):
+            mx = _side_by_side((m_rows @ x).reshape(len(group), -1, width))
+            psi[group] = _stacked(y - v @ mx, len(group)).reshape(len(group), self.n, width)
         return psi.reshape(-1, width)
 
     def _inverse_norm_estimate(self):

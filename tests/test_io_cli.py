@@ -337,7 +337,7 @@ def test_cli_mode_reads_exactly_its_gated_flags(tmp_path, scene_file, capsys,
         assert (rc, recorded) == (0, None)
 
 
-@pytest.mark.parametrize("command", ["simulate", "image"])
+@pytest.mark.parametrize("command", ["simulate", "image", "predict"])
 def test_cli_help_names_the_modes_that_read_each_gated_flag(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit):
