@@ -37,6 +37,15 @@ def _records(path):
     return [line for line in lines if line and not line.startswith("#")]
 
 
+def _table(lines, delimiter, ncols):
+    """The data lines as a float64 array, one row per line, through numpy's C
+    parser, which rounds as float() does; no lines -> shape (0, ncols).  A
+    field that is not a float literal, or rows of unequal length -> ValueError."""
+    if not lines:  # loadtxt warns on no data
+        return np.empty((0, ncols))
+    return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+
+
 def atomic_write_chunks(path, chunks):
     """Write the byte strings one after another to a temp file, then rename it
     to path; mode 0o666 less the umask; OSError -> CrackDsmError."""
@@ -262,24 +271,29 @@ def write_tensor(path, tensor):
 
 def read_tensor(path):
     """Parse a tensor file; every (f, l, n) entry must appear exactly once."""
+    lines = _records(path)
     header = {}
     rows = []
-    in_data = False
-    for line in _records(path):
-        if in_data:
-            rows.append(line.split())
-            continue
+    for i, line in enumerate(lines):
         key, _, rest = line.partition(" ")
         if key == "data":
-            in_data = True
-        else:
-            header[key] = rest.split()
+            rows = lines[i + 1:]
+            break
+        header[key] = rest.split()
     try:
         F, L, N = (int(header[key][0]) for key in ("F", "L", "N"))
         wavenumbers = tuple(float(k) for k in header["wavenumbers"])
         angles = tuple(float(a) for a in header["incident_angles"])
-        entries = [(int(f), int(l), int(n), float(re) + 1j * float(im))
-                   for f, l, n, re, im in rows]
+        data = _table(rows, None, 5)
+        if data.shape[1] != 5:
+            raise ValueError(f"data rows have {data.shape[1]} fields, not 5")
+        # float64 holds every index below 2**53 exactly; none that large is
+        # in range, as the file would need that many rows
+        index = data[:, :3]
+        integral = np.all(np.isfinite(index) & (index == np.floor(index)), axis=1)
+        if not integral.all():
+            raise ValueError("index ({}, {}, {}) is not an integer".format(
+                *rows[np.argmin(integral)].split()[:3]))
     except KeyError as exc:
         raise InputMismatchError(f"tensor header lacks {exc}") from None
     except (ValueError, IndexError) as exc:
@@ -287,25 +301,25 @@ def read_tensor(path):
     cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
     if (F, L) != (cfg.n_freq, cfg.n_incident):
         raise InputMismatchError(f"header F={F}, L={L} disagree with its wavenumbers/angles")
-    if len(entries) != F * L * N:
+    if len(data) != F * L * N:
         raise InputMismatchError(
-            f"tensor has {len(entries)} data rows, header needs F*L*N = {F * L * N}")
-    # the first entry in file order that is out of range or repeats one before it
-    fs, ls, ns, vs = zip(*entries)
-    index = np.array([fs, ls, ns]).T  # not int64 if an index overflows it
+            f"tensor has {len(data)} data rows, header needs F*L*N = {F * L * N}")
+    # the first entry in file order that is out of range or repeats one
+    # before it, named by its index fields as the file writes them
     outside = np.flatnonzero(~np.all((index >= 0) & (index < (F, L, N)), axis=1))
-    inside = outside[0] if outside.size else len(entries)  # entries before it
+    inside = outside[0] if outside.size else len(data)  # entries before it
     flat = np.ravel_multi_index(index[:inside].astype(np.int64).T, (F, L, N))
     repeat = np.ones(inside, dtype=bool)
     repeat[np.unique(flat, return_index=True)[1]] = False
     if repeat.any():
         raise InputMismatchError("duplicate tensor entry ({}, {}, {})".format(
-            *entries[np.argmax(repeat)][:3]))
+            *rows[np.argmax(repeat)].split()[:3]))
     if outside.size:
         raise InputMismatchError("tensor index ({}, {}, {}) out of range".format(
-            *entries[inside][:3]))
+            *rows[inside].split()[:3]))
     values = np.zeros(F * L * N, dtype=complex)
-    values[flat] = vs
+    values.real[flat] = data[:, 3]  # part by part, so that -0.0 keeps its sign
+    values.imag[flat] = data[:, 4]
     return FarFieldTensor(values.reshape(F, L, N), cfg)
 
 
@@ -341,7 +355,7 @@ def read_map_csv(path):
     lines = _records(path)
     try:
         grid = parse_grid(lines[0])
-        values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        values = _table(lines[1:], ",", grid.nx)
     except (ValueError, IndexError) as exc:
         raise InputMismatchError(f"malformed map file: {exc}") from None
     if values.shape != grid.shape:

@@ -2,18 +2,21 @@
 
 `io.read_map_csv` and `io.read_tensor` read files from outside the program.
 Whatever the text, each either returns or raises `CrackDsmError`; a map it
-returns is finite and lies in [0, 1].
+returns is finite and lies in [0, 1].  Their data rows go through numpy's
+parser (`io._table`), which rounds as float() does; the inputs on which the
+two disagree are pinned one by one below.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crackdsm import io as cio
-from crackdsm.errors import CrackDsmError
+from crackdsm.errors import CrackDsmError, InputMismatchError
 from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
 
 
@@ -89,3 +92,117 @@ def test_readers_return_or_refuse_mutated_files(tmp_path_factory, valid_texts, d
     else:
         cfg = got.config
         assert got.values.shape == (cfg.n_freq, cfg.n_incident, cfg.n_obs)
+
+
+def test_tensor_round_trip_keeps_signed_zeros(tmp_path):
+    cfg = AcquisitionConfig((2.0,), 8, (0.0,))
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    field = np.array(zeros + [complex(0.5, -0.0), complex(-0.0, 0.5), -0.5, 0.5j])
+    p1, p2 = tmp_path / "t1.txt", tmp_path / "t2.txt"
+    cio.write_tensor(p1, FarFieldTensor(field.reshape(1, 1, 8), cfg))
+    assert "0 0 4 0.5 -0\n" in p1.read_text()
+    back = cio.read_tensor(p1).values.reshape(-1)
+    assert np.array_equal(np.signbit(back.real), np.signbit(field.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(field.imag))
+    cio.write_tensor(p2, cio.read_tensor(p1))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+# a 2x2 map and a 1x1x8 tensor, as text, with their first data row given
+_MAP = "# indicator-map-csv v1\n0,1,0,1,2,2\n{}\n1,0\n"
+_TENSOR = ("F 1\nL 1\nN 8\nwavenumbers 2\nincident_angles 0\ndata f l n re im\n{}\n"
+           + "".join(f"0 0 {n} 0.5 -0.25\n" for n in range(1, 8)))
+
+
+def _read(path, template, first_row):
+    path.write_text(template.format(first_row))
+    read = cio.read_map_csv if template is _MAP else cio.read_tensor
+    return read(path)
+
+
+# float() reads 0.1_2 as 0.12 and Arabic-Indic or full-width digits as ASCII
+# ones; numpy's parser takes neither
+@pytest.mark.parametrize("value", ["0.1_2", "\u0660.\u0665", "\uff10.\uff15"],
+                         ids=["underscore", "arabic-indic", "full-width"])
+@pytest.mark.parametrize("template, row", [(_MAP, "{},0.25"), (_TENSOR, "0 0 0 {} 0")],
+                         ids=["map", "tensor"])
+def test_readers_refuse_values_only_float_accepts(tmp_path, value, template, row):
+    assert 0.0 < float(value) < 1.0
+    with pytest.raises(InputMismatchError, match="^malformed (map|tensor) file: "):
+        _read(tmp_path / "f.txt", template, row.format(value))
+
+
+@pytest.mark.parametrize("index", ["0.0", "0e0", "-0", "+0", "00"])
+def test_read_tensor_takes_an_index_whose_value_is_an_integer(tmp_path, index):
+    got = _read(tmp_path / "a.txt", _TENSOR, f"0 0 {index} 0.5 -0.25")
+    want = _read(tmp_path / "b.txt", _TENSOR, "0 0 0 0.5 -0.25")
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("index, message", [
+    ("0.5", "malformed tensor file: index (0, 0, 0.5) is not an integer"),
+    ("inf", "malformed tensor file: index (0, 0, inf) is not an integer"),
+    ("nan", "malformed tensor file: index (0, 0, nan) is not an integer"),
+    ("1_0", "malformed tensor file: could not convert string '1_0' to float64"),
+], ids=["0.5", "inf", "nan", "1_0"])
+def test_read_tensor_refuses_an_index_that_is_not_an_integer(tmp_path, index, message):
+    with pytest.raises(InputMismatchError) as err:
+        _read(tmp_path / "t.txt", _TENSOR, f"0 0 {index} 0.5 -0.25")
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("fields", ["0 0 {}", "0 0 {} 0.5", "0 0 {} 0.5 -0.25 1"],
+                         ids=["3", "4", "6"])
+def test_read_tensor_refuses_rows_without_five_fields(tmp_path, fields):
+    path = tmp_path / "t.txt"
+    rows = "".join(fields.format(n) + "\n" for n in range(8))
+    path.write_text(_TENSOR.split("{}")[0] + rows)
+    with pytest.raises(InputMismatchError, match="^malformed tensor file: "):
+        cio.read_tensor(path)
+
+
+def test_readers_refuse_a_header_without_data_rows_without_a_warning(tmp_path):
+    path = tmp_path / "f.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, read, message in [
+                (_MAP.split("\n")[0:2], cio.read_map_csv,
+                 r"map data shape \(0, 2\) does not match header \(2, 2\)"),
+                (_TENSOR.split("\n")[0:6], cio.read_tensor,
+                 r"tensor has 0 data rows, header needs F\*L\*N = 8")]:
+            path.write_text("\n".join(text) + "\n")
+            with pytest.raises(InputMismatchError, match=message):
+                read(path)
+
+
+@pytest.mark.parametrize("comment", [" # note", "# note", " #"])
+@pytest.mark.parametrize("template, row", [(_MAP, "0.5,0.25"), (_TENSOR, "0 0 0 0.5 -0.25")],
+                         ids=["map", "tensor"])
+def test_readers_refuse_an_inline_comment_after_data(tmp_path, comment, template, row):
+    with pytest.raises(InputMismatchError, match="^malformed (map|tensor) file: "):
+        _read(tmp_path / "f.txt", template, row + comment)
+
+
+# decimal literals of up to 30 significant digits, over the whole float range
+# and past it, and the shortest and 17-digit texts of any finite float
+_literal = st.one_of(
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
+              st.text("0123456789", min_size=1, max_size=15),
+              st.text("0123456789", max_size=15), st.integers(-360, 330)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format))
+
+
+@given(st.lists(_literal, min_size=1, max_size=6))
+# halfway between two floats (1 + 2**-53, 2**53 + 1) and just above, the
+# smallest normal and subnormal, and values that round to 0 or overflow
+@example(["1.00000000000000011102230246251565404236316680908203125",
+          "1.00000000000000011102230246251565404236316680908203126",
+          "9007199254740993", "2.2250738585072011e-308", "4.9406564584124654e-324",
+          "2.4703282292062327e-324", "1e-400", "1.7976931348623159e308"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_table_rounds_as_float_does(texts):
+    got = cio._table([",".join(texts)], ",", len(texts))
+    want = np.array([[float(t) for t in texts]])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

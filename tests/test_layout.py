@@ -10,9 +10,11 @@ function, class and constant of ``src/crackdsm`` (dunders such as
 ``__version__`` excepted), and each of its modules must use every name it
 imports.
 
-Two more checks keep one implementation each: `forward` uses ``sp_j0`` and
-``sp_y0`` (the solver's Hankel kernel) in one function only, and ``.17g``
-appears in `io` only, whose encoder writes every map and tensor row.
+Three more checks keep one implementation each: `forward` uses ``sp_j0`` and
+``sp_y0`` (the solver's Hankel kernel) in one function only, ``.17g``
+appears in `io` only, whose encoder writes every map and tensor row, and
+``np.loadtxt`` is called in one function of `io` only, which parses every map
+and tensor data row.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -151,3 +153,12 @@ def test_only_io_formats_floats_at_17_digits():
     users = sorted(path.name for path in PACKAGE.glob("*.py")
                    if ".17g" in path.read_text() and path.name != "io.py")
     assert users == [], f".17g formatting outside io: {users}"
+
+
+def test_one_io_function_parses_data_rows_with_loadtxt():
+    # the map and tensor readers share one parser for their data rows
+    trees = _pipeline()[0]
+    users = sorted(f"{path.stem}.{label}" for path in sorted(PACKAGE.glob("*.py"))
+                   for label, unit in _units(trees[path]) for node in ast.walk(unit)
+                   if isinstance(node, ast.Attribute) and node.attr == "loadtxt")
+    assert users == ["io._table"], f"np.loadtxt called outside io._table: {users}"
