@@ -7,8 +7,10 @@ Produces, under the chosen output directory:
   - map_aif3/map_aif8        phase-compensated sums over 3 and 8 directions
   - map_band.{csv,pgm}       multi-frequency indicator over lambda in [0.3, 0.7]
   - map_predicted.{csv,pgm}  closed-form single-direction map shape
-plus one .manifest.json per output; replaying any stored argv reproduces the
-file byte-for-byte.
+plus one .manifest.json per output.  Replaying any stored argv with the same
+BLAS builds and OPENBLAS_NUM_THREADS reproduces the file byte-for-byte; under
+another thread count maps and tensors move by up to 7.4e-16 of their largest
+value, and the PGMs stay identical.
 """
 
 import argparse

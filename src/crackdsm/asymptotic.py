@@ -129,8 +129,8 @@ def predict_structure2(scene, k, d, grid):
 def predict_aif(scene, k, incident_angles, grid):
     """Few-direction map shape |sum_m w_m J0(k r_m) sum_l e^{ik (c_m - x).d_l}|.
 
-    The plane-wave sum is the J0*Js cosine series
-    sum_l [J0 + 2 sum_s i^s J_s(k r_m) cos s(varphi_m - alpha_l)] in closed form.
+    The steering kernel over the order-1 rows of every incident direction d_l
+    at P observation directions; their direction sum gives the J0 factor.
     """
     check_scaled_scene(scene, k)
     incident_angles = np.asarray(incident_angles, dtype=float)
@@ -151,10 +151,11 @@ def _gauss_legendre_panels(a, b, n_panels):
 def predict_mif(scene, k_list, incident_angle, grid):
     """Multi-frequency map shape |sum_m w_m int_k1^kF J0(k r_m) e^{ik (c_m - x).d} dk|.
 
-    The integrand is the band form of `predict_aif`'s J0*Js cosine series with
-    one direction d.  The integral is composite Gauss-Legendre in k, one
-    8-point panel per oscillation period of the integrand at the farthest grid
-    point; each node k_q has its own direction count P(k_q).
+    The integrand is `predict_aif`'s raw sum with one direction d: the steering
+    kernel over order-1 rows at wavenumber k.  The integral is composite
+    Gauss-Legendre in k, one 8-point panel per oscillation period of the
+    integrand at the farthest grid point; each node k_q has its own direction
+    count P(k_q).
     """
     k_list = np.asarray(k_list, dtype=float)
     if k_list.size < 2:
