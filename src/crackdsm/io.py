@@ -5,7 +5,10 @@ All writers are atomic (temp file + rename) and deterministic: floats use
 rows are encoded without a formatter call per value.  For 1e-6 < |v| < 1e16 the
 17 digits are |v| * 10**(16 - e) with e in [-6, 16], so the factor <= 1e22 is
 exact; Dekker's two-product keeps the product exact until it is rounded half to
-even, as %.17g rounds."""
+even, as %.17g rounds.
+
+Map and tensor data rows are read back by one np.loadtxt call (`_table`),
+whose parser rounds as float() does."""
 
 from __future__ import annotations
 

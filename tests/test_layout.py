@@ -158,7 +158,7 @@ def test_only_io_formats_floats_at_17_digits():
 def test_one_io_function_parses_data_rows_with_loadtxt():
     # the map and tensor readers share one parser for their data rows
     trees = _pipeline()[0]
-    users = sorted(f"{path.stem}.{label}" for path in sorted(PACKAGE.glob("*.py"))
-                   for label, unit in _units(trees[path]) for node in ast.walk(unit)
-                   if isinstance(node, ast.Attribute) and node.attr == "loadtxt")
+    users = sorted({f"{path.stem}.{label}" for path in sorted(PACKAGE.glob("*.py"))
+                    for label, unit in _units(trees[path])
+                    for name, _ in _identifier_uses(unit) if name == "loadtxt"})
     assert users == ["io._table"], f"np.loadtxt called outside io._table: {users}"

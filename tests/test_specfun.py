@@ -4,8 +4,9 @@ Only the solver (`forward`) evaluates a Bessel function: J0 and Y0 from
 `scipy.special`, its Hankel kernel.  The predictors sum plane waves, and the
 closed forms in `tests/paper.py` that they are checked against use scipy's
 J0, J1 and J_s.  These tests hold those values to independent references (an
-ascending series, mpmath, the three-term recurrence).  The series constructs built on them,
-`jacobi_anger` and `lambda_envelope`, are test references in `tests/paper.py`.
+ascending series, mpmath, the three-term recurrence).  The series constructs
+built on them, `jacobi_anger` and `lambda_envelope`, are test references in
+`tests/paper.py`.
 """
 
 import math
