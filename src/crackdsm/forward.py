@@ -13,8 +13,12 @@ which makes the scheme spectrally accurate.  On a self block
 z = kh|sigma_i - sigma_j| and ln z - ln(kh) = ln|sigma_i - sigma_j|, so the
 block needs no per-k logarithm: the quadrature matrix and the table of node
 log-gaps depend on n alone and are built once per n (read-only), and a block
-depends only on k, h and n, so cracks of equal half-length share one, and one
-LU.
+depends only on k, h and n, so cracks of equal half-length share one.  The
+nodes are symmetric, sigma_{n+1-i} = -sigma_i, and n is even, so a self block
+is centrosymmetric: J D J = D, J the reversal.  Its top n/2 rows are built and
+the rest reflected, and it is factored as the two n/2 blocks A + CJ and A - CJ
+it is orthogonally similar to (A, C its top-left and top-right quarters; the
+even/odd reduction of Cantoni and Butler, Linear Algebra Appl. 13, 1976).
 
 Cross-crack blocks use plain Gauss-Chebyshev quadrature.  Their kernel is
 smooth on separated cracks, so block (p, q) is U_p M_pq U_q^T to round-off:
@@ -22,7 +26,7 @@ M_pq samples it at m_p x m_q coarse Chebyshev nodes, and U_p interpolates
 from crack p's m_p coarse nodes to its n nodes.  m_p is chosen from the data
 (`CrackSystem._basis_sizes`) and is at most n.  The system A = D + U M U^T,
 with D the self blocks, is solved by the Woodbury identity through the
-self-block LUs and one LU of a small capacitance matrix.
+split self-block LUs and one LU of a small capacitance matrix.
 
 Every block carries the weight h_q of its column crack and the kernel is
 symmetric, so A = S H with S complex-symmetric and H = diag(h), h the half-length
@@ -171,11 +175,33 @@ def _real_left(u, z):
     return (u @ z.view(float).reshape(len(z), -1)).view(complex)
 
 
+def _split_factor(block):
+    """LUs of A + CJ and A - CJ for a centrosymmetric block [[A, C], [JCJ, JAJ]]
+    of even size."""
+    h = len(block) // 2
+    a, cj = block[:h, :h], block[:h, h:][:, ::-1]
+    return lu_factor(a + cj, check_finite=False), lu_factor(a - cj, check_finite=False)
+
+
+def _split_solve(lus, b):
+    """D^-1 b, ``lus`` being `_split_factor(D)`: with y+- the solutions of
+    (A +- CJ) y+- = b_top +- J b_bottom, x_top = (y+ + y-)/2 and
+    x_bottom = J (y+ - y-)/2."""
+    h = len(b) // 2
+    top, bottom = b[:h], b[h:][::-1]
+    y_plus = lu_solve(lus[0], top + bottom)
+    y_minus = lu_solve(lus[1], top - bottom)
+    x = np.concatenate([y_plus + y_minus, (y_plus - y_minus)[::-1]])
+    x *= 0.5
+    return x
+
+
 class CrackSystem:
     """Factorized boundary system A = D + U M U^T for one scene at one wavenumber.
 
     ``points`` holds the (m*n, 2) nodes, crack p owning rows p*n to (p+1)*n.
-    D holds the self blocks, U = blockdiag(U_p) the per-crack interpolation
+    D holds the self blocks, each centrosymmetric and factored as two n/2
+    blocks (`_split_factor`), U = blockdiag(U_p) the per-crack interpolation
     bases and M the cross kernel at the coarse nodes.  Solves go through the
     Woodbury identity, those with A^T too: A = S H gives A^-T = H A^-1 H^-1,
     H = diag(h) the per-node half-lengths.  ``rcond`` is 1/(||A||_1 est
@@ -203,17 +229,22 @@ class CrackSystem:
         with its ln z J0(z)/2pi part taken against W.  Y0 is -inf on the
         diagonal, which is overwritten with the z -> 0 limit
         h [-W_ii/2pi - (ln(kh/2) + gamma)/2n + i pi/4n].
+
+        The node gaps and W are unchanged by reversing rows and columns
+        together, so the block is centrosymmetric: only its top n/2 rows are
+        evaluated, and the bottom ones are their reflection, exactly.
         """
         k, n, half = self.k, self.n, crack.half_length
-        gaps, log_gaps = _node_gaps(n)
+        h = n // 2
+        gaps, log_gaps = (table[:h] for table in _node_gaps(n))
         c = math.pi / (4.0 * n)
-        block = _i_hankel0((k * half) * gaps)
-        block.real = (log_gaps / (2.0 * n) - logmat / (2.0 * math.pi)) * block.imag + c * block.real
-        block.imag *= c
-        np.fill_diagonal(block, np.diag(logmat) / (-2.0 * math.pi)
+        top = _i_hankel0((k * half) * gaps)
+        top.real = (log_gaps / (2.0 * n) - logmat[:h] / (2.0 * math.pi)) * top.imag + c * top.real
+        top.imag *= c
+        np.fill_diagonal(top, np.diag(logmat)[:h] / (-2.0 * math.pi)
                          - (math.log(k * half / 2.0) + _EULER_GAMMA) / (2.0 * n) + 1j * c)
-        block *= half
-        return block
+        top *= half
+        return np.concatenate([top, top[::-1, ::-1]])
 
     def _basis_sizes(self):
         """Basis size m_p per crack, the largest its pairs need.
@@ -273,10 +304,10 @@ class CrackSystem:
         for ((half, m), group), gslice in zip(members.items(), slices):
             if half not in blocks:
                 blocks[half] = self._self_block(cracks[group[0]], logmat)
-                lus[half] = lu_factor(blocks[half], check_finite=False)
+                lus[half] = _split_factor(blocks[half])
             colsum[group] += np.abs(blocks[half]).sum(axis=0)
             basis, lu = bases[group[0]], lus[half]
-            v = lu_solve(lu, basis)                                          # D_p^-1 U_p
+            v = _split_solve(lu, basis)                                      # D_p^-1 U_p
             m_rows = cap[gslice].copy()
             cap[gslice] = np.matmul(_real_left(basis.T, v),                  # U_p^T D_p^-1 U_p
                                     m_rows.reshape(len(group), m, -1)).reshape(len(m_rows), -1)
@@ -298,7 +329,7 @@ class CrackSystem:
         b = np.empty((len(self._cap[0]), width), dtype=complex)
         ys = []
         for group, gslice, basis, lu, _, _ in self._groups:
-            ys.append(lu_solve(lu, _side_by_side(f[group])))
+            ys.append(_split_solve(lu, _side_by_side(f[group])))
             b[gslice] = _stacked(_real_left(basis.T, ys[-1]), len(group))
         x = lu_solve(self._cap, b)
         psi = np.empty(f.shape, dtype=complex)

@@ -273,7 +273,9 @@ def write_tensor(path, tensor):
 
 
 def read_tensor(path):
-    """Parse a tensor file; every (f, l, n) entry must appear exactly once."""
+    """Parse a tensor file; every (f, l, n) entry must appear exactly once.
+
+    Each header key appears once, F, L and N with one value each."""
     lines = _records(path)
     header = {}
     rows = []
@@ -282,7 +284,13 @@ def read_tensor(path):
         if key == "data":
             rows = lines[i + 1:]
             break
+        if key not in ("F", "L", "N", "wavenumbers", "incident_angles"):
+            raise InputMismatchError(f"tensor header line {line!r}: unknown key")
+        if key in header:
+            raise InputMismatchError(f"tensor header line {line!r}: repeats {key}")
         header[key] = rest.split()
+        if len(header[key]) > 1 and key in ("F", "L", "N"):
+            raise InputMismatchError(f"tensor header line {line!r}: {key} takes one value")
     try:
         F, L, N = (int(header[key][0]) for key in ("F", "L", "N"))
         wavenumbers = tuple(float(k) for k in header["wavenumbers"])

@@ -9,7 +9,8 @@ from scipy.special import hankel1, j0 as scipy_j0
 from crackdsm import forward
 from crackdsm.errors import DomainError, InputMismatchError, SceneError, SolverError
 from crackdsm.forward import (CrackSystem, QuadratureSpec, _log_quadrature_matrix,
-                              _node_gaps, far_field_tensor, reciprocity_residual)
+                              _node_gaps, _split_factor, _split_solve, far_field_tensor,
+                              reciprocity_residual)
 from crackdsm.asymptotic import farfield_order1
 from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, observation_directions
 from crackdsm.scene import Crack, Scene, crack_tangent, validate_scene
@@ -238,6 +239,46 @@ def test_self_block_matches_direct_formula(half, n):
         ref *= half
         got = CrackSystem(Scene((crack,)), k, QuadratureSpec(n))._self_block(crack, w)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", (8, 16, 64, 256))
+def test_self_block_is_centrosymmetric_bit_for_bit(n):
+    # the nodes are symmetric about 0, so reversing rows and columns together
+    # leaves the block unchanged; the bottom rows are the top ones reflected
+    crack = Crack((0.1, -0.2), 0.05, 0.7)
+    for k in BAND_KS:
+        block = CrackSystem(Scene((crack,)), k, QuadratureSpec(n))._self_block(
+            crack, _log_quadrature_matrix(n))
+        assert block.tobytes() == block[::-1, ::-1].tobytes()
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+@pytest.mark.parametrize("width", (1, 90))
+def test_split_solve_matches_a_dense_solve(n, width):
+    crack = Crack((0.1, -0.2), 0.05, 0.7)
+    rng = np.random.default_rng(n + width)
+    b = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    for k in BAND_KS:
+        block = CrackSystem(Scene((crack,)), k, QuadratureSpec(n))._self_block(
+            crack, _log_quadrature_matrix(n))
+        got = _split_solve(_split_factor(block), b)
+        want = np.linalg.solve(block, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_lone_crack_evaluates_half_its_self_block(monkeypatch, n):
+    # a lone crack has no cross blocks, so every J0 value is its self block's
+    seen = []
+
+    def counted(z):
+        seen.append(np.size(z))
+        return scipy_j0(z)
+
+    monkeypatch.setattr(forward, "sp_j0", counted)
+    CrackSystem(_single(), 5.0, QuadratureSpec(n))
+    assert sum(seen) == n * n // 2
 
 
 def test_shared_self_blocks_match_reference_assembly(k):

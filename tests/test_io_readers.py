@@ -175,6 +175,19 @@ def test_readers_refuse_a_header_without_data_rows_without_a_warning(tmp_path):
                 read(path)
 
 
+@pytest.mark.parametrize("written, given, line, message", [
+    ("wavenumbers 2", "wavenumbers 2\nwavenumbers 3", "wavenumbers 3", "repeats wavenumbers"),
+    ("N 8", "N 8\nbogus key", "bogus key", "unknown key"),
+    ("F 1", "F 1 junk", "F 1 junk", "F takes one value"),
+], ids=["repeated", "unknown", "extra-token"])
+def test_read_tensor_refuses_a_bad_header_line(tmp_path, written, given, line, message):
+    path = tmp_path / "t.txt"
+    path.write_text(_TENSOR.replace(written + "\n", given + "\n", 1).format("0 0 0 0.5 -0.25"))
+    with pytest.raises(InputMismatchError) as err:
+        cio.read_tensor(path)
+    assert str(err.value) == f"tensor header line {line!r}: {message}"
+
+
 @pytest.mark.parametrize("comment", [" # note", "# note", " #"])
 @pytest.mark.parametrize("template, row", [(_MAP, "0.5,0.25"), (_TENSOR, "0 0 0 0.5 -0.25")],
                          ids=["map", "tensor"])

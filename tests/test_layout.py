@@ -10,11 +10,12 @@ function, class and constant of ``src/crackdsm`` (dunders such as
 ``__version__`` excepted), and each of its modules must use every name it
 imports.
 
-Three more checks keep one implementation each: `forward` uses ``sp_j0`` and
+Four more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, ``.17g``
-appears in `io` only, whose encoder writes every map and tensor row, and
+appears in `io` only, whose encoder writes every map and tensor row,
 ``np.loadtxt`` is called in one function of `io` only, which parses every map
-and tensor data row.
+and tensor data row, and `forward` calls ``lu_factor`` on a self block only
+through its two half-size blocks.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -147,6 +148,19 @@ def test_forward_evaluates_the_hankel_kernel_in_one_function():
     users = {label for label, unit in _units(tree) for node in ast.walk(unit)
              if isinstance(node, ast.Name) and node.id in ("sp_j0", "sp_y0")}
     assert len(users) == 1, f"sp_j0/sp_y0 used in more than one place of forward: {sorted(users)}"
+
+
+def test_forward_factors_self_blocks_only_as_two_halves():
+    # a self block is centrosymmetric and factored as two n/2 blocks in
+    # _split_factor; the one other LU is _factor's, of the capacitance matrix
+    tree = _pipeline()[0][PACKAGE / "forward.py"]
+    users = {label for label, unit in _units(tree) for node in ast.walk(unit)
+             if isinstance(node, ast.Name) and node.id == "lu_factor"}
+    assert users == {"_split_factor", "CrackSystem._factor"}, f"lu_factor used in {sorted(users)}"
+    factor = next(unit for label, unit in _units(tree) if label == "CrackSystem._factor")
+    args = [ast.unparse(node.args[0]) for node in ast.walk(factor)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lu_factor"]
+    assert args == ["cap"], f"_factor calls lu_factor on {args}, not on the capacitance only"
 
 
 def test_only_io_formats_floats_at_17_digits():
