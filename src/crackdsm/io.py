@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -30,14 +31,21 @@ def _fmt(x):
 
 
 def _records(path):
-    """The file's data lines, stripped, without blank lines and # comments;
-    OSError or undecodable bytes -> CrackDsmError."""
+    """(lines, file_line): the file's data lines, stripped, without blank lines
+    and # comments, and a function giving the 1-based file line of lines[i],
+    which scans the text again and so serves error messages only; OSError or
+    undecodable bytes -> CrackDsmError."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CrackDsmError(f"cannot read {path}: {exc}") from None
     lines = (raw.strip() for raw in text.splitlines())
-    return [line for line in lines if line and not line.startswith("#")]
+    kept = [line for line in lines if line and not line.startswith("#")]
+
+    def file_line(i):
+        numbered = enumerate((raw.strip() for raw in text.splitlines()), 1)
+        return [n for n, line in numbered if line and not line.startswith("#")][i]
+    return kept, file_line
 
 
 def _table(lines, delimiter, ncols):
@@ -47,6 +55,23 @@ def _table(lines, delimiter, ncols):
     if not lines:  # loadtxt warns on no data
         return np.empty((0, ncols))
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+
+
+# the end of numpy's two parse errors that name a row: it counts rows from 1
+# in the column-count error and from 0 in the conversion error
+_NUMPY_ROW = re.compile(r" at row (\d+)(?:(, column \d+\.)|; use `usecols` to select a "
+                        r"subset and avoid this error)$")
+
+
+def _on_line(exc, file_line, first):
+    """str(exc), with numpy's ` at row ...` ending replaced by ` on line N`, N
+    the file line of that row; the rows given to _table start at lines[first]."""
+    text = str(exc)
+    match = _NUMPY_ROW.search(text)
+    if match is None:
+        return text
+    row = int(match[1]) - (match[2] is None)
+    return f"{text[:match.start()]} on line {file_line(first + row)}"
 
 
 def atomic_write_chunks(path, chunks):
@@ -91,10 +116,11 @@ def atomic_write_text(path, text):
 # set to 0.  Any other value outside 1e-6 < |v| < 1e16 holds one 0x01 byte,
 # replaced by its %.17g text.  The NUL bytes of a block are removed in one pass.
 
-# Values per block.  The encoder's arrays take about 250 bytes per value, so a
-# block's temporaries stay near 0.5 MB and none reaches glibc's 128 KiB mmap
-# threshold; larger blocks are no faster.
-_BLOCK = 2048
+# Values per block.  The fixed cost of each of a block's numpy calls weighs on
+# small blocks, and large blocks' temporaries outgrow the core's cache.  Per 201^2 map (medians of 15 interleaved in-process runs, 2-core
+# x86-64 VM with 2 MiB of L2 per core): 7.6-8.1 ms at 2048 values, 6.4-6.7 at
+# 4096, 5.7-6.1 at 8192, 7.2-7.5 at 16384 and 9.2-9.6 at 32768.
+_BLOCK = 8192
 _U = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
@@ -118,7 +144,7 @@ _WORD = np.array([[0], [8], [16]])  # first byte of each slot word
 # indexed by byte t + 16 of a word: the bytes below t set, the bytes from t
 # on set, a point at byte t (none at index 0)
 _BELOW = np.array([(1 << 8 * min(max(t, 0), 8)) - 1 for t in range(-16, 32)], _U)
-_FROM = np.array([2**64 - (1 << 8 * min(max(t, 0), 8)) for t in range(-16, 32)], _U)
+_FROM = ~_BELOW
 _POINT = np.array([46 << 8 * t if 0 <= t < 8 else 0 for t in range(-16, 32)], _U)
 _LEAD = np.array([int.from_bytes(b"0" * k, "big") << 8 * (4 - k) for k in range(5)], _U)
 _EXPONENT = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
@@ -145,41 +171,48 @@ def _decimal17(a):
     e = np.maximum(np.floor(np.log10(a)), -6.0).astype(np.int64)
     m = _mantissa17(a, e)
     for _ in range(2):  # log10 may put e one off near a power of ten
-        step = (m >= 10**17).astype(np.int64) - (m < 10**16)
-        redo = np.flatnonzero(step)
+        # m outside [1e16, 1e17), as one unsigned comparison
+        redo = np.flatnonzero((m - 10**16).view(_U) >= 9 * 10**16)
         if redo.size == 0:
             break
-        e[redo] += step[redo]
+        e[redo] += np.where(m[redo] < 10**16, -1, 1)
         m[redo] = _mantissa17(a[redo], e[redo])
     return e, m
 
 
 def _digit_words(m):
-    """(lo, hi, trailing): digits 2-9 and 10-17 of m as ASCII, the first in
-    the low byte, and how many of its 17 digits are trailing zeros."""
-    quads = np.empty((4, m.size), np.int64)  # digits 2-5, 6-9, 10-13 and 14-17
-    quads[0], quads[1] = np.divmod(m // 10**8 % 10**8, 10**4)
-    quads[2], quads[3] = np.divmod(m % 10**8, 10**4)
-    tz, z = _ZEROS4[quads], quads == 0
+    """(first, lo, hi, trailing): the first of m's 17 digits, digits 2-9 and
+    10-17 as ASCII, the first in the low byte, and how many of the 17 digits
+    are trailing zeros.  Remainders are taken as x - (x // c) * c: numpy
+    divides by a scalar integer much faster than it takes % or divmod."""
+    top = m // 10**8
+    first = top // 10**8
+    eights = np.empty((2, m.size), np.int64)  # digits 2-9 and 10-17
+    eights[0] = top - first * 10**8
+    eights[1] = m - top * 10**8
+    quads = np.empty((2, 2, m.size), np.int64)  # digits 2-5, 6-9, 10-13, 14-17
+    quads[:, 0] = eights // 10**4
+    quads[:, 1] = eights - quads[:, 0] * 10**4
+    quads = quads.reshape(4, -1)
+    tz = _ZEROS4[quads]
+    z = tz == 4
     trailing = tz[3] + z[3] * (tz[2] + z[2] * (tz[1] + z[1] * tz[0]))
     d = _DIGITS4[quads]
-    return d[0] | d[1] << 32, d[2] | d[3] << 32, trailing
+    return first, d[0] | d[1] << 32, d[2] | d[3] << 32, trailing
 
 
-def _encode_block(v, sep, row_end):
+def _encode_block(v, sep, ends):
     """The %.17g texts of the values v, each followed by sep, or by a newline
-    where row_end is set, as bytes."""
+    at the indices ends, as bytes."""
     a = np.abs(v)
     fast = (a > 1e-6) & (a < 1e16)
     zero = a == 0.0
-    a[~fast] = 1.0
-    e, m = _decimal17(a)
-    lo, hi, trailing = _digit_words(m)
+    e, m = _decimal17(np.where(fast, a, 1.0))
+    first, lo, hi, trailing = _digit_words(m)
+    first[zero] = 0
     e4 = np.where(e >= -4, e, 0)  # exponent-form values are laid out as e = 0
     before = np.maximum(e4 + 1, 0)  # digits before the point
     shown = np.maximum(before, 17 - trailing)  # digits printed
-    first = m // 10**16
-    first[zero] = 0
     y = np.empty((3, v.size), _U)
     y[0] = (np.where(np.signbit(v), _U(45), _U(0)) | _LEAD[np.maximum(-e4, 0)] << 8
             | (48 + first).astype(_U) << 40 | lo << 48)
@@ -193,17 +226,16 @@ def _encode_block(v, sep, row_end):
     moved &= _FROM[t + 1]
     y |= moved
     y |= _POINT[np.where(shown > before, t, 0)]
-    y[2] |= np.where(row_end, _U(10 << 56), _U(ord(sep) << 56))
     other = np.flatnonzero(~fast & ~zero)
-    y[0, other], y[1, other] = 1 << 8, 0
-    y[2, other] &= 255 << 56
+    y[0, other], y[1, other], y[2, other] = 1 << 8, 0, 0
     slots = np.ascontiguousarray(y.T).view(np.uint8)
     expo = np.flatnonzero(e < -4)
     if expo.size:
         slots[expo, 1:19] = slots[expo, 5:23]
         slots[expo, 19:23] = _EXPONENT[e[expo] + 6]
-    flat = slots.reshape(-1)
-    body = flat[flat != 0].tobytes()
+    slots[:, 23] = ord(sep)
+    slots[ends, 23] = 10
+    body = slots.tobytes().translate(None, b"\0")
     if other.size == 0:
         return body
     texts = [_fmt(x).encode() for x in v[other].tolist()] + [b""]
@@ -217,8 +249,8 @@ def _encode_rows(values, sep):
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]
-        row_end = np.arange(start + 1, start + 1 + block.size) % ncols == 0
-        yield _encode_block(block, sep, row_end)
+        ends = np.arange((ncols - 1 - start) % ncols, block.size, ncols)  # row ends
+        yield _encode_block(block, sep, ends)
 
 
 # ---------------------------------------------------------------- scene files
@@ -244,7 +276,7 @@ def write_scene(path, scene):
 
 def read_scene(path):
     cracks = []
-    for line in _records(path):
+    for line in _records(path)[0]:
         try:
             cx, cy, half, rot = (float(p) for p in line.split())
         except ValueError:
@@ -276,13 +308,13 @@ def read_tensor(path):
     """Parse a tensor file; every (f, l, n) entry must appear exactly once.
 
     Each header key appears once, F, L and N with one value each."""
-    lines = _records(path)
+    lines, file_line = _records(path)
     header = {}
-    rows = []
+    first = len(lines)  # the index of the first data row
     for i, line in enumerate(lines):
         key, _, rest = line.partition(" ")
         if key == "data":
-            rows = lines[i + 1:]
+            first = i + 1
             break
         if key not in ("F", "L", "N", "wavenumbers", "incident_angles"):
             raise InputMismatchError(f"tensor header line {line!r}: unknown key")
@@ -291,6 +323,7 @@ def read_tensor(path):
         header[key] = rest.split()
         if len(header[key]) > 1 and key in ("F", "L", "N"):
             raise InputMismatchError(f"tensor header line {line!r}: {key} takes one value")
+    rows = lines[first:]
     try:
         F, L, N = (int(header[key][0]) for key in ("F", "L", "N"))
         wavenumbers = tuple(float(k) for k in header["wavenumbers"])
@@ -308,7 +341,8 @@ def read_tensor(path):
     except KeyError as exc:
         raise InputMismatchError(f"tensor header lacks {exc}") from None
     except (ValueError, IndexError) as exc:
-        raise InputMismatchError(f"malformed tensor file: {exc}") from None
+        raise InputMismatchError(
+            f"malformed tensor file: {_on_line(exc, file_line, first)}") from None
     cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
     if (F, L) != (cfg.n_freq, cfg.n_incident):
         raise InputMismatchError(f"header F={F}, L={L} disagree with its wavenumbers/angles")
@@ -363,12 +397,12 @@ def write_map_csv(path, imap):
 
 
 def read_map_csv(path):
-    lines = _records(path)
+    lines, file_line = _records(path)
     try:
         grid = parse_grid(lines[0])
         values = _table(lines[1:], ",", grid.nx)
     except (ValueError, IndexError) as exc:
-        raise InputMismatchError(f"malformed map file: {exc}") from None
+        raise InputMismatchError(f"malformed map file: {_on_line(exc, file_line, 1)}") from None
     if values.shape != grid.shape:
         raise InputMismatchError(
             f"map data shape {values.shape} does not match header {grid.shape}")

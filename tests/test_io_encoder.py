@@ -88,11 +88,31 @@ def test_encoder_zeros_limits_and_non_finite_values():
     _assert_rows_match(np.reshape(values, (-1, 1)), " ")
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 20000), (50, 211), (211, 50)])
+_B = cio._BLOCK
+
+
+# the last three: rows that end at a block end, rows across a block end, and
+# one row over three blocks
+@pytest.mark.parametrize("shape", [(1, 1), (3, 20000), (50, 211), (211, 50),
+                                   (4, _B // 2), (3, _B // 2 + 1), (1, 2 * _B + 3)])
 def test_encoder_rows_across_blocks(shape):
     # rows that start, end or lie across the encoder's blocks of values
     values = np.random.default_rng(shape[1]).random(shape) ** 3
     _assert_rows_match(values)
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+def test_encoder_five_columns_with_special_values_at_block_edges(sep):
+    # five-value rows, as write_tensor writes them, over three blocks; values
+    # outside 1e-6 < |v| < 1e16 at the first and last value of each block,
+    # inside it and in a run across a row end
+    values = np.random.default_rng(23).standard_normal(5 * (3 * _B // 5 + 1)) * 1e3
+    specials = [1e-300, 1e300, np.inf, -np.inf, np.nan, 5e-324]
+    for k, start in enumerate(range(0, 3 * _B, _B)):
+        at = [start, start + _B - 1, start + _B // 3, start + _B // 2]
+        values[at] = [specials[(k + i) % len(specials)] for i in range(len(at))]
+    values[_B + 7:_B + 13] = specials
+    _assert_rows_match(values.reshape(-1, 5), sep)
 
 
 def test_write_tensor_rows_are_the_value_by_value_format(tmp_path):

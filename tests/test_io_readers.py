@@ -196,6 +196,30 @@ def test_readers_refuse_an_inline_comment_after_data(tmp_path, comment, template
         _read(tmp_path / "f.txt", template, row + comment)
 
 
+# a comment line before the bad row, so that its data row and file line differ
+_BAD_MAP = "# indicator-map-csv v1\n0,1,0,1,2,2\n0.5,0.25\n# note\n\n{}\n"
+_BAD_TENSOR = ("F 1\nL 1\nN 2\nwavenumbers 2\nincident_angles 0\ndata f l n re im\n"
+               "0 0 0 0.5 -0.25\n# note\n{}\n")
+
+
+@pytest.mark.parametrize("template, row, message", [
+    (_BAD_MAP, "1", "malformed map file: the number of columns changed from 2 to 1 on line 6"),
+    (_BAD_MAP, "1,x", "malformed map file: could not convert string 'x' to float64 on line 6"),
+    (_BAD_TENSOR, "0 0 1 0.5",
+     "malformed tensor file: the number of columns changed from 5 to 4 on line 9"),
+    (_BAD_TENSOR, "0 0 1 0.5 x",
+     "malformed tensor file: could not convert string 'x' to float64 on line 9"),
+], ids=["map-columns", "map-value", "tensor-columns", "tensor-value"])
+def test_reader_errors_name_the_file_line(tmp_path, template, row, message):
+    path = tmp_path / "f.txt"
+    path.write_text(template.format(row))
+    read = cio.read_map_csv if template is _BAD_MAP else cio.read_tensor
+    with pytest.raises(InputMismatchError) as err:
+        read(path)
+    assert str(err.value) == message
+    assert "usecols" not in str(err.value)
+
+
 # decimal literals of up to 30 significant digits, over the whole float range
 # and past it, and the shortest and 17-digit texts of any finite float
 _literal = st.one_of(
