@@ -2,13 +2,14 @@
 
 All writers are atomic (temp file + rename) and deterministic: floats use
 %.17g so write -> read -> write round-trips byte-identically.  Map and tensor
-rows are encoded without a formatter call per value.  For 1e-6 < |v| < 1e16 the
-17 digits are |v| * 10**(16 - e) with e in [-6, 16], so the factor <= 1e22 is
-exact; Dekker's two-product keeps the product exact until it is rounded half to
-even, as %.17g rounds.
+rows are encoded without a formatter call per value.  For 1e-4 <= |v| < 1e16,
+which %.17g writes in fixed form, the 17 digits are |v| * 10**(16 - e) with e
+in [-4, 15], or one off from log10, so the factor <= 1e21 is exact; Dekker's
+two-product keeps the product exact until it is rounded half to even, as %.17g
+rounds.  Exponent forms, rare in maps, are written by %.17g itself.
 
-Map and tensor data rows are read back by one np.loadtxt call (`_table`),
-whose parser rounds as float() does."""
+Scene rows and map and tensor data rows are read back by one np.loadtxt call
+(`_table`), whose parser rounds as float() does."""
 
 from __future__ import annotations
 
@@ -33,18 +34,18 @@ def _fmt(x):
 def _records(path):
     """(lines, file_line): the file's data lines, stripped, without blank lines
     and # comments, and a function giving the 1-based file line of lines[i],
-    which scans the text again and so serves error messages only; OSError or
-    undecodable bytes -> CrackDsmError."""
+    which scans the lines again and so serves error messages only; OSError or
+    undecodable bytes -> CrackDsmError.  Lines end at "\n" only: read_text
+    turns "\r\n" and "\r" into it, and no other character ends a line."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CrackDsmError(f"cannot read {path}: {exc}") from None
-    lines = (raw.strip() for raw in text.splitlines())
+    lines = [raw.strip() for raw in text.split("\n")]
     kept = [line for line in lines if line and not line.startswith("#")]
 
     def file_line(i):
-        numbered = enumerate((raw.strip() for raw in text.splitlines()), 1)
-        return [n for n, line in numbered if line and not line.startswith("#")][i]
+        return [n for n, line in enumerate(lines, 1) if line and not line.startswith("#")][i]
     return kept, file_line
 
 
@@ -106,15 +107,16 @@ def atomic_write_text(path, text):
 # holds its text with NUL bytes where %.17g has no character:
 #   byte 0       "-" for a negative value
 #   bytes 1-4    the zeros %.17g shows before the first digit (as many as -e
-#                for -4 <= e < 0, where e is the decimal exponent)
+#                for e < 0, where e >= -4 is the decimal exponent)
 #   byte 5       the first of the 17 digits; bytes 6-21 the other 16, trailing
 #                zeros after the point set to NUL
-#   then a point (or NUL) goes in at byte 6 + e, 6 for e < -4, and moves the
-#   bytes after it on by one; byte 23 is the separator or the newline.
-# For e < -4 the first digit, point and 16 digits move to bytes 1-18 and
-# "e-05" or "e-06" fills bytes 19-22.  Zero is laid out as 1, its digit then
-# set to 0.  Any other value outside 1e-6 < |v| < 1e16 holds one 0x01 byte,
-# replaced by its %.17g text.  The NUL bytes of a block are removed in one pass.
+#   then a point (or NUL) goes in at byte 6 + e and moves the bytes after it
+#   on by one; byte 23 is the separator or the newline.
+# Zero is laid out as 1, its digit then set to 0.  Any other value outside
+# 1e-4 <= |v| < 1e16 holds one 0x01 byte, replaced by its %.17g text: all
+# exponent forms, which are rare in maps (42 of the 202,005 values that the
+# paper's maps hold at seed 0).  The NUL bytes of a block are removed in one
+# pass.
 
 # Values per block.  The fixed cost of each of a block's numpy calls weighs on
 # small blocks, and large blocks' temporaries outgrow the core's cache.  Per 201^2 map (medians of 15 interleaved in-process runs, 2-core
@@ -147,7 +149,6 @@ _BELOW = np.array([(1 << 8 * min(max(t, 0), 8)) - 1 for t in range(-16, 32)], _U
 _FROM = ~_BELOW
 _POINT = np.array([46 << 8 * t if 0 <= t < 8 else 0 for t in range(-16, 32)], _U)
 _LEAD = np.array([int.from_bytes(b"0" * k, "big") << 8 * (4 - k) for k in range(5)], _U)
-_EXPONENT = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
 
 
 def _mantissa17(a, e):
@@ -167,8 +168,8 @@ def _mantissa17(a, e):
 
 def _decimal17(a):
     """(e, m) with m in [1e16, 1e17) the 17 digits of a, rounded half to even,
-    and e its decimal exponent, for 1e-6 < a < 1e16."""
-    e = np.maximum(np.floor(np.log10(a)), -6.0).astype(np.int64)
+    and e its decimal exponent, for 1e-4 <= a < 1e16."""
+    e = np.floor(np.log10(a)).astype(np.int64)
     m = _mantissa17(a, e)
     for _ in range(2):  # log10 may put e one off near a power of ten
         # m outside [1e16, 1e17), as one unsigned comparison
@@ -205,23 +206,22 @@ def _encode_block(v, sep, ends):
     """The %.17g texts of the values v, each followed by sep, or by a newline
     at the indices ends, as bytes."""
     a = np.abs(v)
-    fast = (a > 1e-6) & (a < 1e16)
+    fast = (a >= 1e-4) & (a < 1e16)
     zero = a == 0.0
     e, m = _decimal17(np.where(fast, a, 1.0))
     first, lo, hi, trailing = _digit_words(m)
     first[zero] = 0
-    e4 = np.where(e >= -4, e, 0)  # exponent-form values are laid out as e = 0
-    before = np.maximum(e4 + 1, 0)  # digits before the point
+    before = np.maximum(e + 1, 0)  # digits before the point
     shown = np.maximum(before, 17 - trailing)  # digits printed
     y = np.empty((3, v.size), _U)
-    y[0] = (np.where(np.signbit(v), _U(45), _U(0)) | _LEAD[np.maximum(-e4, 0)] << 8
+    y[0] = (np.where(np.signbit(v), _U(45), _U(0)) | _LEAD[np.maximum(-e, 0)] << 8
             | (48 + first).astype(_U) << 40 | lo << 48)
     y[1] = lo >> 16 | hi << 48
     y[2] = hi >> 16
     y &= _BELOW[5 + shown + 16 - _WORD]
     moved = y << 8
     moved[1:] |= y[:-1] >> 56
-    t = 6 + e4 + 16 - _WORD
+    t = 6 + e + 16 - _WORD
     y &= _BELOW[t]
     moved &= _FROM[t + 1]
     y |= moved
@@ -229,10 +229,6 @@ def _encode_block(v, sep, ends):
     other = np.flatnonzero(~fast & ~zero)
     y[0, other], y[1, other], y[2, other] = 1 << 8, 0, 0
     slots = np.ascontiguousarray(y.T).view(np.uint8)
-    expo = np.flatnonzero(e < -4)
-    if expo.size:
-        slots[expo, 1:19] = slots[expo, 5:23]
-        slots[expo, 19:23] = _EXPONENT[e[expo] + 6]
     slots[:, 23] = ord(sep)
     slots[ends, 23] = 10
     body = slots.tobytes().translate(None, b"\0")
@@ -275,14 +271,14 @@ def write_scene(path, scene):
 
 
 def read_scene(path):
-    cracks = []
-    for line in _records(path)[0]:
-        try:
-            cx, cy, half, rot = (float(p) for p in line.split())
-        except ValueError:
-            raise InputMismatchError(f"bad scene line: {line!r}") from None
-        cracks.append(Crack((cx, cy), half, rot))
-    return Scene(tuple(cracks))
+    lines, file_line = _records(path)
+    try:
+        rows = _table(lines, None, 4)
+        if rows.shape[1] != 4:
+            raise ValueError(f"scene rows have {rows.shape[1]} fields, not 4")
+    except ValueError as exc:
+        raise InputMismatchError(f"malformed scene file: {_on_line(exc, file_line, 0)}") from None
+    return Scene(tuple(Crack((cx, cy), half, rot) for cx, cy, half, rot in rows.tolist()))
 
 
 # --------------------------------------------------------------- tensor files

@@ -53,21 +53,6 @@ class Scene:
             raise SceneError("crack centers must be pairwise distinct")
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed hard scene check."""
-
-    kind: str
-    subjects: tuple
-    value: float
-    threshold: float
-
-    def __str__(self):
-        who = "/".join(str(s) for s in self.subjects)
-        return (f"[error] {self.kind} for crack(s) {who}: "
-                f"value {self.value:.6g} vs threshold {self.threshold:.6g}")
-
-
 def crack_tangent(crack):
     """Unit tangent [cos phi, sin phi]."""
     return np.array([math.cos(crack.rotation), math.sin(crack.rotation)])
@@ -88,7 +73,8 @@ def check_scaled_scene(scene, k):
 
 
 def validate_scene(scene, k):
-    """The list of violations of separation (k*dist > 3/4) and crack size (k*l < 2).
+    """The messages of the violations of separation (k*dist > 3/4) and crack
+    size (k*l < 2), each "[error] <check> for crack(s) <i>[/<j>]: value ...".
 
     Raises instead when k is not finite or a crack lies beyond KX_HARD."""
     check_scaled_scene(scene, k)
@@ -98,11 +84,13 @@ def validate_scene(scene, k):
         for j in range(i + 1, len(centers)):
             kd = k * float(np.linalg.norm(centers[i] - centers[j]))
             if kd <= SEPARATION_HARD:
-                out.append(Violation("separation", (i, j), kd, SEPARATION_HARD))
+                out.append(f"[error] separation for crack(s) {i}/{j}: "
+                           f"value {kd:.6g} vs threshold {SEPARATION_HARD:.6g}")
     for m, crack in enumerate(scene.cracks):
         kl = k * crack.half_length
         if kl >= KL_HARD:
-            out.append(Violation("crack-size", (m,), kl, KL_HARD))
+            out.append(f"[error] crack-size for crack(s) {m}: "
+                       f"value {kl:.6g} vs threshold {KL_HARD:.6g}")
     return out
 
 
@@ -110,4 +98,4 @@ def require_valid(scene, k):
     """Raise SceneError when any hard violation is present."""
     bad = validate_scene(scene, k)
     if bad:
-        raise SceneError("; ".join(str(v) for v in bad))
+        raise SceneError("; ".join(bad))

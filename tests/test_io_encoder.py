@@ -31,8 +31,9 @@ def _from_bits(sign, exponent, fraction):
     return np.array([(sign << 63) | (exponent << 52) | fraction], np.uint64).view(float)[0]
 
 
-# any finite bit pattern, with half of the exponents drawn near the encoder's
-# fast range 1e-6 < |v| < 1e16 (binary exponents -20 to 53)
+# any finite bit pattern, with half of the binary exponents drawn from -20 to
+# 53: the encoder's fast range 1e-4 <= |v| < 1e16 (-14 to 53) and the exponent
+# forms just below it
 _finite = st.builds(_from_bits, st.integers(0, 1),
                     st.one_of(st.integers(0, 2046), st.integers(1003, 1076)),
                     st.integers(0, 2**52 - 1))
@@ -104,7 +105,7 @@ def test_encoder_rows_across_blocks(shape):
 @pytest.mark.parametrize("sep", [" ", ","])
 def test_encoder_five_columns_with_special_values_at_block_edges(sep):
     # five-value rows, as write_tensor writes them, over three blocks; values
-    # outside 1e-6 < |v| < 1e16 at the first and last value of each block,
+    # outside 1e-4 <= |v| < 1e16 at the first and last value of each block,
     # inside it and in a run across a row end
     values = np.random.default_rng(23).standard_normal(5 * (3 * _B // 5 + 1)) * 1e3
     specials = [1e-300, 1e300, np.inf, -np.inf, np.nan, 5e-324]

@@ -1,10 +1,10 @@
-"""The map and tensor readers on text they did not write.
+"""The scene, map and tensor readers on text they did not write.
 
-`io.read_map_csv` and `io.read_tensor` read files from outside the program.
-Whatever the text, each either returns or raises `CrackDsmError`; a map it
-returns is finite and lies in [0, 1].  Their data rows go through numpy's
-parser (`io._table`), which rounds as float() does; the inputs on which the
-two disagree are pinned one by one below.
+`io.read_scene`, `io.read_map_csv` and `io.read_tensor` read files from
+outside the program.  Whatever the text, each either returns or raises
+`CrackDsmError`; a map it returns is finite and lies in [0, 1].  Their data
+rows go through numpy's parser (`io._table`), which rounds as float() does;
+the inputs on which the two disagree are pinned one by one below.
 """
 
 import re
@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 from crackdsm import io as cio
 from crackdsm.errors import CrackDsmError, InputMismatchError
 from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
+from crackdsm.scene import Crack, Scene
 
 
 @pytest.fixture(scope="module")
 def valid_texts(tmp_path_factory):
-    """(reader, text) for a small map and a small tensor, as the writers give
-    them: zeros, ones, exponent forms, negative zeros and subnormals."""
+    """(reader, text) for a small map, a small tensor and a two-crack scene,
+    as the writers give them: zeros, ones, exponent forms, negative zeros and
+    subnormals."""
     tmp = tmp_path_factory.mktemp("valid")
     values = np.array([[0.0, 1.0, 0.5, 1e-300], [0.25, 3e-7, 0.125, 0.999]])
     cio.write_map_csv(tmp / "map.csv", IndicatorMap(ImagingGrid(-1, 1, 0, 2.5, 4, 2), values))
@@ -32,8 +34,11 @@ def valid_texts(tmp_path_factory):
     field[0, 0, :3] = [-0.0, 5e-324, complex(1e20, -0.0)]
     cfg = AcquisitionConfig((3.0, 4.5), 8, (0.25,))
     cio.write_tensor(tmp / "tensor.txt", FarFieldTensor(field, cfg))
+    cio.write_scene(tmp / "scene.txt", Scene((Crack((-0.0, 0.25), 0.05, 1e-7),
+                                              Crack((0.6, -2e-5), 3e-7, -0.3))))
     return [(cio.read_map_csv, (tmp / "map.csv").read_text()),
-            (cio.read_tensor, (tmp / "tensor.txt").read_text())]
+            (cio.read_tensor, (tmp / "tensor.txt").read_text()),
+            (cio.read_scene, (tmp / "scene.txt").read_text())]
 
 
 # tokens a mutation may put in place of a field or a line
@@ -72,7 +77,7 @@ def _mutate(text, draw):
     return "".join(pieces[:at] + new + pieces[at + 1:])
 
 
-@given(data=st.data(), which=st.sampled_from([0, 1]), count=st.integers(1, 3))
+@given(data=st.data(), which=st.sampled_from([0, 1, 2]), count=st.integers(1, 3))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_readers_return_or_refuse_mutated_files(tmp_path_factory, valid_texts, data, which,
                                                 count):
@@ -89,9 +94,11 @@ def test_readers_return_or_refuse_mutated_files(tmp_path_factory, valid_texts, d
         assert got.values.shape == got.grid.shape
         assert np.all(np.isfinite(got.values))
         assert np.all((got.values >= 0.0) & (got.values <= 1.0))
-    else:
+    elif isinstance(got, FarFieldTensor):
         cfg = got.config
         assert got.values.shape == (cfg.n_freq, cfg.n_incident, cfg.n_obs)
+    else:
+        assert isinstance(got, Scene)
 
 
 def test_tensor_round_trip_keeps_signed_zeros(tmp_path):
@@ -108,27 +115,30 @@ def test_tensor_round_trip_keeps_signed_zeros(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# a 2x2 map and a 1x1x8 tensor, as text, with their first data row given
+# a 2x2 map, a 1x1x8 tensor and a two-crack scene, as text, with their first
+# data row given
 _MAP = "# indicator-map-csv v1\n0,1,0,1,2,2\n{}\n1,0\n"
 _TENSOR = ("F 1\nL 1\nN 8\nwavenumbers 2\nincident_angles 0\ndata f l n re im\n{}\n"
            + "".join(f"0 0 {n} 0.5 -0.25\n" for n in range(1, 8)))
+_SCENE = "# crack scene\n{}\n1 1 0.05 0\n"
 
 
 def _read(path, template, first_row):
     path.write_text(template.format(first_row))
-    read = cio.read_map_csv if template is _MAP else cio.read_tensor
-    return read(path)
+    read = {_MAP: cio.read_map_csv, _TENSOR: cio.read_tensor, _SCENE: cio.read_scene}
+    return read[template](path)
 
 
 # float() reads 0.1_2 as 0.12 and Arabic-Indic or full-width digits as ASCII
 # ones; numpy's parser takes neither
 @pytest.mark.parametrize("value", ["0.1_2", "\u0660.\u0665", "\uff10.\uff15"],
                          ids=["underscore", "arabic-indic", "full-width"])
-@pytest.mark.parametrize("template, row", [(_MAP, "{},0.25"), (_TENSOR, "0 0 0 {} 0")],
-                         ids=["map", "tensor"])
+@pytest.mark.parametrize("template, row", [(_MAP, "{},0.25"), (_TENSOR, "0 0 0 {} 0"),
+                                           (_SCENE, "0 0 {} 0")],
+                         ids=["map", "tensor", "scene"])
 def test_readers_refuse_values_only_float_accepts(tmp_path, value, template, row):
     assert 0.0 < float(value) < 1.0
-    with pytest.raises(InputMismatchError, match="^malformed (map|tensor) file: "):
+    with pytest.raises(InputMismatchError, match="^malformed (map|tensor|scene) file: "):
         _read(tmp_path / "f.txt", template, row.format(value))
 
 
@@ -189,10 +199,11 @@ def test_read_tensor_refuses_a_bad_header_line(tmp_path, written, given, line, m
 
 
 @pytest.mark.parametrize("comment", [" # note", "# note", " #"])
-@pytest.mark.parametrize("template, row", [(_MAP, "0.5,0.25"), (_TENSOR, "0 0 0 0.5 -0.25")],
-                         ids=["map", "tensor"])
+@pytest.mark.parametrize("template, row", [(_MAP, "0.5,0.25"), (_TENSOR, "0 0 0 0.5 -0.25"),
+                                           (_SCENE, "0 0 0.05 0")],
+                         ids=["map", "tensor", "scene"])
 def test_readers_refuse_an_inline_comment_after_data(tmp_path, comment, template, row):
-    with pytest.raises(InputMismatchError, match="^malformed (map|tensor) file: "):
+    with pytest.raises(InputMismatchError, match="^malformed (map|tensor|scene) file: "):
         _read(tmp_path / "f.txt", template, row + comment)
 
 
@@ -200,6 +211,7 @@ def test_readers_refuse_an_inline_comment_after_data(tmp_path, comment, template
 _BAD_MAP = "# indicator-map-csv v1\n0,1,0,1,2,2\n0.5,0.25\n# note\n\n{}\n"
 _BAD_TENSOR = ("F 1\nL 1\nN 2\nwavenumbers 2\nincident_angles 0\ndata f l n re im\n"
                "0 0 0 0.5 -0.25\n# note\n{}\n")
+_BAD_SCENE = "# crack scene\n0 0 0.05 0\n# note\n\n{}\n"
 
 
 @pytest.mark.parametrize("template, row, message", [
@@ -209,15 +221,56 @@ _BAD_TENSOR = ("F 1\nL 1\nN 2\nwavenumbers 2\nincident_angles 0\ndata f l n re i
      "malformed tensor file: the number of columns changed from 5 to 4 on line 9"),
     (_BAD_TENSOR, "0 0 1 0.5 x",
      "malformed tensor file: could not convert string 'x' to float64 on line 9"),
-], ids=["map-columns", "map-value", "tensor-columns", "tensor-value"])
+    (_BAD_SCENE, "1 0 0.05",
+     "malformed scene file: the number of columns changed from 4 to 3 on line 5"),
+    # float() reads 1_0 as 10
+    (_BAD_SCENE, "1_0 0 0.05 0",
+     "malformed scene file: could not convert string '1_0' to float64 on line 5"),
+], ids=["map-columns", "map-value", "tensor-columns", "tensor-value", "scene-columns",
+        "scene-underscore"])
 def test_reader_errors_name_the_file_line(tmp_path, template, row, message):
     path = tmp_path / "f.txt"
     path.write_text(template.format(row))
-    read = cio.read_map_csv if template is _BAD_MAP else cio.read_tensor
+    read = {_BAD_MAP: cio.read_map_csv, _BAD_TENSOR: cio.read_tensor,
+            _BAD_SCENE: cio.read_scene}[template]
     with pytest.raises(InputMismatchError) as err:
         read(path)
     assert str(err.value) == message
     assert "usecols" not in str(err.value)
+
+
+# str.splitlines would also end a line at a form feed or at \x1c
+@pytest.mark.parametrize("text, message", [
+    (_BAD_MAP.replace("v1\n", "v1\x0c note\n").format("1,x"),
+     "malformed map file: could not convert string 'x' to float64 on line 6"),
+    (_BAD_MAP.format("0.5,0.25\x1c0.75"),
+     r"malformed map file: could not convert string '0.25\x1c0.75' to float64 on line 6"),
+], ids=["form-feed-in-comment", "x1c-in-row"])
+def test_reader_lines_end_at_newline_only(tmp_path, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(InputMismatchError) as err:
+        cio.read_map_csv(path)
+    assert str(err.value) == message
+    path.write_text(_MAP.replace("v1\n", "v1\x0c note\n").format("0.5,0.25"))
+    assert np.array_equal(cio.read_map_csv(path).values, [[0.5, 0.25], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("row, fields", [("1 0 0.05", 3), ("1 0 0.05 0 1", 5)])
+def test_read_scene_refuses_rows_without_four_fields(tmp_path, row, fields):
+    path = tmp_path / "s.txt"
+    path.write_text(f"# crack scene\n{row}\n")
+    with pytest.raises(InputMismatchError) as err:
+        cio.read_scene(path)
+    assert str(err.value) == f"malformed scene file: scene rows have {fields} fields, not 4"
+
+
+def test_read_scene_takes_a_scene_without_cracks_without_a_warning(tmp_path):
+    path = tmp_path / "s.txt"
+    cio.write_scene(path, Scene(()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cio.read_scene(path) == Scene(())
 
 
 # decimal literals of up to 30 significant digits, over the whole float range

@@ -13,9 +13,9 @@ imports.
 Four more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, ``.17g``
 appears in `io` only, whose encoder writes every map and tensor row,
-``np.loadtxt`` is called in one function of `io` only, which parses every map
-and tensor data row, and `forward` calls ``lu_factor`` on a self block only
-through its two half-size blocks.
+``np.loadtxt`` is called in one function of `io` only, which parses every
+scene row and every map and tensor data row, and `forward` calls
+``lu_factor`` on a self block only through its two half-size blocks.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -170,7 +170,7 @@ def test_only_io_formats_floats_at_17_digits():
 
 
 def test_one_io_function_parses_data_rows_with_loadtxt():
-    # the map and tensor readers share one parser for their data rows
+    # the scene, map and tensor readers share one parser for their data rows
     trees = _pipeline()[0]
     users = sorted({f"{path.stem}.{label}" for path in sorted(PACKAGE.glob("*.py"))
                     for label, unit in _units(trees[path])

@@ -69,8 +69,8 @@ def test_validate_scene_separation_violation():
     sc = Scene((Crack((0, 0), 0.01, 0.0), Crack((0.05, 0), 0.01, 0.3)))
     out = validate_scene(sc, 10.0)  # k * dist = 0.5 < 3/4
     assert len(out) == 1
-    assert str(out[0]).startswith("[error] separation for crack(s) 0/1: value 0.5 ")
-    assert out[0].value == pytest.approx(0.5)
+    # the value to 6 significant digits
+    assert out[0].startswith("[error] separation for crack(s) 0/1: value 0.5 ")
 
 
 def test_validate_scene_size_error():
@@ -78,8 +78,7 @@ def test_validate_scene_size_error():
     assert validate_scene(Scene((Crack((0, 0), 0.07, 0.0),)), k) == []  # k*l = 0.7
     hard = Scene((Crack((0, 0), 0.25, 0.0),))  # k*l = 2.5
     out = validate_scene(hard, k)
-    assert [v.kind for v in out] == ["crack-size"]
-    assert str(out[0]) == "[error] crack-size for crack(s) 0: value 2.5 vs threshold 2"
+    assert out == ["[error] crack-size for crack(s) 0: value 2.5 vs threshold 2"]
 
 
 def test_validate_scene_rejects_bad_wavenumber():
@@ -128,8 +127,14 @@ def test_validation_order_invariant():
               Crack((2, 2), 0.3, 0.2))
     fwd = validate_scene(Scene(cracks), k)
     rev = validate_scene(Scene(cracks[::-1]), k)
-    assert sorted((v.kind, round(v.value, 12)) for v in fwd) == \
-        sorted((v.kind, round(v.value, 12)) for v in rev)
+
+    def renumbered(message):  # crack i of the reversed scene is crack 2 - i
+        head, _, tail = message.partition(": ")
+        check, _, who = head.rpartition(" ")
+        who = "/".join(str(i) for i in sorted(2 - int(i) for i in who.split("/")))
+        return f"{check} {who}: {tail}"
+    assert len(fwd) == 2
+    assert sorted(fwd) == sorted(map(renumbered, rev))
 
 
 def test_geometry_and_imaging_import_without_scipy(tmp_path, three_cracks):
