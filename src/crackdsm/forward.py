@@ -28,6 +28,14 @@ from crack p's m_p coarse nodes to its n nodes.  m_p is chosen from the data
 with D the self blocks, is solved by the Woodbury identity through the
 split self-block LUs and one LU of a small capacitance matrix.
 
+A plane wave along a straight crack, e^{i k h sigma t.d}, is an entire function
+of sigma with Chebyshev coefficients 2 i^j J_j(k h t.d) (Jacobi-Anger), so m_p
+is also at least the size at which every such wave interpolates from the
+coarse nodes to within 2^-53 (`_wave_size`).  The incident data and the
+observed waves are then U g for their coarse samples g, and the far field is
+evaluated in the coarse space: one solve with the capacitance LU per system
+and no exponential at the n nodes (`CrackSystem.far_field`).
+
 Every block carries the weight h_q of its column crack and the kernel is
 symmetric, so A = S H with S complex-symmetric and H = diag(h), h the half-length
 of each node's crack: A^-T = H A^-1 H^-1, and one Woodbury solve serves A and A^T.
@@ -49,8 +57,9 @@ from .scene import crack_tangent, require_valid
 
 _EULER_GAMMA = 0.5772156649015328606
 _RCOND_FLOOR = 1e-13
-_FIRST_RANK = 8          # first coarse size tried per crack pair
+_FIRST_RANK = 16         # first coarse size tried per crack
 _TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off stalls near 2e-15
+_LOG_WAVE_TOL = -53.0 * math.log(2.0)   # log of the plane-wave interpolation error allowed
 _SAFE_MIN = np.finfo(float).tiny
 
 
@@ -118,6 +127,26 @@ def _interpolation_matrix(n, m):
     u = np.cos(np.outer(ang, np.arange(m))) @ _dct_matrix(m)
     u.flags.writeable = False
     return u
+
+
+def _wave_size(n, kh):
+    """Smallest m = _FIRST_RANK 2^j whose m Chebyshev points interpolate every
+    plane wave e^{i a sigma}, |a| <= kh, to within 2^-53; n if that is n or more.
+
+    The Chebyshev coefficients of e^{i a sigma} are 2 i^j J_j(a) (Jacobi-Anger)
+    and |J_j(a)| <= (a/2)^j / j!.  Interpolation at m points aliases the
+    coefficients of degree j >= m onto lower degrees, so the error is at most
+    4 sum_{j>=m} (kh/2)^j / j! <= 4 (kh/2)^m / (m! (1 - r)), r = kh / 2(m + 1),
+    evaluated in logs so that no n or kh overflows.
+    """
+    m = _FIRST_RANK
+    while m < n:
+        r = kh / (2.0 * (m + 1))
+        if r < 1.0 and (math.log(4.0) + m * math.log(kh / 2.0) - math.lgamma(m + 1)
+                        - math.log1p(-r)) < _LOG_WAVE_TOL:
+            break
+        m *= 2
+    return min(m, n)
 
 
 def _crack_nodes(crack, m):
@@ -204,9 +233,13 @@ class CrackSystem:
     blocks (`_split_factor`), U = blockdiag(U_p) the per-crack interpolation
     bases and M the cross kernel at the coarse nodes.  Solves go through the
     Woodbury identity, those with A^T too: A = S H gives A^-T = H A^-1 H^-1,
-    H = diag(h) the per-node half-lengths.  ``rcond`` is 1/(||A||_1 est
-    ||A^-1||_1), with ||A||_1 exact and ||A^-1||_1 a Hager-Higham estimate (1 if
-    the scene is empty).
+    H = diag(h) the per-node half-lengths.  The far field solves with the
+    capacitance LU alone: its data lie in the range of U, so it is evaluated
+    at the coarse nodes, held in the order of the capacitance rows (grouped
+    by half-length and basis size, not by crack).  ``rcond`` is
+    1/(||A||_1 est ||A^-1||_1), with ||A||_1 exact and ||A^-1||_1 a
+    Hager-Higham estimate (1 if the scene is empty), whose sign vectors are
+    not smooth and so go through the full Woodbury solve.
     """
 
     def __init__(self, scene, k, quad=QuadratureSpec()):
@@ -247,17 +280,21 @@ class CrackSystem:
         return np.concatenate([top, top[::-1, ::-1]])
 
     def _basis_sizes(self):
-        """Basis size m_p per crack, the largest its pairs need.
+        """Basis size m_p per crack: the largest its pairs need, and at least
+        the size at which its plane waves interpolate exactly.
 
         Block (p, q) is c h_q K(x_i, y_j), K = i H0(k|x - y|), on a tensor grid
         of a smooth kernel, so it equals U_p M_pq U_q^T with M_pq = c h_q K at
         the coarse nodes once the Chebyshev coefficients of the m x m samples
         of K have a negligible tail.  m doubles from _FIRST_RANK; a pair still
-        unresolved below n takes n.  A lone crack takes _FIRST_RANK: its rows
-        of M are zero, so its capacitance block is I.
+        unresolved below n takes n.  The far field is evaluated in the coarse
+        space, so every incident and observed wave e^{ik d.x} must equal its
+        interpolant U_p g to within 2^-53: `_wave_size` at k h_p.  A lone
+        crack takes that size alone; its rows of M are zero, so its
+        capacitance block is I.  A size of n is exact, as U_p = I.
         """
         n, cracks = self.n, self.scene.cracks
-        pair_sizes = {}
+        sizes = [_wave_size(n, self.k * crack.half_length) for crack in cracks]
         for p, q in _pairs(self.m_cracks):
             m = _FIRST_RANK
             while m < n:
@@ -265,9 +302,8 @@ class CrackSystem:
                 if _chebyshev_tail(kern) < _TAIL_TOL:
                     break
                 m *= 2
-            pair_sizes[p, q] = min(m, n)
-        return [max((m for pair, m in pair_sizes.items() if p in pair), default=_FIRST_RANK)
-                for p in range(self.m_cracks)]
+            sizes[p], sizes[q] = max(sizes[p], min(m, n)), max(sizes[q], min(m, n))
+        return sizes
 
     def _factor(self, logmat):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
@@ -285,6 +321,12 @@ class CrackSystem:
             offset = slices[-1].stop
         bases = [_interpolation_matrix(n, m) for m in sizes]
         nodes = [_crack_nodes(crack, m) for crack, m in zip(cracks, sizes)]
+        # The coarse nodes and their far-field weights h pi/n, in the order of
+        # the capacitance rows.
+        self._coarse, self._weights = np.empty((offset, 2)), np.empty(offset)
+        for p, crack in enumerate(cracks):
+            self._coarse[rows[p]] = nodes[p]
+            self._weights[rows[p]] = crack.half_length * math.pi / n
         cap = np.zeros((offset, offset), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
         colsum = np.zeros((mc, n))
@@ -308,11 +350,11 @@ class CrackSystem:
             colsum[group] += np.abs(blocks[half]).sum(axis=0)
             basis, lu = bases[group[0]], lus[half]
             v = _split_solve(lu, basis)                                      # D_p^-1 U_p
+            b = _real_left(basis.T, v)                                       # B_p = U_p^T D_p^-1 U_p
             m_rows = cap[gslice].copy()
-            cap[gslice] = np.matmul(_real_left(basis.T, v),                  # U_p^T D_p^-1 U_p
-                                    m_rows.reshape(len(group), m, -1)).reshape(len(m_rows), -1)
+            cap[gslice] = np.matmul(b, m_rows.reshape(len(group), m, -1)).reshape(len(m_rows), -1)
             cap[gslice, gslice] += np.eye(len(m_rows))
-            self._groups.append((group, gslice, basis, lu, v, m_rows))
+            self._groups.append((group, gslice, basis, lu, v, b, m_rows))
         self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
         rcond = 1.0 / (colsum.max() * self._inverse_norm_estimate())
         if not rcond > _RCOND_FLOOR:
@@ -328,12 +370,12 @@ class CrackSystem:
         f = f.reshape(self.m_cracks, self.n, width)
         b = np.empty((len(self._cap[0]), width), dtype=complex)
         ys = []
-        for group, gslice, basis, lu, _, _ in self._groups:
+        for group, gslice, basis, lu, *_ in self._groups:
             ys.append(_split_solve(lu, _side_by_side(f[group])))
             b[gslice] = _stacked(_real_left(basis.T, ys[-1]), len(group))
         x = lu_solve(self._cap, b)
         psi = np.empty(f.shape, dtype=complex)
-        for (group, _, _, _, v, m_rows), y in zip(self._groups, ys):
+        for (group, _, _, _, v, _, m_rows), y in zip(self._groups, ys):
             mx = _side_by_side((m_rows @ x).reshape(len(group), -1, width))
             psi[group] = _stacked(y - v @ mx, len(group)).reshape(len(group), self.n, width)
         return psi.reshape(-1, width)
@@ -380,16 +422,28 @@ class CrackSystem:
         ``d`` is one unit incident direction, shape (2,), giving shape (N,),
         or L of them, shape (L, 2), giving (L, N); the L directions share one
         multi-right-hand-side solve and one phase product.
+
+        It is evaluated in the coarse space.  The basis sizes make every plane
+        wave its interpolant, so the data are f = U g with g = -e^{ik d.y} at
+        the coarse nodes y, and the observed waves are U e^{-ik theta.y}.  By
+        Woodbury, A^-1 U g = V (g - M z) with V = D^-1 U, B = U^T D^-1 U and
+        z = C^-1 B g, and B (g - M z) = z as C = I + B M.  As U^T V = B, the
+        quadrature sum of (h pi/n) e^{-ik theta.x_j} psi_j over the n nodes is
+        the sum of (h pi/n) e^{-ik theta.y} z over the coarse nodes: one solve
+        with the capacitance LU and (sum of m_p)(L + N) exponentials.
         """
         d = np.asarray(d, dtype=float)
         dirs = d.reshape(-1, 2)
         out = np.zeros((len(dirs), n_obs), dtype=complex)
         if self.m_cracks:
-            psi = self._solve(-np.exp(1j * self.k * (self.points @ dirs.T)))
-            weights = self._h * math.pi / self.n
+            bg = -np.exp(1j * self.k * (self._coarse @ dirs.T))
+            for group, gslice, _, _, _, b, _ in self._groups:
+                bg[gslice] = np.matmul(b, bg[gslice].reshape(len(group), len(b), -1)).reshape(
+                    -1, len(dirs))
+            z = lu_solve(self._cap, bg)
             theta = observation_directions(n_obs)
-            phases = np.exp(-1j * self.k * (theta @ self.points.T))      # (N, m*n)
-            out = (phases @ (weights[:, None] * psi)).T
+            phases = np.exp(-1j * self.k * (theta @ self._coarse.T))     # (N, sum of m_p)
+            out = (phases @ (self._weights[:, None] * z)).T
             out *= (1.0 + 1j) / (4.0 * math.sqrt(math.pi * self.k))
         return out if d.ndim == 2 else out[0]
 

@@ -8,8 +8,9 @@ in [-4, 15], or one off from log10, so the factor <= 1e21 is exact; Dekker's
 two-product keeps the product exact until it is rounded half to even, as %.17g
 rounds.  Exponent forms, rare in maps, are written by %.17g itself.
 
-Scene rows and map and tensor data rows are read back by one np.loadtxt call
-(`_table`), whose parser rounds as float() does."""
+Scene rows, map and tensor data rows and the numbers of the map and tensor
+headers are read back by np.loadtxt (`_table`), whose parser rounds as float()
+does and, unlike float(), takes no underscores and no non-ASCII digits."""
 
 from __future__ import annotations
 
@@ -56,6 +57,25 @@ def _table(lines, delimiter, ncols):
     if not lines:  # loadtxt warns on no data
         return np.empty((0, ncols))
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+
+
+def _numbers(text, delimiter=None):
+    """The fields of one header line as a list of floats, in the grammar of
+    the data rows (`_table`); ValueError naming the first field that is not a
+    float literal."""
+    if not text.strip():
+        return []
+    try:
+        return _table([text], delimiter, 0)[0].tolist()
+    except ValueError as exc:
+        raise ValueError(str(exc).partition(" at row ")[0]) from None
+
+
+def _count(value):
+    """A parsed float as an int; ValueError unless it is a finite integer."""
+    if not value.is_integer():  # also false for inf and nan
+        raise ValueError(f"{value:.17g} is not an integer")
+    return int(value)
 
 
 # the end of numpy's two parse errors that name a row: it counts rows from 1
@@ -303,7 +323,8 @@ def write_tensor(path, tensor):
 def read_tensor(path):
     """Parse a tensor file; every (f, l, n) entry must appear exactly once.
 
-    Each header key appears once, F, L and N with one value each."""
+    Each header key appears once, F, L and N with one integer each; header
+    numbers are read in the grammar of the data rows."""
     lines, file_line = _records(path)
     header = {}
     first = len(lines)  # the index of the first data row
@@ -316,14 +337,19 @@ def read_tensor(path):
             raise InputMismatchError(f"tensor header line {line!r}: unknown key")
         if key in header:
             raise InputMismatchError(f"tensor header line {line!r}: repeats {key}")
-        header[key] = rest.split()
-        if len(header[key]) > 1 and key in ("F", "L", "N"):
+        if len(rest.split()) != 1 and key in ("F", "L", "N"):
             raise InputMismatchError(f"tensor header line {line!r}: {key} takes one value")
+        try:
+            header[key] = _numbers(rest)
+            if key in ("F", "L", "N"):
+                header[key] = _count(header[key][0])
+        except ValueError as exc:
+            raise InputMismatchError(f"tensor header line {line!r}: {exc}") from None
     rows = lines[first:]
     try:
-        F, L, N = (int(header[key][0]) for key in ("F", "L", "N"))
-        wavenumbers = tuple(float(k) for k in header["wavenumbers"])
-        angles = tuple(float(a) for a in header["incident_angles"])
+        F, L, N = (header[key] for key in ("F", "L", "N"))
+        wavenumbers = tuple(header["wavenumbers"])
+        angles = tuple(header["incident_angles"])
         data = _table(rows, None, 5)
         if data.shape[1] != 5:
             raise ValueError(f"data rows have {data.shape[1]} fields, not 5")
@@ -336,7 +362,7 @@ def read_tensor(path):
                 *rows[np.argmin(integral)].split()[:3]))
     except KeyError as exc:
         raise InputMismatchError(f"tensor header lacks {exc}") from None
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputMismatchError(
             f"malformed tensor file: {_on_line(exc, file_line, first)}") from None
     cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
@@ -374,15 +400,15 @@ def format_grid(grid):
 
 
 def parse_grid(text):
-    """ImagingGrid from the text "xmin,xmax,ymin,ymax,nx,ny"."""
+    """ImagingGrid from the text "xmin,xmax,ymin,ymax,nx,ny", its numbers in
+    the grammar of the data rows and nx, ny integers."""
     try:
-        x_min, x_max, y_min, y_max, nx, ny = text.split(",")
-        bounds = (float(x_min), float(x_max), float(y_min), float(y_max))
-        counts = (int(nx), int(ny))
+        x_min, x_max, y_min, y_max, nx, ny = _numbers(text, ",")
+        counts = (_count(nx), _count(ny))
     except ValueError:
         raise InputMismatchError(
             f'grid must be "xmin,xmax,ymin,ymax,nx,ny", got "{text}"') from None
-    return ImagingGrid(*bounds, *counts)
+    return ImagingGrid(x_min, x_max, y_min, y_max, *counts)
 
 
 def write_map_csv(path, imap):

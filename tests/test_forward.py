@@ -424,3 +424,55 @@ def test_reciprocity_residual_solves_once(monkeypatch, k):
     monkeypatch.setattr(CrackSystem, "far_field", counted)
     reciprocity_residual(sample_scene(), k, _mirror_config(k, 16), QuadratureSpec(32))
     assert calls == [(32, 2)]
+
+
+@pytest.mark.parametrize("kh", np.geomspace(0.01, 50.0, 25))
+def test_wave_size_interpolates_plane_waves_to_round_off(kh):
+    # every e^{i a sigma}, |a| <= kh, on the wave size's Chebyshev points
+    # interpolates onto the n nodes to the round-off of U itself
+    n = 256
+    m = forward._wave_size(n, kh)
+    assert m >= forward._FIRST_RANK and m & (m - 1) == 0
+    a = np.linspace(-kh, kh, 41)
+    coarse, _ = forward._chebyshev_nodes(m)
+    fine, _ = forward._chebyshev_nodes(n)
+    err = np.abs(forward._interpolation_matrix(n, m) @ np.exp(1j * np.outer(coarse, a))
+                 - np.exp(1j * np.outer(fine, a))).max()
+    assert err <= 4 * m * np.finfo(float).eps
+
+
+def test_wave_size_bound_does_not_overflow():
+    # (kh/2)^m and m! overflow a float long before m = 1024; the bound is taken in logs
+    assert forward._wave_size(4096, 500.0) == 1024
+    assert forward._wave_size(4096, 5000.0) == 4096
+    assert forward._wave_size(16, 1.9) == 16
+    assert forward._wave_size(64, 0.01) == forward._FIRST_RANK
+
+
+@pytest.mark.parametrize("half, k, n, size", [
+    (0.1, 19.5, 64, 32),   # k h = 1.95: the waves need 32 coarse nodes, not 16
+    (0.1, 19.0, 16, 16),   # k h = 1.9 at n = 16: the basis takes all n nodes, U = I
+])
+def test_coarse_far_field_matches_reference_assembly(half, k, n, size):
+    sc = _single(half=half)
+    assert CrackSystem(sc, k, QuadratureSpec(n))._basis_sizes() == [size]
+    cfg = AcquisitionConfig((k,), 16, (0.3, 2.1, 4.4))
+    got = far_field_tensor(sc, cfg, QuadratureSpec(n)).values
+    ref = _reference_tensor(sc, cfg, n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_far_field_solves_once_with_the_capacitance_lu(monkeypatch, k, three_cracks):
+    system = CrackSystem(three_cracks, k, QuadratureSpec(64))
+    calls = []
+    lu_solve = forward.lu_solve
+
+    def counted(lu, b):
+        calls.append(np.shape(b))
+        return lu_solve(lu, b)
+
+    monkeypatch.setattr(forward, "lu_solve", counted)
+    dirs = observation_directions(30)
+    assert system.far_field(dirs, 30).shape == (30, 30)
+    assert len(calls) == 1
+    assert calls[0] == (len(system._coarse), 30)

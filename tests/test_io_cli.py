@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import shutil
 import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackdsm import io as cio
 from crackdsm.cli import build_parser, main
@@ -769,6 +775,14 @@ _BAD_INPUTS = {
                               "--lambda", "0.5", "--grid=-1,nan,-1,1,5,5"]),
     "grid_bad_count": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
                               "--lambda", "0.5", "--grid=-1,1,-1,1,5,x"]),
+    # float() reads 1_0 as 10 and Arabic-Indic digits as ASCII ones; --grid
+    # takes the numbers of the data rows only
+    "grid_underscore_bound": (None, ["predict", "--scene", "{scene}", "--predictor", "s1",
+                                     "--lambda", "0.5", "--grid=0,1_0,0,1,5,5"]),
+    "grid_arabic_indic_count": (None, ["image", "--tensor", "{tensor}", "--method", "single",
+                                       "--grid=-1,1,-1,1,٥,5"]),
+    "grid_fractional_count": (None, ["image", "--tensor", "{tensor}", "--method", "single",
+                                     "--grid=-1,1,-1,1,5.5,5"]),
     "s2_nan_incident_angle": (None, ["predict", "--scene", "{scene}", "--predictor", "s2",
                                      "--lambda", "0.5", "--incident-angle", "nan",
                                      "--grid=-1,1,-1,1,5,5"]),
@@ -845,3 +859,86 @@ def test_cli_predict_refuses_overflowing_scene(tmp_path, capsys, predictor, flag
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
         assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("line", ["F ١", "N 1_0", "wavenumbers 2_0", "L 1.5"])
+def test_cli_image_refuses_a_tensor_header_number_float_alone_reads(tmp_path, capsys, line):
+    tensor = tmp_path / "data.txt"
+    cfg = AcquisitionConfig((20.0,), 10, (math.pi / 2,))
+    cio.write_tensor(tensor, FarFieldTensor(np.ones((1, 1, 10)), cfg))
+    key = line.split()[0]
+    tensor.write_text("".join(f"{line}\n" if ln.startswith(key + " ") else ln
+                              for ln in tensor.read_text().splitlines(keepends=True)))
+    assert main(["image", "--tensor", str(tensor), "--method", "single",
+                 "--grid=-1,1,-1,1,5,5", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: tensor header line {line!r}: ")
+    assert not list(tmp_path.glob("out*"))
+
+
+# ------------------------------------------------------------ flag-matrix fuzz
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A scene, and tensors with F = 2 and L = 2 (L = 1 for mif)."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cio.write_scene(tmp / "scene.txt", sample_scene())
+    values = np.random.default_rng(1).standard_normal((2, 2, 8)) + 1j
+    for L in (1, 2):
+        cfg = AcquisitionConfig((2.0, 3.0), 8, (0.5, 2.0)[:L])
+        cio.write_tensor(tmp / f"data{L}.txt", FarFieldTensor(values[:, :L], cfg))
+    return tmp
+
+
+@st.composite
+def _flag_combinations(draw):
+    """(command, mode, flags): a mode of one command of _MODES_READ and any
+    subset of that command's gated flags, in any order."""
+    command = draw(st.sampled_from(sorted(_MODES_READ)))
+    _, modes = _MODES_READ[command]
+    mode = draw(st.sampled_from(sorted(modes)))
+    gated = sorted(set().union(*modes.values()))
+    flags = draw(st.lists(st.sampled_from(gated), unique=True).map(sorted))
+    return command, mode, draw(st.permutations(flags))
+
+
+@given(case=_flag_combinations())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_flag_combinations_exit_as_the_matrix_says(fuzz_inputs, case):
+    command, mode, flags = case
+    option, modes = _MODES_READ[command]
+    # the band flags share their tokens, which are given once
+    tokens = [t for given in dict.fromkeys(tuple(_GATED[f][1]) for f in flags) for t in given]
+    if command == "simulate":
+        argv = ["simulate", "--scene", str(fuzz_inputs / "scene.txt"), "--lambda", "0.5",
+                "--generator", mode]
+    elif command == "image":
+        argv = ["image", "--tensor", str(fuzz_inputs / f"data{1 if mode == 'mif' else 2}.txt"),
+                "--method", mode, "--grid=-1,1,-1,1,5,5"]
+    else:
+        argv = ["predict", "--scene", str(fuzz_inputs / "scene.txt"), "--predictor", mode,
+                "--grid=-1,1,-1,1,5,5"]
+        if "--lambda-range" not in tokens:
+            tokens += _BAND if mode == "mif" else ["--lambda", "0.5"]
+    # a mode refuses every gated flag it does not read; --incident-angle and
+    # --n-incident exclude each other even where both are read
+    want = 0 if (set(flags) <= modes[mode]
+                 and not {"--incident-angle", "--n-incident"} <= set(flags)) else 1
+    outdir = Path(tempfile.mkdtemp(dir=fuzz_inputs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([*argv, *tokens, "--out", str(outdir / "out")])
+    assert rc == want, (argv, tokens, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    written = sorted(p.name for p in outdir.iterdir())
+    if rc:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert written == []
+    elif command == "simulate":
+        assert written == ["out", "out.manifest.json"]
+        assert np.isfinite(cio.read_tensor(outdir / "out").values).all()
+    else:
+        assert written == ["out.csv", "out.csv.manifest.json", "out.pgm"]
+        cio.read_map_csv(outdir / "out.csv")  # refuses values outside [0, 1]
+    shutil.rmtree(outdir)

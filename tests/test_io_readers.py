@@ -189,7 +189,19 @@ def test_readers_refuse_a_header_without_data_rows_without_a_warning(tmp_path):
     ("wavenumbers 2", "wavenumbers 2\nwavenumbers 3", "wavenumbers 3", "repeats wavenumbers"),
     ("N 8", "N 8\nbogus key", "bogus key", "unknown key"),
     ("F 1", "F 1 junk", "F 1 junk", "F takes one value"),
-], ids=["repeated", "unknown", "extra-token"])
+    # header numbers go through the data rows' grammar: float() reads 1_0 as
+    # 10 and Arabic-Indic or full-width digits as ASCII ones, numpy takes neither
+    ("F 1", "F ١", "F ١", "could not convert string '١' to float64"),
+    ("N 8", "N 1_0", "N 1_0", "could not convert string '1_0' to float64"),
+    ("wavenumbers 2", "wavenumbers 2_0", "wavenumbers 2_0",
+     "could not convert string '2_0' to float64"),
+    ("incident_angles 0", "incident_angles 0 １", "incident_angles 0 １",
+     "could not convert string '１' to float64"),
+    ("L 1", "L 1.5", "L 1.5", "1.5 is not an integer"),
+    ("N 8", "N inf", "N inf", "inf is not an integer"),
+    ("F 1", "F", "F", "F takes one value"),
+], ids=["repeated", "unknown", "extra-token", "F-arabic-indic", "N-underscore",
+        "wavenumbers-underscore", "angles-full-width", "L-fraction", "N-inf", "F-empty"])
 def test_read_tensor_refuses_a_bad_header_line(tmp_path, written, given, line, message):
     path = tmp_path / "t.txt"
     path.write_text(_TENSOR.replace(written + "\n", given + "\n", 1).format("0 0 0 0.5 -0.25"))
@@ -296,3 +308,30 @@ def test_table_rounds_as_float_does(texts):
     want = np.array([[float(t) for t in texts]])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("given", ["F 1.0", "N 8e0", "N +8", "wavenumbers 2.0e0"])
+def test_read_tensor_takes_header_numbers_in_any_float_form(tmp_path, given):
+    key = given.split()[0]
+    written = {"F": "F 1", "N": "N 8", "wavenumbers": "wavenumbers 2"}[key]
+    path = tmp_path / "t.txt"
+    path.write_text(_TENSOR.replace(written + "\n", given + "\n", 1).format("0 0 0 0.5 -0.25"))
+    want = AcquisitionConfig((2.0,), 8, (0.0,))
+    assert cio.read_tensor(path).config == want
+
+
+@pytest.mark.parametrize("grid", ["0,1_0,0,1,٢,2", "0,1_0,0,1,2,2", "0,1,0,1,٢,2",
+                                  "0,1,0,1,2.5,2", "0,1,0,1,inf,2", "0,1,0,1,2",
+                                  "0,1,0,1,2,2,", "0x0,1,0,1,2,2", ""])
+def test_grid_numbers_are_read_as_data_rows(tmp_path, grid):
+    with pytest.raises(InputMismatchError) as err:
+        cio.parse_grid(grid)
+    assert str(err.value) == f'grid must be "xmin,xmax,ymin,ymax,nx,ny", got "{grid}"'
+    path = tmp_path / "m.csv"
+    path.write_text(_MAP.replace("0,1,0,1,2,2", grid).format("0.5,0.25"))
+    with pytest.raises(InputMismatchError, match="^malformed map file: grid must be"):
+        cio.read_map_csv(path)
+
+
+def test_grid_counts_may_be_written_as_floats():
+    assert cio.parse_grid(" 0, 1.0 ,-1e0,+1,2.0,3e0") == ImagingGrid(0.0, 1.0, -1.0, 1.0, 2, 3)
