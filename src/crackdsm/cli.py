@@ -10,8 +10,9 @@ stay identical.
 
 The commands only parse, call and report.  `_READS` alone says which flags each
 --generator, --method and --predictor reads, for refusals, nulls and --help.
-Bad input (a malformed --grid, a non-finite --incident-angle, an unread flag or
-a command line argparse refuses) exits 1 with "error: ..." and writes nothing.
+Numeric flags are read as the files' numbers are (`io._numbers`).  Bad input
+(a malformed --grid, a non-finite --incident-angle, an unread flag or a
+command line argparse refuses) exits 1 with "error: ..." and writes nothing.
 
 `simulate` and `predict` import the solver (`forward`) and the closed-form
 generators and predictors (`asymptotic`) when they run.  Only `forward` loads
@@ -61,13 +62,27 @@ def _refuse_unread(args, option):
                                 f"{_readers(option, flag)}, not {mode}")
 
 
+def _flag_type(read):
+    """An argparse type: one number in the grammar of the files (`io._numbers`),
+    passed to read (float, or `io._count` for a count)."""
+    def parse(text):
+        try:
+            values = cio._numbers(text, ",")
+            if len(values) != 1:
+                raise ValueError(f"{text!r} is not one number")
+            return read(values[0])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+    return parse
+
+
 def _wavenumbers(args):
     """Resolve k list from --lambda or --lambda-range/--n-freq."""
     if args.lambda_range and args.wavelength is not None:
         raise CrackDsmError("give --lambda or --lambda-range, not both")
     if args.lambda_range:
         try:
-            lo, hi = (float(v) for v in args.lambda_range.split(","))
+            lo, hi = cio._numbers(args.lambda_range, ",")
         except ValueError:
             raise CrackDsmError('--lambda-range must be two numbers "min,max"') from None
         if not (0 < lo < hi < math.inf):
@@ -244,6 +259,7 @@ def build_parser():
                      description="Direct sampling imaging of small straight cracks")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    number, count = _flag_type(float), _flag_type(cio._count)
 
     def add_acquisition(p, option=None):
         """The acquisition flags; with `option`, the help of each flag it gates
@@ -251,37 +267,37 @@ def build_parser():
         def gated(text, flag, default=""):
             return (f"{text}, for --{option} {_readers(option, flag)}" if option else text) + default
 
-        p.add_argument("--lambda", dest="wavelength", type=float,
+        p.add_argument("--lambda", dest="wavelength", type=number,
                        help="single wavelength (k = 2*pi/lambda)")
         p.add_argument("--lambda-range",
                        help=gated("'min,max' wavelengths, uniform spacing", "lambda_range"))
-        p.add_argument("--n-freq", type=int,
+        p.add_argument("--n-freq", type=count,
                        help=gated("frequency count F for --lambda-range", "n_freq"))
-        p.add_argument("--n-incident", type=int,
+        p.add_argument("--n-incident", type=count,
                        help=gated("L uniform incident directions 2*pi*l/L", "n_incident"))
-        p.add_argument("--incident-angle", type=float,
+        p.add_argument("--incident-angle", type=number,
                        help=gated("single incident angle in radians", "incident_angle",
                                   " (default pi/2)"))
 
     p = sub.add_parser("simulate", help="generate a far-field tensor file")
     p.add_argument("--scene", required=True)
     add_acquisition(p)
-    p.add_argument("--n-obs", type=int, default=30, help="observation count N")
+    p.add_argument("--n-obs", type=count, default=30, help="observation count N")
     p.add_argument("--generator", choices=list(_READS["generator"]), default="full")
-    p.add_argument("--quad-nodes", type=int, help="collocation nodes per crack for "
+    p.add_argument("--quad-nodes", type=count, help="collocation nodes per crack for "
                    f"--generator {_readers('generator', 'quad_nodes')} (default 64)")
-    p.add_argument("--noise-snr", type=float,
+    p.add_argument("--noise-snr", type=number,
                    help="add complex white noise at this SNR (dB)")
-    p.add_argument("--seed", type=int, help="noise seed for --noise-snr (default 0)")
+    p.add_argument("--seed", type=count, help="noise seed for --noise-snr (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("image", help="apply an indicator to a tensor file")
     p.add_argument("--tensor", required=True)
     p.add_argument("--method", choices=list(_READS["method"]), required=True)
-    p.add_argument("--f-index", type=int, help="frequency index for "
+    p.add_argument("--f-index", type=count, help="frequency index for "
                    f"{_readers('method', 'f_index')} (default 0)")
-    p.add_argument("--l-index", type=int, help="incident-direction index for "
+    p.add_argument("--l-index", type=count, help="incident-direction index for "
                    f"{_readers('method', 'l_index')} (default 0)")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
@@ -303,8 +319,8 @@ def build_parser():
     p = sub.add_parser("peaks", help="extract local maxima from a map")
     p.add_argument("--map", required=True)
     p.add_argument("--scene")
-    p.add_argument("--floor", type=float, default=0.5)
-    p.add_argument("--separation", type=float, default=0.2)
+    p.add_argument("--floor", type=number, default=0.5)
+    p.add_argument("--separation", type=number, default=0.2)
     p.set_defaults(func=cmd_peaks)
     return parser
 

@@ -188,16 +188,6 @@ def _pairs(m):
     return [(p, q) for p in range(m) for q in range(p + 1, m)]
 
 
-def _side_by_side(blocks):
-    """(g, r, L) blocks as one (r, g*L) matrix, so g cracks share one solve."""
-    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
-
-
-def _stacked(mat, g):
-    """Inverse of `_side_by_side`: (r, g*L) back to (g*r, L)."""
-    return mat.reshape(len(mat), g, -1).transpose(1, 0, 2).reshape(g * len(mat), -1)
-
-
 def _real_left(u, z):
     """u @ z for real u and complex z as one real product over z's (re, im) pairs."""
     z = np.ascontiguousarray(z)
@@ -365,20 +355,19 @@ class CrackSystem:
         self.rcond = float(rcond)
 
     def _solve(self, f):
-        """A^-1 f for f of shape (m*n, L), through the Woodbury identity."""
-        width = f.shape[1]
-        f = f.reshape(self.m_cracks, self.n, width)
-        b = np.empty((len(self._cap[0]), width), dtype=complex)
+        """A^-1 f for f of shape (m*n,), through the Woodbury identity; the
+        cracks of a group share each self-block solve, one column each."""
+        f = f.reshape(self.m_cracks, self.n)
+        b = np.empty(len(self._cap[0]), dtype=complex)
         ys = []
         for group, gslice, basis, lu, *_ in self._groups:
-            ys.append(_split_solve(lu, _side_by_side(f[group])))
-            b[gslice] = _stacked(_real_left(basis.T, ys[-1]), len(group))
+            ys.append(_split_solve(lu, f[group].T))                      # (n, g)
+            b[gslice] = _real_left(basis.T, ys[-1]).T.reshape(-1)
         x = lu_solve(self._cap, b)
         psi = np.empty(f.shape, dtype=complex)
         for (group, _, _, _, v, _, m_rows), y in zip(self._groups, ys):
-            mx = _side_by_side((m_rows @ x).reshape(len(group), -1, width))
-            psi[group] = _stacked(y - v @ mx, len(group)).reshape(len(group), self.n, width)
-        return psi.reshape(-1, width)
+            psi[group] = (y - v @ (m_rows @ x).reshape(len(group), -1).T).T
+        return psi.reshape(-1)
 
     def _inverse_norm_estimate(self):
         """Hager-Higham lower bound on ||A^-1||_1, the iteration of LAPACK xLACN2.
@@ -391,21 +380,18 @@ class CrackSystem:
         """
         size = len(self.points)
 
-        def solve(x):
-            return self._solve(x[:, None])[:, 0]
-
         def adjoint_sign(y):
             """|A^-H sign(y)| = |H A^-1 H^-1 conj sign(y)|, with sign(0) = 1 as in xLACN2."""
             a = np.abs(y)
             s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
-            return np.abs(self._h * solve(s.conj() / self._h))
+            return np.abs(self._h * self._solve(s.conj() / self._h))
 
         alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
-        y = solve((alt / np.abs(alt).sum()).astype(complex))
+        y = self._solve((alt / np.abs(alt).sum()).astype(complex))
         est = np.abs(y).sum()
         j = int(np.argmax(adjoint_sign(y)))
         for _ in range(4):
-            y = solve(np.eye(1, size, j, dtype=complex)[0])
+            y = self._solve(np.eye(1, size, j, dtype=complex)[0])
             new = np.abs(y).sum()
             if new <= est:
                 break

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DomainError, InputMismatchError
 
 _ZERO_MAP_EPS = 1e-300
+# Most points per grid axis.  At 4096 the (ny, nx) complex map is 256 MiB, and
+# `_steered_sum`'s (nx, T*N) phases at the predictors' largest P = 10271
+# (asymptotic._MAX_KR, T = 1) are 673 MB, as are its (ny, T*N) ones.
+_MAX_AXIS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,8 @@ class ImagingGrid:
         if not (-math.inf < self.x_min < self.x_max < math.inf
                 and -math.inf < self.y_min < self.y_max < math.inf):
             raise DomainError("grid bounds must be finite and satisfy min < max")
-        if self.nx < 2 or self.ny < 2:
-            raise DomainError("grid needs nx, ny >= 2")
+        if not (2 <= self.nx <= _MAX_AXIS and 2 <= self.ny <= _MAX_AXIS):
+            raise DomainError(f"grid needs 2 <= nx, ny <= {_MAX_AXIS}, got {self.nx}, {self.ny}")
 
     @property
     def shape(self):

@@ -8,9 +8,11 @@ in [-4, 15], or one off from log10, so the factor <= 1e21 is exact; Dekker's
 two-product keeps the product exact until it is rounded half to even, as %.17g
 rounds.  Exponent forms, rare in maps, are written by %.17g itself.
 
-Scene rows, map and tensor data rows and the numbers of the map and tensor
-headers are read back by np.loadtxt (`_table`), whose parser rounds as float()
-does and, unlike float(), takes no underscores and no non-ASCII digits."""
+Scene rows, map and tensor data rows, the numbers of the map and tensor
+headers and the CLI's numeric flags are read by np.loadtxt (`_table`), whose
+parser rounds as float() does and, unlike float(), takes no underscores and no
+non-ASCII digits.  Tensor rows are read in the one order write_tensor writes
+them; their index columns are checked against it, not used to place values."""
 
 from __future__ import annotations
 
@@ -321,7 +323,8 @@ def write_tensor(path, tensor):
 
 
 def read_tensor(path):
-    """Parse a tensor file; every (f, l, n) entry must appear exactly once.
+    """Parse a tensor file whose data rows hold the (f, l, n) entries in the
+    order write_tensor writes them, n fastest; the first that does not is refused.
 
     Each header key appears once, F, L and N with one integer each; header
     numbers are read in the grammar of the data rows."""
@@ -353,13 +356,6 @@ def read_tensor(path):
         data = _table(rows, None, 5)
         if data.shape[1] != 5:
             raise ValueError(f"data rows have {data.shape[1]} fields, not 5")
-        # float64 holds every index below 2**53 exactly; none that large is
-        # in range, as the file would need that many rows
-        index = data[:, :3]
-        integral = np.all(np.isfinite(index) & (index == np.floor(index)), axis=1)
-        if not integral.all():
-            raise ValueError("index ({}, {}, {}) is not an integer".format(
-                *rows[np.argmin(integral)].split()[:3]))
     except KeyError as exc:
         raise InputMismatchError(f"tensor header lacks {exc}") from None
     except ValueError as exc:
@@ -368,25 +364,19 @@ def read_tensor(path):
     cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
     if (F, L) != (cfg.n_freq, cfg.n_incident):
         raise InputMismatchError(f"header F={F}, L={L} disagree with its wavenumbers/angles")
-    if len(data) != F * L * N:
+    if len(data) != F * L * N:  # before F*L*N indices are built
         raise InputMismatchError(
             f"tensor has {len(data)} data rows, header needs F*L*N = {F * L * N}")
-    # the first entry in file order that is out of range or repeats one
-    # before it, named by its index fields as the file writes them
-    outside = np.flatnonzero(~np.all((index >= 0) & (index < (F, L, N)), axis=1))
-    inside = outside[0] if outside.size else len(data)  # entries before it
-    flat = np.ravel_multi_index(index[:inside].astype(np.int64).T, (F, L, N))
-    repeat = np.ones(inside, dtype=bool)
-    repeat[np.unique(flat, return_index=True)[1]] = False
-    if repeat.any():
-        raise InputMismatchError("duplicate tensor entry ({}, {}, {})".format(
-            *rows[np.argmax(repeat)].split()[:3]))
-    if outside.size:
-        raise InputMismatchError("tensor index ({}, {}, {}) out of range".format(
-            *rows[inside].split()[:3]))
-    values = np.zeros(F * L * N, dtype=complex)
-    values.real[flat] = data[:, 3]  # part by part, so that -0.0 keeps its sign
-    values.imag[flat] = data[:, 4]
+    # float64 holds every index below 2**53 exactly, and the row count bounds them
+    want = np.indices((F, L, N)).reshape(3, -1).T
+    wrong = np.flatnonzero(np.any(data[:, :3] != want, axis=1))
+    if wrong.size:
+        i = wrong[0]
+        raise InputMismatchError("tensor row on line {} has index ({}, {}, {}), not ({}, {}, {})"
+                                 .format(file_line(first + i), *rows[i].split()[:3], *want[i]))
+    values = np.empty(F * L * N, dtype=complex)
+    values.real = data[:, 3]  # part by part, so that -0.0 keeps its sign
+    values.imag = data[:, 4]
     return FarFieldTensor(values.reshape(F, L, N), cfg)
 
 

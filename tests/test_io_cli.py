@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from crackdsm import io as cio
 from crackdsm.cli import build_parser, main
 from crackdsm.errors import InputMismatchError
-from crackdsm.imaging import AcquisitionConfig, FarFieldTensor, ImagingGrid, IndicatorMap
+from crackdsm.imaging import (_MAX_AXIS, AcquisitionConfig, FarFieldTensor, ImagingGrid,
+                              IndicatorMap)
 from crackdsm.scene import Crack, Scene
 from paper import sample_scene
 
@@ -114,16 +115,24 @@ def test_pgm_header_and_size(tmp_path):
 _HUGE = "0 0 99999999999999999999 5 5"  # an index beyond int64
 
 
+# each case's id names its first fault
 @pytest.mark.parametrize("faults, message", [
-    ({3: "0 0 1 5 5", 6: "0 2 0 5 5"}, "duplicate tensor entry (0, 0, 1)"),
-    ({3: "0 0 9 5 5", 6: "0 0 1 5 5"}, "tensor index (0, 0, 9) out of range"),
-    ({3: "0 0 -1 5 5", 6: _HUGE}, "tensor index (0, 0, -1) out of range"),
-    ({3: "0 0 1 5 5", 6: _HUGE}, "duplicate tensor entry (0, 0, 1)"),
-    ({3: _HUGE, 6: "0 0 1 5 5"}, "tensor index (0, 0, 99999999999999999999) out of range"),
-])
+    ({3: "0 0 1 5 5", 6: "0 2 0 5 5"},
+     "tensor row on line 11 has index (0, 0, 1), not (0, 0, 3)"),
+    ({3: "0 0 9 5 5", 6: "0 0 1 5 5"},
+     "tensor row on line 11 has index (0, 0, 9), not (0, 0, 3)"),
+    ({3: "0 0 -1 5 5", 6: _HUGE},
+     "tensor row on line 11 has index (0, 0, -1), not (0, 0, 3)"),
+    ({3: "0 0 1 5 5", 6: _HUGE},
+     "tensor row on line 11 has index (0, 0, 1), not (0, 0, 3)"),
+    ({3: _HUGE, 6: "0 0 1 5 5"},
+     "tensor row on line 11 has index (0, 0, 99999999999999999999), not (0, 0, 3)"),
+], ids=["faults0-duplicate tensor entry (0, 0, 1)", "faults1-tensor index (0, 0, 9) out of range",
+        "faults2-tensor index (0, 0, -1) out of range", "faults3-duplicate tensor entry (0, 0, 1)",
+        "faults4-tensor index (0, 0, 99999999999999999999) out of range"])
 def test_read_tensor_names_the_first_bad_entry(tmp_path, faults, message):
-    # entry lines 0-7 hold n = 0-7; each fault replaces one, and the message
-    # names the fault that comes first in the file
+    # entry lines 0-7 hold n = 0-7 on file lines 8-15; each fault replaces
+    # one, and the message names the fault that comes first in the file
     path = tmp_path / "t.txt"
     cfg = AcquisitionConfig((1.0,), 8, (0.0,))
     cio.write_tensor(path, FarFieldTensor(np.ones((1, 1, 8)), cfg))
@@ -874,6 +883,59 @@ def test_cli_image_refuses_a_tensor_header_number_float_alone_reads(tmp_path, ca
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: tensor header line {line!r}: ")
     assert not list(tmp_path.glob("out*"))
+
+
+# numeric flags take the numbers of the files only: float() and int() read 0_5
+# as 5 and Arabic-Indic digits as ASCII ones
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--scene", "{scene}", "--predictor", "s1", "--lambda", "0_5",
+      "--grid=-1,1,-1,1,5,5"], "argument --lambda: could not convert string '0_5' to float64"),
+    (["simulate", "--scene", "{scene}", "--generator", "order1", "--lambda", "0.5",
+      "--n-obs", "\u0663\u0660"],
+     "argument --n-obs: could not convert string '\u0663\u0660' to float64"),
+    (["predict", "--scene", "{scene}", "--predictor", "mif", "--lambda-range", "0_3,0.7",
+      "--n-freq", "3", "--grid=-1,1,-1,1,5,5"], '--lambda-range must be two numbers "min,max"'),
+    (["simulate", "--scene", "{scene}", "--generator", "order1", "--lambda", "0.5",
+      "--n-obs", "30.5"], "argument --n-obs: 30.5 is not an integer"),
+    (["simulate", "--scene", "{scene}", "--generator", "order1", "--lambda", "0.5,0.7"],
+     "argument --lambda: '0.5,0.7' is not one number"),
+], ids=["lambda-underscore", "n-obs-arabic-indic", "lambda-range-underscore",
+        "n-obs-fraction", "lambda-two-numbers"])
+def test_cli_numeric_flags_refuse_what_the_files_refuse(tmp_path, scene_file, capsys, argv,
+                                                         message):
+    argv = [a.format(scene=scene_file) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_count_flags_take_an_integer_written_as_a_float(tmp_path, scene_file):
+    outs = []
+    for i, count in enumerate(["30", "3e1", "30.0"]):
+        outs.append(tmp_path / f"data{i}.txt")
+        assert main(["simulate", "--scene", scene_file, "--generator", "order1",
+                     "--lambda", "0.5", "--n-obs", count, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+# the first grid size above the bound is refused before any map is allocated
+@pytest.mark.parametrize("counts", ["{0},2", "2,{0}", "1e12,2"], ids=["nx", "ny", "nx-1e12"])
+@pytest.mark.parametrize("command", ["image", "predict"])
+def test_cli_refuses_a_grid_above_the_size_bound(tmp_path, scene_file, capsys, counts, command):
+    tensor = tmp_path / "data.txt"
+    cio.write_tensor(tensor, FarFieldTensor(np.ones((1, 1, 8)),
+                                            AcquisitionConfig((2.0,), 8, (0.0,))))
+    argv = {"image": ["image", "--tensor", str(tensor), "--method", "single"],
+            "predict": ["predict", "--scene", scene_file, "--predictor", "s1",
+                        "--lambda", "0.5"]}[command]
+    grid = "--grid=-1,1,-1,1," + counts.format(_MAX_AXIS + 1)
+    assert main([*argv, grid, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: grid needs 2 <= nx, ny <= {_MAX_AXIS}, got ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+    ImagingGrid(-1.0, 1.0, -1.0, 1.0, _MAX_AXIS, _MAX_AXIS)  # the bound itself is taken
 
 
 # ------------------------------------------------------------ flag-matrix fuzz

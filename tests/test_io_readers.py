@@ -150,15 +150,38 @@ def test_read_tensor_takes_an_index_whose_value_is_an_integer(tmp_path, index):
 
 
 @pytest.mark.parametrize("index, message", [
-    ("0.5", "malformed tensor file: index (0, 0, 0.5) is not an integer"),
-    ("inf", "malformed tensor file: index (0, 0, inf) is not an integer"),
-    ("nan", "malformed tensor file: index (0, 0, nan) is not an integer"),
+    ("0.5", "tensor row on line 7 has index (0, 0, 0.5), not (0, 0, 0)"),
+    ("inf", "tensor row on line 7 has index (0, 0, inf), not (0, 0, 0)"),
+    ("nan", "tensor row on line 7 has index (0, 0, nan), not (0, 0, 0)"),
     ("1_0", "malformed tensor file: could not convert string '1_0' to float64"),
 ], ids=["0.5", "inf", "nan", "1_0"])
 def test_read_tensor_refuses_an_index_that_is_not_an_integer(tmp_path, index, message):
     with pytest.raises(InputMismatchError) as err:
         _read(tmp_path / "t.txt", _TENSOR, f"0 0 {index} 0.5 -0.25")
     assert str(err.value).startswith(message)
+
+
+def test_read_tensor_refuses_two_valid_rows_swapped(tmp_path):
+    # every index is in range and appears once, but rows n = 2 and n = 5 trade
+    # places; data rows start on file line 8
+    path = tmp_path / "t.txt"
+    cio.write_tensor(path, FarFieldTensor(np.arange(8.0).reshape(1, 1, 8),
+                                          AcquisitionConfig((2.0,), 8, (0.0,))))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[9], lines[12] = lines[12], lines[9]
+    path.write_text("".join(lines))
+    with pytest.raises(InputMismatchError) as err:
+        cio.read_tensor(path)
+    assert str(err.value) == "tensor row on line 10 has index (0, 0, 5), not (0, 0, 2)"
+
+
+def test_read_tensor_checks_the_row_count_before_the_indices(tmp_path):
+    # F*L*N = 1e15 indices would not fit in memory; the 8 rows are refused first
+    path = tmp_path / "t.txt"
+    path.write_text(_TENSOR.replace("N 8\n", "N 1e15\n").format("0 0 0 0.5 -0.25"))
+    with pytest.raises(InputMismatchError) as err:
+        cio.read_tensor(path)
+    assert str(err.value) == "tensor has 8 data rows, header needs F*L*N = 1000000000000000"
 
 
 @pytest.mark.parametrize("fields", ["0 0 {}", "0 0 {} 0.5", "0 0 {} 0.5 -0.25 1"],

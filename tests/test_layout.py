@@ -6,9 +6,9 @@ Every public module-level function or class of ``src/crackdsm``, and every
 public method, must be named by an identifier somewhere in that code outside
 its own definition.  A name only tests call belongs in a test helper module
 such as ``tests/paper.py``.  The same holds for every private module-level
-function, class and constant of ``src/crackdsm`` (dunders such as
-``__version__`` excepted), and each of its modules must use every name it
-imports.
+function, class and constant and every private method of ``src/crackdsm``
+(dunders such as ``__version__`` and ``__post_init__`` excepted), and each of
+its modules must use every name it imports.
 
 Four more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, ``.17g``
@@ -44,8 +44,13 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def _private_definitions(tree):
-    """(name, node) for private module-level functions, classes and constants."""
+    """(label, name, node) for private module-level functions, classes and
+    constants, and private methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -53,9 +58,12 @@ def _private_definitions(tree):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                yield name, node
+        for name in filter(_is_private, names):
+            yield name, name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def _imports(tree):
@@ -115,8 +123,8 @@ def test_every_public_name_is_used_by_the_pipeline():
 
 def test_every_private_name_is_used_by_the_pipeline():
     trees = _pipeline()[0]
-    unused = _unused((path, name, name, node) for path in sorted(PACKAGE.glob("*.py"))
-                     for name, node in _private_definitions(trees[path]))
+    unused = _unused((path, label, name, node) for path in sorted(PACKAGE.glob("*.py"))
+                     for label, name, node in _private_definitions(trees[path]))
     assert unused == [], f"private names no pipeline code uses: {unused}"
 
 
