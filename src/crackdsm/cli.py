@@ -11,8 +11,9 @@ stay identical.
 The commands only parse, call and report.  `_READS` alone says which flags each
 --generator, --method and --predictor reads, for refusals, nulls and --help.
 Numeric flags are read as the files' numbers are (`io._numbers`).  Bad input
-(a malformed --grid, a non-finite --incident-angle, an unread flag or a
-command line argparse refuses) exits 1 with "error: ..." and writes nothing.
+(a malformed --grid, a size above its bound, a non-finite --incident-angle, an
+unread flag or a command line argparse refuses) exits 1 with "error: ..." and
+writes nothing.
 
 `simulate` and `predict` import the solver (`forward`) and the closed-form
 generators and predictors (`asymptotic`) when they run.  Only `forward` loads
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CrackDsmError
-from .imaging import (AcquisitionConfig, FarFieldTensor, find_local_maxima,
+from .imaging import (AcquisitionConfig, FarFieldTensor, check_count, find_local_maxima,
                       indicator_aif, indicator_if, indicator_mif, indicator_single,
                       map_distance, unit_vectors)
 from . import io as cio
@@ -89,6 +90,7 @@ def _wavenumbers(args):
             raise CrackDsmError("lambda range must satisfy 0 < min < max < inf")
         if args.n_freq is None or args.n_freq < 2:
             raise CrackDsmError("--lambda-range needs --n-freq >= 2")
+        check_count("wavenumbers", args.n_freq)
         lams = np.linspace(lo, hi, args.n_freq)
         return tuple(sorted(2.0 * math.pi / lams))
     if args.wavelength is None:
@@ -106,6 +108,7 @@ def _incident_angles(args):
         if args.incident_angle is not None:
             raise CrackDsmError("give --incident-angle or --n-incident, not both")
         L = args.n_incident
+        check_count("incident directions", L)
         return tuple(2.0 * math.pi * l / L for l in range(1, L + 1))
     if args.incident_angle is None:
         return (math.pi / 2,)

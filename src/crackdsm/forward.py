@@ -39,6 +39,17 @@ and no exponential at the n nodes (`CrackSystem.far_field`).
 Every block carries the weight h_q of its column crack and the kernel is
 symmetric, so A = S H with S complex-symmetric and H = diag(h), h the half-length
 of each node's crack: A^-T = H A^-1 H^-1, and one Woodbury solve serves A and A^T.
+
+The condition gate reads a bound built from the factors.  D is complex-symmetric,
+so A^-1 = D^-1 - V M C^-1 V^T with V = D^-1 U, and
+||A^-1||_1 <= ||D^-1||_1 + ||V||_1 ||M C^-1||_1 ||V||_inf, while
+||A||_1 <= ||D||_1 + ||U||_1 ||M||_1 ||U||_inf.  A column of D_p^-1 is half the
+sum and the reflected difference of columns of (A + CJ)^-1 and (A - CJ)^-1, so
+||D_p^-1||_1 <= ||(A + CJ)^-1||_1 + ||(A - CJ)^-1||_1, and these two are
+Hager-Higham estimates on the half-block LUs (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, ch. 15): the bound is an estimate, as
+the exact path's ||A^-1||_1 is, not a guarantee.  Only a system whose bound
+fails the floor has its rcond, with ||A||_1 exact, computed to decide.
 """
 
 from __future__ import annotations
@@ -61,6 +72,10 @@ _FIRST_RANK = 16         # first coarse size tried per crack
 _TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off stalls near 2e-15
 _LOG_WAVE_TOL = -53.0 * math.log(2.0)   # log of the plane-wave interpolation error allowed
 _SAFE_MIN = np.finfo(float).tiny
+# Most nodes per crack.  At 1024 a self block is 16 MiB, `_log_quadrature_matrix`
+# and `_node_gaps` cache 8 MiB per table for each n used, and the capacitance
+# matrix of m cracks is at most (m n)^2 complex values, 16 m^2 MiB.
+_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,8 @@ class QuadratureSpec:
 
     def __post_init__(self):
         n = self.nodes_per_crack
+        if n > _MAX_NODES:
+            raise DomainError(f"nodes_per_crack must be <= {_MAX_NODES}, got {n}")
         if n < 8 or n % 2 != 0:
             raise DomainError(f"nodes_per_crack must be even and >= 8, got {n}")
 
@@ -215,6 +232,38 @@ def _split_solve(lus, b):
     return x
 
 
+def _hager_higham(solve, solve_t, size):
+    """Hager-Higham lower bound on ||B^-1||_1, the iteration of LAPACK xLACN2,
+    with solve(b) = B^-1 b and solve_t(b) = B^-T b for B of order ``size``.
+
+    Up to five solves with B and four with B^T.  The iteration starts from
+    xLACN2's alternating-sign vector (-1)^i (1 + i/(size-1)), scaled to unit
+    1-norm, not from the uniform vector: on unequal half-lengths the uniform
+    start stops at a local maximum near 0.65 of ||A^-1||_1.
+    """
+    def adjoint_sign(y):
+        """|B^-H sign(y)| = |B^-T conj sign(y)|, with sign(0) = 1 as in xLACN2."""
+        a = np.abs(y)
+        s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
+        return np.abs(solve_t(s.conj()))
+
+    alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
+    y = solve((alt / np.abs(alt).sum()).astype(complex))
+    est = np.abs(y).sum()
+    j = int(np.argmax(adjoint_sign(y)))
+    for _ in range(4):
+        y = solve(np.eye(1, size, j, dtype=complex)[0])
+        new = np.abs(y).sum()
+        if new <= est:
+            break
+        est = new
+        z = adjoint_sign(y)
+        last, j = j, int(np.argmax(z))
+        if z[last] == z[j]:
+            break
+    return est
+
+
 class CrackSystem:
     """Factorized boundary system A = D + U M U^T for one scene at one wavenumber.
 
@@ -226,10 +275,15 @@ class CrackSystem:
     H = diag(h) the per-node half-lengths.  The far field solves with the
     capacitance LU alone: its data lie in the range of U, so it is evaluated
     at the coarse nodes, held in the order of the capacitance rows (grouped
-    by half-length and basis size, not by crack).  ``rcond`` is
-    1/(||A||_1 est ||A^-1||_1), with ||A||_1 exact and ||A^-1||_1 a
-    Hager-Higham estimate (1 if the scene is empty), whose sign vectors are
-    not smooth and so go through the full Woodbury solve.
+    by half-length and basis size, not by crack).
+
+    ``rcond_bound`` is the bound of the module docstring, 1/(||A||_1 ||A^-1||_1)
+    from the factors' norms (1 if the scene is empty); the gate passes a system
+    on it alone when it is above 1e-13.  ``rcond`` is
+    1/(||A||_1 est ||A^-1||_1), ||A||_1 exact and ||A^-1||_1 a Hager-Higham
+    estimate through the full Woodbury solve; it is computed when first read,
+    and by the gate only when ``rcond_bound`` fails, so a refused system
+    carries its condition estimate.
     """
 
     def __init__(self, scene, k, quad=QuadratureSpec()):
@@ -240,7 +294,7 @@ class CrackSystem:
         self.m_cracks = len(scene.cracks)
         self.points = np.array([_crack_nodes(c, self.n) for c in scene.cracks]).reshape(-1, 2)
         self._h = np.repeat([c.half_length for c in scene.cracks], self.n)
-        self.rcond = 1.0
+        self.rcond_bound = 1.0
         if self.m_cracks == 0:
             return
         self._factor(_log_quadrature_matrix(self.n))
@@ -309,6 +363,7 @@ class CrackSystem:
                 rows[p] = slice(offset + i * m, offset + (i + 1) * m)
             slices.append(slice(offset, rows[group[-1]].stop))
             offset = slices[-1].stop
+        self._rows = rows
         bases = [_interpolation_matrix(n, m) for m in sizes]
         nodes = [_crack_nodes(crack, m) for crack, m in zip(cracks, sizes)]
         # The coarse nodes and their far-field weights h pi/n, in the order of
@@ -319,25 +374,29 @@ class CrackSystem:
             self._weights[rows[p]] = crack.half_length * math.pi / n
         cap = np.zeros((offset, offset), dtype=complex, order="F")
         c = math.pi / (4.0 * n)
-        colsum = np.zeros((mc, n))
         for p, q in _pairs(mc):
             # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
-            # transpose of M_pq up to the quadrature weight c h of its column crack;
-            # |U_p K U_q^T| sums by columns into crack q's column sums, by rows into p's.
+            # transpose of M_pq up to the quadrature weight c h of its column crack.
             kern = _cross_kernel(self.k, nodes[p], nodes[q])
             np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
             np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
-            block = np.abs(_real_left(bases[p], _real_left(bases[q], kern.T).T))
-            colsum[q] += c * cracks[q].half_length * block.sum(axis=0)
-            colsum[p] += c * cracks[p].half_length * block.sum(axis=1)
         # Woodbury: A^-1 = D^-1 - D^-1 U M C^-1 U^T D^-1 with the capacitance
-        # matrix C = I + U^T D^-1 U M.
-        self._groups, blocks, lus = [], {}, {}
+        # matrix C = I + U^T D^-1 U M.  Alongside, the 1- and inf-norms of the
+        # gate's bound (module docstring), each the largest over the groups, as
+        # D, U and V = D^-1 U are block-diagonal.
+        self._groups, lus = [], {}
+        norm_d = norm_dinv = norm_u1 = norm_uinf = norm_v1 = norm_vinf = 0.0
         for ((half, m), group), gslice in zip(members.items(), slices):
-            if half not in blocks:
-                blocks[half] = self._self_block(cracks[group[0]], logmat)
-                lus[half] = _split_factor(blocks[half])
-            colsum[group] += np.abs(blocks[half]).sum(axis=0)
+            if half not in lus:
+                block = self._self_block(cracks[group[0]], logmat)
+                lus[half] = _split_factor(block)
+                top = np.abs(block[:n // 2]).sum(axis=0)                 # D_p = [top; J top J]
+                norm_d = max(norm_d, (top + top[::-1]).max())
+                norm_dinv = max(norm_dinv, sum(
+                    _hager_higham(functools.partial(lu_solve, half_lu, check_finite=False),
+                                  functools.partial(lu_solve, half_lu, trans=1, check_finite=False),
+                                  n // 2)
+                    for half_lu in lus[half]))
             basis, lu = bases[group[0]], lus[half]
             v = _split_solve(lu, basis)                                      # D_p^-1 U_p
             b = _real_left(basis.T, v)                                       # B_p = U_p^T D_p^-1 U_p
@@ -345,14 +404,46 @@ class CrackSystem:
             cap[gslice] = np.matmul(b, m_rows.reshape(len(group), m, -1)).reshape(len(m_rows), -1)
             cap[gslice, gslice] += np.eye(len(m_rows))
             self._groups.append((group, gslice, basis, lu, v, b, m_rows))
+            norm_u1 = max(norm_u1, np.abs(basis).sum(axis=0).max())
+            norm_uinf = max(norm_uinf, np.abs(basis).sum(axis=1).max())
+            norm_v1 = max(norm_v1, np.abs(v).sum(axis=0).max())
+            norm_vinf = max(norm_vinf, np.abs(v).sum(axis=1).max())
         self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
-        rcond = 1.0 / (colsum.max() * self._inverse_norm_estimate())
-        if not rcond > _RCOND_FLOOR:
-            est = 1.0 / rcond if rcond > 0 else math.inf
+        # ||M C^-1||_1 from (M C^-1)^T = C^-T M^T, one solve with the capacitance LU
+        m_all = np.concatenate([g[-1] for g in self._groups])
+        norm_a = norm_d + norm_u1 * np.abs(m_all).sum(axis=0).max() * norm_uinf
+        norm_mc = np.abs(lu_solve(self._cap, m_all.T, trans=1)).sum(axis=1).max()
+        self.rcond_bound = float(1.0 / (norm_a * (norm_dinv + norm_v1 * norm_mc * norm_vinf)))
+        if not self.rcond_bound > _RCOND_FLOOR and not self.rcond > _RCOND_FLOOR:
+            est = 1.0 / self.rcond if self.rcond > 0 else math.inf
             raise SolverError(
                 f"boundary system too ill-conditioned (cond ~ {est:.3e})",
                 condition_estimate=est)
-        self.rcond = float(rcond)
+
+    @functools.cached_property
+    def rcond(self):
+        """1/(||A||_1 est ||A^-1||_1), computed when first read; 1 if the scene is empty.
+
+        ||A||_1 is exact: the column sums of |D_p| and of every cross block
+        |U_p K U_q^T|, each formed once for both of its pair's shares.
+        ||A^-1||_1 is `_inverse_norm_estimate`.
+        """
+        if not self.m_cracks:
+            return 1.0
+        n, cracks, rows = self.n, self.scene.cracks, self._rows
+        bases = [_interpolation_matrix(n, r.stop - r.start) for r in rows]
+        c = math.pi / (4.0 * n)
+        colsum = np.zeros((self.m_cracks, n))
+        for p, q in _pairs(self.m_cracks):
+            # |U_p K U_q^T| sums by columns into crack q's column sums, by rows into p's
+            kern = _cross_kernel(self.k, self._coarse[rows[p]], self._coarse[rows[q]])
+            block = np.abs(_real_left(bases[p], _real_left(bases[q], kern.T).T))
+            colsum[q] += c * cracks[q].half_length * block.sum(axis=0)
+            colsum[p] += c * cracks[p].half_length * block.sum(axis=1)
+        logmat = _log_quadrature_matrix(n)
+        for group, *_ in self._groups:
+            colsum[group] += np.abs(self._self_block(cracks[group[0]], logmat)).sum(axis=0)
+        return float(1.0 / (colsum.max() * self._inverse_norm_estimate()))
 
     def _solve(self, f):
         """A^-1 f for f of shape (m*n,), through the Woodbury identity; the
@@ -370,37 +461,11 @@ class CrackSystem:
         return psi.reshape(-1)
 
     def _inverse_norm_estimate(self):
-        """Hager-Higham lower bound on ||A^-1||_1, the iteration of LAPACK xLACN2.
-
-        Up to five solves with A and four with A^H, all through `_solve`.  The
-        iteration starts from xLACN2's alternating-sign vector
-        (-1)^i (1 + i/(n-1)), scaled to unit 1-norm, not from the uniform
-        vector: on unequal half-lengths the uniform start stops at a local
-        maximum near 0.65 of ||A^-1||_1.
-        """
-        size = len(self.points)
-
-        def adjoint_sign(y):
-            """|A^-H sign(y)| = |H A^-1 H^-1 conj sign(y)|, with sign(0) = 1 as in xLACN2."""
-            a = np.abs(y)
-            s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
-            return np.abs(self._h * self._solve(s.conj() / self._h))
-
-        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
-        y = self._solve((alt / np.abs(alt).sum()).astype(complex))
-        est = np.abs(y).sum()
-        j = int(np.argmax(adjoint_sign(y)))
-        for _ in range(4):
-            y = self._solve(np.eye(1, size, j, dtype=complex)[0])
-            new = np.abs(y).sum()
-            if new <= est:
-                break
-            est = new
-            z = adjoint_sign(y)
-            last, j = j, int(np.argmax(z))
-            if z[last] == z[j]:
-                break
-        return est
+        """`_hager_higham` on A through the full Woodbury solve, whose sign
+        vectors are not smooth and so do not lie in the range of U; solves
+        with A^T go through A^-T = H A^-1 H^-1."""
+        return _hager_higham(self._solve, lambda b: self._h * self._solve(b / self._h),
+                             len(self.points))
 
     def far_field(self, d, n_obs):
         """Far-field pattern at the N uniform observation directions.

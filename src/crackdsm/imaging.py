@@ -26,6 +26,19 @@ _ZERO_MAP_EPS = 1e-300
 # (asymptotic._MAX_KR, T = 1) are 673 MB, as are its (ny, T*N) ones.
 _MAX_AXIS = 4096
 
+# Most wavenumbers F, incident directions L and observation directions N.  At
+# all three bounds the far-field tensor of F L N complex values is 1 GiB; an
+# aif map's `_steered_sum` phases are (nx, L N) and (ny, L N), 16 MiB per grid
+# point of an axis at L = N = 1024, and the full solver's far-field phases are
+# (N, sum of m_p), 16 MiB per 1024 coarse unknowns.
+_MAX_COUNT = {"wavenumbers": 64, "incident directions": 1024, "observation directions": 1024}
+
+
+def check_count(what, count):
+    """Refuse more than `_MAX_COUNT` of `what`, before anything of that size is made."""
+    if count > _MAX_COUNT[what]:
+        raise DomainError(f"at most {_MAX_COUNT[what]} {what}, got {count}")
+
 
 @dataclass(frozen=True)
 class ImagingGrid:
@@ -115,6 +128,9 @@ class AcquisitionConfig:
     incident_angles: tuple
 
     def __post_init__(self):
+        check_count("wavenumbers", len(self.wavenumbers))
+        check_count("incident directions", len(self.incident_angles))
+        check_count("observation directions", self.n_obs)
         ks = tuple(float(k) for k in self.wavenumbers)
         angs = tuple(float(a) for a in self.incident_angles)
         if len(ks) < 1 or not all(0 < k < math.inf for k in ks):

@@ -361,12 +361,12 @@ def read_tensor(path):
     except ValueError as exc:
         raise InputMismatchError(
             f"malformed tensor file: {_on_line(exc, file_line, first)}") from None
-    cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
-    if (F, L) != (cfg.n_freq, cfg.n_incident):
+    if (F, L) != (len(wavenumbers), len(angles)):
         raise InputMismatchError(f"header F={F}, L={L} disagree with its wavenumbers/angles")
-    if len(data) != F * L * N:  # before F*L*N indices are built
+    if len(data) != F * L * N:  # before F*L*N indices are built and N is bounded
         raise InputMismatchError(
             f"tensor has {len(data)} data rows, header needs F*L*N = {F * L * N}")
+    cfg = AcquisitionConfig(wavenumbers=wavenumbers, n_obs=N, incident_angles=angles)
     # float64 holds every index below 2**53 exactly, and the row count bounds them
     want = np.indices((F, L, N)).reshape(3, -1).T
     wrong = np.flatnonzero(np.any(data[:, :3] != want, axis=1))

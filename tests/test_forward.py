@@ -413,6 +413,59 @@ def test_ill_conditioning_gate_raises(monkeypatch, k, three_cracks):
     assert 1.0 <= info.value.condition_estimate < math.inf
 
 
+@given(scene=_valid_scenes(1, 4), n=st.sampled_from((16, 32)))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_gate_bound_is_below_the_condition_estimate_and_the_exact_rcond(scene, n):
+    # the bound's ||(A +- CJ)^-1||_1 are Hager-Higham estimates, not bounds, yet
+    # over 150 random scenes at 16 to 256 nodes it read 1.9 to 1.7e5 times below
+    # the exact rcond
+    system = CrackSystem(scene, K_RECIP, QuadratureSpec(n))
+    a = _reference_matrix(scene, K_RECIP, n)
+    exact = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1))
+    assert 0.0 < system.rcond_bound <= min(system.rcond, exact)
+
+
+def test_gate_passes_the_benchmark_systems_on_the_bound_alone(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the gate ran the estimate of ||A^-1||_1")
+
+    monkeypatch.setattr(CrackSystem, "_inverse_norm_estimate", refuse)
+    for k in BAND_KS + (4 * math.pi,):
+        assert CrackSystem(sample_scene(), k, QuadratureSpec(256)).rcond_bound > 1e-13
+
+
+def test_rcond_is_estimated_once_and_only_when_read(monkeypatch, k, three_cracks):
+    calls = []
+    estimate = CrackSystem._inverse_norm_estimate
+
+    def counted(self):
+        calls.append(self)
+        return estimate(self)
+
+    monkeypatch.setattr(CrackSystem, "_inverse_norm_estimate", counted)
+    system = CrackSystem(three_cracks, k, QuadratureSpec(32))
+    assert calls == []
+    assert system.rcond == system.rcond
+    assert calls == [system]
+
+
+def test_system_solves_are_the_split_solve_the_gate_and_the_bound(monkeypatch, k, three_cracks):
+    # three cracks in one group, every basis 16, at 64 nodes: the Hager-Higham
+    # iteration on each half block A +- CJ takes two solves and two transposed
+    # solves, D_p^-1 U_p one solve per half block, and the bound's
+    # (M C^-1)^T = C^-T M^T one transposed solve with the capacitance LU
+    calls = []
+    lu_solve = forward.lu_solve
+
+    def counted(lu, b, trans=0, **kwargs):
+        calls.append((np.shape(b), trans))
+        return lu_solve(lu, b, trans=trans, **kwargs)
+
+    monkeypatch.setattr(forward, "lu_solve", counted)
+    CrackSystem(three_cracks, k, QuadratureSpec(64))
+    assert calls == [((32,), 0), ((32,), 1)] * 4 + [((32, 16), 0)] * 2 + [((48, 48), 1)]
+
+
 def test_reciprocity_residual_solves_once(monkeypatch, k):
     calls = []
     far_field = CrackSystem.far_field

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from crackdsm import io as cio
 from crackdsm.cli import build_parser, main
 from crackdsm.errors import InputMismatchError
-from crackdsm.imaging import (_MAX_AXIS, AcquisitionConfig, FarFieldTensor, ImagingGrid,
-                              IndicatorMap)
+from crackdsm.forward import _MAX_NODES, QuadratureSpec
+from crackdsm.imaging import (_MAX_AXIS, _MAX_COUNT, AcquisitionConfig, FarFieldTensor,
+                              ImagingGrid, IndicatorMap)
 from crackdsm.scene import Crack, Scene
 from paper import sample_scene
 
@@ -938,6 +939,49 @@ def test_cli_refuses_a_grid_above_the_size_bound(tmp_path, scene_file, capsys, c
     ImagingGrid(-1.0, 1.0, -1.0, 1.0, _MAX_AXIS, _MAX_AXIS)  # the bound itself is taken
 
 
+# the size flags: the command line each is given to, and its bound
+_SIZES = {
+    "quad-nodes": (["simulate", "--lambda", "0.5", "--generator", "full", "--quad-nodes"],
+                   _MAX_NODES, "nodes_per_crack must be <="),
+    "n-obs": (["simulate", "--lambda", "0.5", "--generator", "order1", "--n-obs"],
+              _MAX_COUNT["observation directions"], "at most"),
+    "simulate-n-incident": (["simulate", "--lambda", "0.5", "--generator", "order1",
+                             "--n-incident"], _MAX_COUNT["incident directions"], "at most"),
+    "simulate-n-freq": (["simulate", "--lambda-range", "0.3,0.7", "--generator", "order1",
+                         "--n-freq"], _MAX_COUNT["wavenumbers"], "at most"),
+    "predict-n-incident": (["predict", "--predictor", "aif", "--lambda", "0.5",
+                            "--grid=-1,1,-1,1,5,5", "--n-incident"],
+                           _MAX_COUNT["incident directions"], "at most"),
+    "predict-n-freq": (["predict", "--predictor", "mif", "--lambda-range", "0.3,0.7",
+                        "--grid=-1,1,-1,1,5,5", "--n-freq"], _MAX_COUNT["wavenumbers"], "at most"),
+}
+
+
+# the first size above each bound is refused before anything of that size is made
+@pytest.mark.parametrize("value", ["first", "1e12"])
+@pytest.mark.parametrize("case", sorted(_SIZES))
+def test_cli_refuses_a_size_above_its_bound(tmp_path, scene_file, capsys, case, value):
+    argv, bound, message = _SIZES[case]
+    token = str(bound + 1) if value == "first" else value
+    count = int(float(token))
+    argv = [argv[0], "--scene", scene_file, *argv[1:], token]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message} {bound}")
+    assert err.endswith(f", got {count}\n") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_size_bounds_themselves_are_taken():
+    assert QuadratureSpec(_MAX_NODES).nodes_per_crack == _MAX_NODES
+    config = AcquisitionConfig(tuple(1.0 + np.arange(_MAX_COUNT["wavenumbers"])),
+                               _MAX_COUNT["observation directions"],
+                               (0.0,) * _MAX_COUNT["incident directions"])
+    assert (config.n_freq, config.n_incident, config.n_obs) == (
+        _MAX_COUNT["wavenumbers"], _MAX_COUNT["incident directions"],
+        _MAX_COUNT["observation directions"])
+
+
 # ------------------------------------------------------------ flag-matrix fuzz
 
 @pytest.fixture(scope="module")
@@ -952,25 +996,36 @@ def fuzz_inputs(tmp_path_factory):
     return tmp
 
 
+# the first value above each gated size flag's bound
+_ABOVE = {"--quad-nodes": _MAX_NODES + 1, "--n-incident": _MAX_COUNT["incident directions"] + 1,
+          "--n-freq": _MAX_COUNT["wavenumbers"] + 1}
+
+
 @st.composite
 def _flag_combinations(draw):
-    """(command, mode, flags): a mode of one command of _MODES_READ and any
-    subset of that command's gated flags, in any order."""
+    """(command, mode, flags, sizes): a mode of one command of _MODES_READ, any
+    subset of that command's gated flags, in any order, and the sizes above
+    their bounds that some of the size flags among them carry."""
     command = draw(st.sampled_from(sorted(_MODES_READ)))
     _, modes = _MODES_READ[command]
     mode = draw(st.sampled_from(sorted(modes)))
     gated = sorted(set().union(*modes.values()))
     flags = draw(st.lists(st.sampled_from(gated), unique=True).map(sorted))
-    return command, mode, draw(st.permutations(flags))
+    # a size flag may carry the first value above its bound, or 1e12
+    sizes = {f: draw(st.sampled_from([None, str(_ABOVE[f]), "1e12"]))
+             for f in flags if f in _ABOVE}
+    return command, mode, draw(st.permutations(flags)), {f: v for f, v in sizes.items() if v}
 
 
 @given(case=_flag_combinations())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_cli_flag_combinations_exit_as_the_matrix_says(fuzz_inputs, case):
-    command, mode, flags = case
+    command, mode, flags, sizes = case
     option, modes = _MODES_READ[command]
     # the band flags share their tokens, which are given once
     tokens = [t for given in dict.fromkeys(tuple(_GATED[f][1]) for f in flags) for t in given]
+    for flag, value in sizes.items():
+        tokens[tokens.index(flag) + 1] = value
     if command == "simulate":
         argv = ["simulate", "--scene", str(fuzz_inputs / "scene.txt"), "--lambda", "0.5",
                 "--generator", mode]
@@ -983,8 +1038,9 @@ def test_cli_flag_combinations_exit_as_the_matrix_says(fuzz_inputs, case):
         if "--lambda-range" not in tokens:
             tokens += _BAND if mode == "mif" else ["--lambda", "0.5"]
     # a mode refuses every gated flag it does not read; --incident-angle and
-    # --n-incident exclude each other even where both are read
-    want = 0 if (set(flags) <= modes[mode]
+    # --n-incident exclude each other even where both are read; a size above
+    # its bound is refused
+    want = 0 if (set(flags) <= modes[mode] and not sizes
                  and not {"--incident-angle", "--n-incident"} <= set(flags)) else 1
     outdir = Path(tempfile.mkdtemp(dir=fuzz_inputs))
     out, err = io.StringIO(), io.StringIO()
