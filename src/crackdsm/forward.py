@@ -36,20 +36,15 @@ observed waves are then U g for their coarse samples g, and the far field is
 evaluated in the coarse space: one solve with the capacitance LU per system
 and no exponential at the n nodes (`CrackSystem.far_field`).
 
-Every block carries the weight h_q of its column crack and the kernel is
-symmetric, so A = S H with S complex-symmetric and H = diag(h), h the half-length
-of each node's crack: A^-T = H A^-1 H^-1, and one Woodbury solve serves A and A^T.
-
-The condition gate reads a bound built from the factors.  D is complex-symmetric,
-so A^-1 = D^-1 - V M C^-1 V^T with V = D^-1 U, and
-||A^-1||_1 <= ||D^-1||_1 + ||V||_1 ||M C^-1||_1 ||V||_inf, while
-||A||_1 <= ||D||_1 + ||U||_1 ||M||_1 ||U||_inf.  A column of D_p^-1 is half the
-sum and the reflected difference of columns of (A + CJ)^-1 and (A - CJ)^-1, so
-||D_p^-1||_1 <= ||(A + CJ)^-1||_1 + ||(A - CJ)^-1||_1, and these two are
-Hager-Higham estimates on the half-block LUs (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., SIAM 2002, ch. 15): the bound is an estimate, as
-the exact path's ||A^-1||_1 is, not a guarantee.  Only a system whose bound
-fails the floor has its rcond, with ||A||_1 exact, computed to decide.
+The condition gate reads one figure built from the factors.  D is
+complex-symmetric, so A^-1 = D^-1 - W with W = V M C^-1 V^T, V = D^-1 U, and
+||A^-1||_1 <= ||D^-1||_1 + ||W||_1, while ||A||_1 <= ||D||_1 + ||U||_1 ||M||_1
+||U||_inf.  A column of D_p^-1 is half the sum and the reflected difference of
+columns of (A + CJ)^-1 and (A - CJ)^-1, so ||D_p^-1||_1 <= ||(A + CJ)^-1||_1 +
+||(A - CJ)^-1||_1.  Those two norms and ||W||_1 are Hager-Higham estimates
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+ch. 15), on the half-block LUs and through V, M and the capacitance LU: the
+figure is an estimate, not a guarantee.
 """
 
 from __future__ import annotations
@@ -181,14 +176,9 @@ def _i_hankel0(z):
 
 
 def _cross_kernel(k, x, y):
-    """i H0(k|x_i - y_j|) = -Y0 + i J0 between two node sets of shape (., 2);
-    SolverError where two nodes coincide, as Y0 is infinite there."""
-    kr = k * np.hypot(x[:, 0, None] - y[:, 0], x[:, 1, None] - y[:, 1])
-    if not kr.all():
-        i = np.nonzero(kr == 0.0)[0][0]
-        raise SolverError(f"nodes of two cracks coincide at ({x[i, 0]:.6g}, {x[i, 1]:.6g}); "
-                          "try another --quad-nodes")
-    return _i_hankel0(kr)
+    """i H0(k|x_i - y_j|) = -Y0 + i J0 between the node sets of shape (., 2)
+    of two cracks, which a valid scene keeps apart (`scene.validate_scene`)."""
+    return _i_hankel0(k * np.hypot(x[:, 0, None] - y[:, 0], x[:, 1, None] - y[:, 1]))
 
 
 def _chebyshev_tail(kern):
@@ -232,27 +222,28 @@ def _split_solve(lus, b):
     return x
 
 
-def _hager_higham(solve, solve_t, size):
-    """Hager-Higham lower bound on ||B^-1||_1, the iteration of LAPACK xLACN2,
-    with solve(b) = B^-1 b and solve_t(b) = B^-T b for B of order ``size``.
+def _hager_higham(apply, apply_t, size):
+    """Hager-Higham lower bound on ||B||_1, the iteration of LAPACK xLACN2,
+    with apply(b) = B b and apply_t(b) = B^T b for B of order ``size``; B is
+    the inverse of a factored matrix or the Woodbury correction W.
 
-    Up to five solves with B and four with B^T.  The iteration starts from
+    Up to five products with B and four with B^T.  The iteration starts from
     xLACN2's alternating-sign vector (-1)^i (1 + i/(size-1)), scaled to unit
-    1-norm, not from the uniform vector: on unequal half-lengths the uniform
-    start stops at a local maximum near 0.65 of ||A^-1||_1.
+    1-norm, not from the uniform vector: on A^-1 of unequal half-lengths the
+    uniform start stopped at a local maximum near 0.65 of ||A^-1||_1.
     """
     def adjoint_sign(y):
-        """|B^-H sign(y)| = |B^-T conj sign(y)|, with sign(0) = 1 as in xLACN2."""
+        """|B^H sign(y)| = |B^T conj sign(y)|, with sign(0) = 1 as in xLACN2."""
         a = np.abs(y)
         s = np.divide(y, a, out=np.ones_like(y), where=a > _SAFE_MIN)
-        return np.abs(solve_t(s.conj()))
+        return np.abs(apply_t(s.conj()))
 
     alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
-    y = solve((alt / np.abs(alt).sum()).astype(complex))
+    y = apply((alt / np.abs(alt).sum()).astype(complex))
     est = np.abs(y).sum()
     j = int(np.argmax(adjoint_sign(y)))
     for _ in range(4):
-        y = solve(np.eye(1, size, j, dtype=complex)[0])
+        y = apply(np.eye(1, size, j, dtype=complex)[0])
         new = np.abs(y).sum()
         if new <= est:
             break
@@ -267,23 +258,16 @@ def _hager_higham(solve, solve_t, size):
 class CrackSystem:
     """Factorized boundary system A = D + U M U^T for one scene at one wavenumber.
 
-    ``points`` holds the (m*n, 2) nodes, crack p owning rows p*n to (p+1)*n.
     D holds the self blocks, each centrosymmetric and factored as two n/2
     blocks (`_split_factor`), U = blockdiag(U_p) the per-crack interpolation
-    bases and M the cross kernel at the coarse nodes.  Solves go through the
-    Woodbury identity, those with A^T too: A = S H gives A^-T = H A^-1 H^-1,
-    H = diag(h) the per-node half-lengths.  The far field solves with the
-    capacitance LU alone: its data lie in the range of U, so it is evaluated
-    at the coarse nodes, held in the order of the capacitance rows (grouped
-    by half-length and basis size, not by crack).
+    bases and M the cross kernel at the coarse nodes.  The far field solves
+    with the capacitance LU alone: its data lie in the range of U, so it is
+    evaluated at the coarse nodes, held in the order of the capacitance rows
+    (grouped by half-length and basis size, not by crack).
 
-    ``rcond_bound`` is the bound of the module docstring, 1/(||A||_1 ||A^-1||_1)
-    from the factors' norms (1 if the scene is empty); the gate passes a system
-    on it alone when it is above 1e-13.  ``rcond`` is
-    1/(||A||_1 est ||A^-1||_1), ||A||_1 exact and ||A^-1||_1 a Hager-Higham
-    estimate through the full Woodbury solve; it is computed when first read,
-    and by the gate only when ``rcond_bound`` fails, so a refused system
-    carries its condition estimate.
+    ``rcond`` is 1/(||A||_1 ||A^-1||_1) from the bounds and estimates of the
+    module docstring, 1 if the scene is empty; a system with ``rcond`` at or
+    below 1e-13 is refused, carrying 1/``rcond`` as its condition estimate.
     """
 
     def __init__(self, scene, k, quad=QuadratureSpec()):
@@ -292,9 +276,7 @@ class CrackSystem:
         self.k = float(k)
         self.n = quad.nodes_per_crack
         self.m_cracks = len(scene.cracks)
-        self.points = np.array([_crack_nodes(c, self.n) for c in scene.cracks]).reshape(-1, 2)
-        self._h = np.repeat([c.half_length for c in scene.cracks], self.n)
-        self.rcond_bound = 1.0
+        self.rcond = 1.0
         if self.m_cracks == 0:
             return
         self._factor(_log_quadrature_matrix(self.n))
@@ -363,7 +345,6 @@ class CrackSystem:
                 rows[p] = slice(offset + i * m, offset + (i + 1) * m)
             slices.append(slice(offset, rows[group[-1]].stop))
             offset = slices[-1].stop
-        self._rows = rows
         bases = [_interpolation_matrix(n, m) for m in sizes]
         nodes = [_crack_nodes(crack, m) for crack, m in zip(cracks, sizes)]
         # The coarse nodes and their far-field weights h pi/n, in the order of
@@ -380,12 +361,13 @@ class CrackSystem:
             kern = _cross_kernel(self.k, nodes[p], nodes[q])
             np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
             np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
-        # Woodbury: A^-1 = D^-1 - D^-1 U M C^-1 U^T D^-1 with the capacitance
-        # matrix C = I + U^T D^-1 U M.  Alongside, the 1- and inf-norms of the
-        # gate's bound (module docstring), each the largest over the groups, as
-        # D, U and V = D^-1 U are block-diagonal.
-        self._groups, lus = [], {}
-        norm_d = norm_dinv = norm_u1 = norm_uinf = norm_v1 = norm_vinf = 0.0
+        # Woodbury: A^-1 = D^-1 - W, W = V M C^-1 V^T with V = D^-1 U and the
+        # capacitance matrix C = I + U^T D^-1 U M.  Alongside, the norms of the
+        # gate's figure (module docstring); those of D, D^-1 and U are each the
+        # largest over the groups, as the three are block-diagonal.
+        m_all = cap.copy()                                                   # M
+        self._groups, lus, vs = [], {}, []
+        norm_d = norm_dinv = norm_u1 = norm_uinf = 0.0
         for ((half, m), group), gslice in zip(members.items(), slices):
             if half not in lus:
                 block = self._self_block(cracks[group[0]], logmat)
@@ -397,75 +379,42 @@ class CrackSystem:
                                   functools.partial(lu_solve, half_lu, trans=1, check_finite=False),
                                   n // 2)
                     for half_lu in lus[half]))
-            basis, lu = bases[group[0]], lus[half]
-            v = _split_solve(lu, basis)                                      # D_p^-1 U_p
+            basis = bases[group[0]]
+            v = _split_solve(lus[half], basis)                               # D_p^-1 U_p
             b = _real_left(basis.T, v)                                       # B_p = U_p^T D_p^-1 U_p
-            m_rows = cap[gslice].copy()
-            cap[gslice] = np.matmul(b, m_rows.reshape(len(group), m, -1)).reshape(len(m_rows), -1)
-            cap[gslice, gslice] += np.eye(len(m_rows))
-            self._groups.append((group, gslice, basis, lu, v, b, m_rows))
+            cap[gslice] = np.matmul(b, m_all[gslice].reshape(len(group), m, -1)).reshape(-1, offset)
+            cap[gslice, gslice] += np.eye(len(group) * m)
+            self._groups.append((group, gslice, b))
+            vs.append(v)
             norm_u1 = max(norm_u1, np.abs(basis).sum(axis=0).max())
             norm_uinf = max(norm_uinf, np.abs(basis).sum(axis=1).max())
-            norm_v1 = max(norm_v1, np.abs(v).sum(axis=0).max())
-            norm_vinf = max(norm_vinf, np.abs(v).sum(axis=1).max())
         self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
-        # ||M C^-1||_1 from (M C^-1)^T = C^-T M^T, one solve with the capacitance LU
-        m_all = np.concatenate([g[-1] for g in self._groups])
+
+        def v_apply(z):                                                      # V z
+            x = np.empty((mc, n), dtype=complex)
+            for (group, gslice, _), v in zip(self._groups, vs):
+                x[group] = z[gslice].reshape(len(group), -1) @ v.T
+            return x.reshape(-1)
+
+        def v_transpose(x):                                                  # V^T x
+            x, z = x.reshape(mc, n), np.empty(offset, dtype=complex)
+            for (group, gslice, _), v in zip(self._groups, vs):
+                z[gslice] = (x[group] @ v).reshape(-1)
+            return z
+
+        # W x = V M C^-1 V^T x and W^T x = V C^-T M^T V^T x
+        norm_w = _hager_higham(
+            lambda x: v_apply(m_all @ lu_solve(self._cap, v_transpose(x), check_finite=False)),
+            lambda x: v_apply(lu_solve(self._cap, m_all.T @ v_transpose(x), trans=1,
+                                       check_finite=False)),
+            mc * n)
         norm_a = norm_d + norm_u1 * np.abs(m_all).sum(axis=0).max() * norm_uinf
-        norm_mc = np.abs(lu_solve(self._cap, m_all.T, trans=1)).sum(axis=1).max()
-        self.rcond_bound = float(1.0 / (norm_a * (norm_dinv + norm_v1 * norm_mc * norm_vinf)))
-        if not self.rcond_bound > _RCOND_FLOOR and not self.rcond > _RCOND_FLOOR:
+        self.rcond = float(1.0 / (norm_a * (norm_dinv + norm_w)))
+        if not self.rcond > _RCOND_FLOOR:
             est = 1.0 / self.rcond if self.rcond > 0 else math.inf
             raise SolverError(
                 f"boundary system too ill-conditioned (cond ~ {est:.3e})",
                 condition_estimate=est)
-
-    @functools.cached_property
-    def rcond(self):
-        """1/(||A||_1 est ||A^-1||_1), computed when first read; 1 if the scene is empty.
-
-        ||A||_1 is exact: the column sums of |D_p| and of every cross block
-        |U_p K U_q^T|, each formed once for both of its pair's shares.
-        ||A^-1||_1 is `_inverse_norm_estimate`.
-        """
-        if not self.m_cracks:
-            return 1.0
-        n, cracks, rows = self.n, self.scene.cracks, self._rows
-        bases = [_interpolation_matrix(n, r.stop - r.start) for r in rows]
-        c = math.pi / (4.0 * n)
-        colsum = np.zeros((self.m_cracks, n))
-        for p, q in _pairs(self.m_cracks):
-            # |U_p K U_q^T| sums by columns into crack q's column sums, by rows into p's
-            kern = _cross_kernel(self.k, self._coarse[rows[p]], self._coarse[rows[q]])
-            block = np.abs(_real_left(bases[p], _real_left(bases[q], kern.T).T))
-            colsum[q] += c * cracks[q].half_length * block.sum(axis=0)
-            colsum[p] += c * cracks[p].half_length * block.sum(axis=1)
-        logmat = _log_quadrature_matrix(n)
-        for group, *_ in self._groups:
-            colsum[group] += np.abs(self._self_block(cracks[group[0]], logmat)).sum(axis=0)
-        return float(1.0 / (colsum.max() * self._inverse_norm_estimate()))
-
-    def _solve(self, f):
-        """A^-1 f for f of shape (m*n,), through the Woodbury identity; the
-        cracks of a group share each self-block solve, one column each."""
-        f = f.reshape(self.m_cracks, self.n)
-        b = np.empty(len(self._cap[0]), dtype=complex)
-        ys = []
-        for group, gslice, basis, lu, *_ in self._groups:
-            ys.append(_split_solve(lu, f[group].T))                      # (n, g)
-            b[gslice] = _real_left(basis.T, ys[-1]).T.reshape(-1)
-        x = lu_solve(self._cap, b)
-        psi = np.empty(f.shape, dtype=complex)
-        for (group, _, _, _, v, _, m_rows), y in zip(self._groups, ys):
-            psi[group] = (y - v @ (m_rows @ x).reshape(len(group), -1).T).T
-        return psi.reshape(-1)
-
-    def _inverse_norm_estimate(self):
-        """`_hager_higham` on A through the full Woodbury solve, whose sign
-        vectors are not smooth and so do not lie in the range of U; solves
-        with A^T go through A^-T = H A^-1 H^-1."""
-        return _hager_higham(self._solve, lambda b: self._h * self._solve(b / self._h),
-                             len(self.points))
 
     def far_field(self, d, n_obs):
         """Far-field pattern at the N uniform observation directions.
@@ -488,7 +437,7 @@ class CrackSystem:
         out = np.zeros((len(dirs), n_obs), dtype=complex)
         if self.m_cracks:
             bg = -np.exp(1j * self.k * (self._coarse @ dirs.T))
-            for group, gslice, _, _, _, b, _ in self._groups:
+            for group, gslice, b in self._groups:
                 bg[gslice] = np.matmul(b, bg[gslice].reshape(len(group), len(b), -1)).reshape(
                     -1, len(dirs))
             z = lu_solve(self._cap, bg)

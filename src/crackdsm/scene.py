@@ -58,6 +58,20 @@ def crack_tangent(crack):
     return np.array([math.cos(crack.rotation), math.sin(crack.rotation)])
 
 
+def _segments_meet(a, b, c, d):
+    """Whether the segments ab and cd share a point, by the orientation test:
+    each straddles the other's line, or, when all four ends lie on one line,
+    their extents overlap on both axes."""
+    def orient(p, q, r):
+        return np.sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+
+    o = (orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b))
+    if not any(o):
+        return all(max(min(a[i], b[i]), min(c[i], d[i])) <= min(max(a[i], b[i]), max(c[i], d[i]))
+                   for i in (0, 1))
+    return o[0] * o[1] <= 0 and o[2] * o[3] <= 0
+
+
 def check_scaled_scene(scene, k):
     """Raise DomainError unless k is a finite positive wavenumber, and
     SceneError unless every crack has k (|cx| + |cy| + h) <= KX_HARD."""
@@ -73,19 +87,25 @@ def check_scaled_scene(scene, k):
 
 
 def validate_scene(scene, k):
-    """The messages of the violations of separation (k*dist > 3/4) and crack
-    size (k*l < 2), each "[error] <check> for crack(s) <i>[/<j>]: value ...".
+    """The messages of the violations of separation (k*dist > 3/4), crack
+    size (k*l < 2) and crossing (segments that cross or touch), each
+    "[error] <check> for crack(s) <i>[/<j>]: ...".
 
     Raises instead when k is not finite or a crack lies beyond KX_HARD."""
     check_scaled_scene(scene, k)
     out = []
     centers = [np.asarray(c.center) for c in scene.cracks]
+    # endpoints scaled by k, which check_scaled_scene bounds: no cross product overflows
+    tips = [crack.half_length * crack_tangent(crack) for crack in scene.cracks]
+    ends = [(k * (c - t), k * (c + t)) for c, t in zip(centers, tips)]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             kd = k * float(np.linalg.norm(centers[i] - centers[j]))
             if kd <= SEPARATION_HARD:
                 out.append(f"[error] separation for crack(s) {i}/{j}: "
                            f"value {kd:.6g} vs threshold {SEPARATION_HARD:.6g}")
+            if _segments_meet(*ends[i], *ends[j]):
+                out.append(f"[error] crossing for crack(s) {i}/{j}: the segments cross or touch")
     for m, crack in enumerate(scene.cracks):
         kl = k * crack.half_length
         if kl >= KL_HARD:

@@ -10,12 +10,13 @@ function, class and constant and every private method of ``src/crackdsm``
 (dunders such as ``__version__`` and ``__post_init__`` excepted), and each of
 its modules must use every name it imports.
 
-Four more checks keep one implementation each: `forward` uses ``sp_j0`` and
+Five more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, ``.17g``
 appears in `io` only, whose encoder writes every map and tensor row,
 ``np.loadtxt`` is called in one function of `io` only, which parses every
-scene row and every map and tensor data row, and `forward` calls
-``lu_factor`` on a self block only through its two half-size blocks.
+scene row and every map and tensor data row, `forward` calls ``lu_factor``
+on a self block only through its two half-size blocks, and `forward` reads
+``_RCOND_FLOOR`` in one function only, where only ``self.rcond`` meets it.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -169,6 +170,20 @@ def test_forward_factors_self_blocks_only_as_two_halves():
     args = [ast.unparse(node.args[0]) for node in ast.walk(factor)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lu_factor"]
     assert args == ["cap"], f"_factor calls lu_factor on {args}, not on the capacitance only"
+
+
+def test_forward_gates_conditioning_on_one_figure():
+    # the floor is read once, against rcond alone: a second reader would be a
+    # second gate path, such as a fallback to another condition figure
+    tree = _pipeline()[0][PACKAGE / "forward.py"]
+    users = {label for label, unit in _units(tree) for node in ast.walk(unit)
+             if isinstance(node, ast.Name) and node.id == "_RCOND_FLOOR"
+             and isinstance(node.ctx, ast.Load)}
+    assert users == {"CrackSystem._factor"}, f"_RCOND_FLOOR read in {sorted(users)}"
+    compared = [ast.unparse(operand) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and "_RCOND_FLOOR" in ast.unparse(node)
+                for operand in (node.left, *node.comparators)]
+    assert sorted(compared) == ["_RCOND_FLOOR", "self.rcond"], f"the floor meets {compared}"
 
 
 def test_only_io_formats_floats_at_17_digits():

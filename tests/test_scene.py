@@ -81,6 +81,24 @@ def test_validate_scene_size_error():
     assert out == ["[error] crack-size for crack(s) 0: value 2.5 vs threshold 2"]
 
 
+@pytest.mark.parametrize("second, meets", [
+    (Crack((0.125, 0.0), 0.25, math.pi / 2), True),            # crossing
+    (Crack((0.125, 0.25), 0.25, math.pi / 2), True),           # an end on the other's interior
+    (Crack((0.25, 0.25), 0.25, math.pi / 2), True),            # end on end, at a right angle
+    (Crack((0.5, 0.0), 0.25, 0.0), True),                      # collinear, end on end
+    (Crack((0.375, 0.0), 0.25, 0.0), True),                    # collinear, overlapping
+    (Crack((0.625, 0.0), 0.25, 0.0), False),                   # collinear, apart
+    (Crack((0.0, 0.125), 0.25, 0.0), False),                   # parallel
+    (Crack((0.125, 0.25 + 2.0**-10), 0.25, math.pi / 2), False),  # an end just off the other
+    (Crack((0.5, 0.0), 0.25, math.pi / 2), False),             # across the other's line, past it
+])
+def test_validate_scene_refuses_crossing_and_touching_cracks(second, meets):
+    first = Crack((0.0, 0.0), 0.25, 0.0)
+    for cracks in ((first, second), (second, first)):
+        crossing = [m for m in validate_scene(Scene(cracks), 4.0) if "crossing" in m]
+        assert crossing == ["[error] crossing for crack(s) 0/1: the segments cross or touch"] * meets
+
+
 def test_validate_scene_rejects_bad_wavenumber():
     with pytest.raises(DomainError):
         validate_scene(Scene(()), 0.0)
