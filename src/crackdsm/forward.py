@@ -50,6 +50,7 @@ figure is an estimate, not a guarantee.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,11 +191,6 @@ def _chebyshev_tail(kern):
     return max(coef[q:].max(), coef[:, q:].max()) / coef.max()
 
 
-def _pairs(m):
-    """The crack pairs (p, q), p < q."""
-    return [(p, q) for p in range(m) for q in range(p + 1, m)]
-
-
 def _real_left(u, z):
     """u @ z for real u and complex z as one real product over z's (re, im) pairs."""
     z = np.ascontiguousarray(z)
@@ -262,8 +258,8 @@ class CrackSystem:
     blocks (`_split_factor`), U = blockdiag(U_p) the per-crack interpolation
     bases and M the cross kernel at the coarse nodes.  The far field solves
     with the capacitance LU alone: its data lie in the range of U, so it is
-    evaluated at the coarse nodes, held in the order of the capacitance rows
-    (grouped by half-length and basis size, not by crack).
+    evaluated at the coarse nodes, held crack by crack in scene order like the
+    capacitance rows.
 
     ``rcond`` is 1/(||A||_1 ||A^-1||_1) from the bounds and estimates of the
     module docstring, 1 if the scene is empty; a system with ``rcond`` at or
@@ -321,7 +317,7 @@ class CrackSystem:
         """
         n, cracks = self.n, self.scene.cracks
         sizes = [_wave_size(n, self.k * crack.half_length) for crack in cracks]
-        for p, q in _pairs(self.m_cracks):
+        for p, q in itertools.combinations(range(self.m_cracks), 2):
             m = _FIRST_RANK
             while m < n:
                 kern = _cross_kernel(self.k, _crack_nodes(cracks[p], m), _crack_nodes(cracks[q], m))
@@ -334,43 +330,34 @@ class CrackSystem:
     def _factor(self, logmat):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
         sizes = self._basis_sizes()
-        # Cracks of one half-length and basis size share D_p, U_p and their
-        # LU; each such group owns one contiguous slice of the coarse unknowns.
-        members = {}
-        for p, crack in enumerate(cracks):
-            members.setdefault((crack.half_length, sizes[p]), []).append(p)
-        rows, slices, offset = [None] * mc, [], 0
-        for (_, m), group in members.items():
-            for i, p in enumerate(group):
-                rows[p] = slice(offset + i * m, offset + (i + 1) * m)
-            slices.append(slice(offset, rows[group[-1]].stop))
-            offset = slices[-1].stop
-        bases = [_interpolation_matrix(n, m) for m in sizes]
+        # Crack p owns the coarse unknowns rows[p], in scene order.
+        ends = np.cumsum([0] + sizes)
+        rows = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         nodes = [_crack_nodes(crack, m) for crack, m in zip(cracks, sizes)]
-        # The coarse nodes and their far-field weights h pi/n, in the order of
-        # the capacitance rows.
-        self._coarse, self._weights = np.empty((offset, 2)), np.empty(offset)
-        for p, crack in enumerate(cracks):
-            self._coarse[rows[p]] = nodes[p]
-            self._weights[rows[p]] = crack.half_length * math.pi / n
-        cap = np.zeros((offset, offset), dtype=complex, order="F")
+        # The coarse nodes and their far-field weights h pi/n.
+        self._coarse = np.concatenate(nodes)
+        self._weights = np.repeat([crack.half_length * math.pi / n for crack in cracks], sizes)
+        m_all = np.zeros((ends[-1], ends[-1]), dtype=complex)                # M
         c = math.pi / (4.0 * n)
-        for p, q in _pairs(mc):
+        for p, q in itertools.combinations(range(mc), 2):
             # H0(k|x_i - y_j|) is symmetric in the two nodes, so M_qp is the
             # transpose of M_pq up to the quadrature weight c h of its column crack.
             kern = _cross_kernel(self.k, nodes[p], nodes[q])
-            np.multiply(kern, c * cracks[q].half_length, out=cap[rows[p], rows[q]])
-            np.multiply(kern.T, c * cracks[p].half_length, out=cap[rows[q], rows[p]])
+            np.multiply(kern, c * cracks[q].half_length, out=m_all[rows[p], rows[q]])
+            np.multiply(kern.T, c * cracks[p].half_length, out=m_all[rows[q], rows[p]])
         # Woodbury: A^-1 = D^-1 - W, W = V M C^-1 V^T with V = D^-1 U and the
-        # capacitance matrix C = I + U^T D^-1 U M.  Alongside, the norms of the
-        # gate's figure (module docstring); those of D, D^-1 and U are each the
-        # largest over the groups, as the three are block-diagonal.
-        m_all = cap.copy()                                                   # M
-        self._groups, lus, vs = [], {}, []
+        # capacitance matrix C = I + U^T D^-1 U M.  Cracks of one half-length
+        # share D_p and its LU, and with one basis size also V_p and B_p.
+        # Alongside, the norms of the gate's figure (module docstring); those
+        # of D, D^-1 and U are each the largest over the cracks, as the three
+        # are block-diagonal.
+        cap = np.eye(ends[-1], dtype=complex, order="F")
+        lus, shared, self._bases = {}, {}, []
         norm_d = norm_dinv = norm_u1 = norm_uinf = 0.0
-        for ((half, m), group), gslice in zip(members.items(), slices):
+        for p, crack in enumerate(cracks):
+            half, m = crack.half_length, sizes[p]
             if half not in lus:
-                block = self._self_block(cracks[group[0]], logmat)
+                block = self._self_block(crack, logmat)
                 lus[half] = _split_factor(block)
                 top = np.abs(block[:n // 2]).sum(axis=0)                 # D_p = [top; J top J]
                 norm_d = max(norm_d, (top + top[::-1]).max())
@@ -379,28 +366,23 @@ class CrackSystem:
                                   functools.partial(lu_solve, half_lu, trans=1, check_finite=False),
                                   n // 2)
                     for half_lu in lus[half]))
-            basis = bases[group[0]]
-            v = _split_solve(lus[half], basis)                               # D_p^-1 U_p
-            b = _real_left(basis.T, v)                                       # B_p = U_p^T D_p^-1 U_p
-            cap[gslice] = np.matmul(b, m_all[gslice].reshape(len(group), m, -1)).reshape(-1, offset)
-            cap[gslice, gslice] += np.eye(len(group) * m)
-            self._groups.append((group, gslice, b))
-            vs.append(v)
-            norm_u1 = max(norm_u1, np.abs(basis).sum(axis=0).max())
-            norm_uinf = max(norm_uinf, np.abs(basis).sum(axis=1).max())
+            if (half, m) not in shared:
+                basis = _interpolation_matrix(n, m)
+                v = _split_solve(lus[half], basis)                           # V_p = D_p^-1 U_p
+                shared[half, m] = v, _real_left(basis.T, v)                  # B_p = U_p^T V_p
+                norm_u1 = max(norm_u1, np.abs(basis).sum(axis=0).max())
+                norm_uinf = max(norm_uinf, np.abs(basis).sum(axis=1).max())
+            v, b = shared[half, m]
+            cap[rows[p]] += b @ m_all[rows[p]]
+            self._bases.append((rows[p], v, b))
         self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
 
         def v_apply(z):                                                      # V z
-            x = np.empty((mc, n), dtype=complex)
-            for (group, gslice, _), v in zip(self._groups, vs):
-                x[group] = z[gslice].reshape(len(group), -1) @ v.T
-            return x.reshape(-1)
+            return np.concatenate([v @ z[r] for r, v, _ in self._bases])
 
         def v_transpose(x):                                                  # V^T x
-            x, z = x.reshape(mc, n), np.empty(offset, dtype=complex)
-            for (group, gslice, _), v in zip(self._groups, vs):
-                z[gslice] = (x[group] @ v).reshape(-1)
-            return z
+            return np.concatenate([x_p @ v for x_p, (_, v, _) in
+                                   zip(x.reshape(mc, n), self._bases)])
 
         # W x = V M C^-1 V^T x and W^T x = V C^-T M^T V^T x
         norm_w = _hager_higham(
@@ -437,10 +419,7 @@ class CrackSystem:
         out = np.zeros((len(dirs), n_obs), dtype=complex)
         if self.m_cracks:
             bg = -np.exp(1j * self.k * (self._coarse @ dirs.T))
-            for group, gslice, b in self._groups:
-                bg[gslice] = np.matmul(b, bg[gslice].reshape(len(group), len(b), -1)).reshape(
-                    -1, len(dirs))
-            z = lu_solve(self._cap, bg)
+            z = lu_solve(self._cap, np.concatenate([b @ bg[r] for r, _, b in self._bases]))
             theta = observation_directions(n_obs)
             phases = np.exp(-1j * self.k * (theta @ self._coarse.T))     # (N, sum of m_p)
             out = (phases @ (self._weights[:, None] * z)).T

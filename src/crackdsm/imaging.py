@@ -68,11 +68,6 @@ class ImagingGrid:
     def y_coords(self):
         return np.linspace(self.y_min, self.y_max, self.ny)
 
-    def points(self):
-        """(ny*nx, 2) array, row-major with x varying fastest."""
-        xx, yy = np.meshgrid(self.x_coords(), self.y_coords())
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
 
 @dataclass
 class IndicatorMap:

@@ -95,12 +95,14 @@ def validate_scene(scene, k):
     check_scaled_scene(scene, k)
     out = []
     centers = [np.asarray(c.center) for c in scene.cracks]
-    # endpoints scaled by k, which check_scaled_scene bounds: no cross product overflows
+    # centres and endpoints scaled by k, which check_scaled_scene bounds: no
+    # distance or cross product overflows
+    kc = [k * c for c in centers]
     tips = [crack.half_length * crack_tangent(crack) for crack in scene.cracks]
     ends = [(k * (c - t), k * (c + t)) for c, t in zip(centers, tips)]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            kd = k * float(np.linalg.norm(centers[i] - centers[j]))
+            kd = math.hypot(*(kc[i] - kc[j]))
             if kd <= SEPARATION_HARD:
                 out.append(f"[error] separation for crack(s) {i}/{j}: "
                            f"value {kd:.6g} vs threshold {SEPARATION_HARD:.6g}")

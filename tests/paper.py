@@ -33,6 +33,12 @@ def sample_scene(l1=0.05, l2=0.05, l3=0.05):
                        for c, h in zip(cracks, (l1, l2, l3))))
 
 
+def grid_points(grid):
+    """The grid's points, shape (ny*nx, 2), row-major with x varying fastest."""
+    xx, yy = np.meshgrid(grid.x_coords(), grid.y_coords())
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
 def argmax_point(imap):
     """Grid point (x, y) of the map's largest value."""
     iy, ix = np.unravel_index(int(np.argmax(imap.values)), imap.values.shape)
@@ -71,7 +77,7 @@ def structure_fields(scene, k, d, grid):
     phi2 = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack in scene.cracks:
         c, t, half = np.asarray(crack.center), crack_tangent(crack), crack.half_length
-        off = grid.points() - c
+        off = grid_points(grid) - c
         r = np.linalg.norm(off, axis=1)
         phase = np.exp(1j * k * (d @ c))
         phi1 += (2.0 * math.pi) ** 2 / math.log(half / 2.0) * phase * j0(k * r)
@@ -92,7 +98,7 @@ def j0_plane_wave_sum(scene, ks, weights, dirs, grid):
     dirs = np.asarray(dirs, dtype=float)
     raw = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack in scene.cracks:
-        off = grid.points() - np.asarray(crack.center)
+        off = grid_points(grid) - np.asarray(crack.center)
         r = np.linalg.norm(off, axis=1)
         w = (2.0 * math.pi) ** 2 / math.log(crack.half_length / 2.0)
         for k, wq in zip(ks, weights):

@@ -11,7 +11,7 @@ from crackdsm.asymptotic import (_gauss_legendre_panels, _grid_reach,
                                  predict_structure2)
 from crackdsm.imaging import AcquisitionConfig, ImagingGrid, unit_vectors
 from crackdsm.scene import Crack, Scene
-from paper import (argmax_point, j0_plane_wave_sum, mif_radial_envelope,
+from paper import (argmax_point, grid_points, j0_plane_wave_sum, mif_radial_envelope,
                    sample_scene, structure_fields, uniform_direction_sum,
                    weighted_direction_sum)
 
@@ -204,7 +204,7 @@ def test_aif_peak_and_large_l_limit(k):
     # many directions: cosine sums cancel, leaving the J0^2 envelope
     angles = [2 * math.pi * i / 64 for i in range(1, 65)]
     imap = predict_aif(sc, k, angles, grid)
-    pts = grid.points()
+    pts = grid_points(grid)
     r = np.linalg.norm(pts - np.array([0.1, 0.1]), axis=1)
     envelope = scipy_special.j0(k * r) ** 2
     envelope /= envelope.max()
@@ -216,7 +216,7 @@ def test_aif_far_value_decays(k):
     r = 30.0 / k
     grid = ImagingGrid(-3.0, 3.0, -3.0, 3.0, 121, 121)
     imap = predict_aif(sc, k, [2 * math.pi * i / 8 for i in range(1, 9)], grid)
-    pts = grid.points()
+    pts = grid_points(grid)
     far = np.linalg.norm(pts, axis=1) >= r
     assert np.max(imap.values.ravel()[far]) < 0.15
 
@@ -239,7 +239,7 @@ def test_aif_matches_scipy_series_beyond_order_cap():
     k = 4 * math.pi
     angles = [2 * math.pi * i / 8 for i in range(1, 9)]
     grid = ImagingGrid(-3.0, 3.0, -3.0, 3.0, 121, 121)
-    to_center = -grid.points()
+    to_center = -grid_points(grid)
     kr = k * np.linalg.norm(to_center, axis=1)
     raw = scipy_special.j0(kr) * _cosine_series(kr, to_center, angles)
     want = np.abs(raw) / np.abs(raw).max()
@@ -254,7 +254,7 @@ def test_mif_matches_scipy_series_beyond_order_cap():
     k1, kF = ks[0], ks[-1]
     alpha = math.pi / 2
     grid = ImagingGrid(-2.0, 2.0, -2.0, 2.0, 41, 41)
-    to_center = -grid.points()
+    to_center = -grid_points(grid)
     r = np.linalg.norm(to_center, axis=1)
     n_panels = math.ceil((kF - k1) * r.max() / (2 * math.pi))
     nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -281,7 +281,7 @@ def test_mif_matches_converged_band_integral(three_cracks):
     edges = np.linspace(ks[0], ks[-1], 33)
     raw = np.zeros(grid.nx * grid.ny, dtype=complex)
     for crack in three_cracks.cracks:
-        to_center = np.asarray(crack.center) - grid.points()
+        to_center = np.asarray(crack.center) - grid_points(grid)
         r = np.linalg.norm(to_center, axis=1)
         w = (2 * math.pi) ** 2 / math.log(crack.half_length / 2)
         for lo, hi in zip(edges[:-1], edges[1:]):

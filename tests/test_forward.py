@@ -524,3 +524,23 @@ def test_far_field_solves_once_with_the_capacitance_lu(monkeypatch, k, three_cra
     assert system.far_field(dirs, 30).shape == (30, 30)
     assert len(calls) == 1
     assert calls[0] == (len(system._coarse), 30)
+
+
+def test_coarse_nodes_are_held_crack_by_crack_in_scene_order(k):
+    # cracks 0 and 2 share a half-length; crack 1 still owns the rows between them
+    sc = sample_scene(0.05, 0.09, 0.05)
+    system = CrackSystem(sc, k, QuadratureSpec(64))
+    want = np.concatenate([forward._crack_nodes(crack, m)
+                           for crack, m in zip(sc.cracks, system._basis_sizes())])
+    assert np.array_equal(system._coarse, want)
+
+
+@given(scene=_valid_scenes(2, 4), n=st.sampled_from((16, 32)), data=st.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_far_field_does_not_depend_on_the_crack_order(scene, n, data):
+    # relabelling the cracks permutes the rows of the system, not its solution
+    cracks = data.draw(st.permutations(scene.cracks))
+    cfg = AcquisitionConfig((K_RECIP,), 8, (0.3, 2.1))
+    want = far_field_tensor(scene, cfg, QuadratureSpec(n)).values
+    got = far_field_tensor(Scene(tuple(cracks)), cfg, QuadratureSpec(n)).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

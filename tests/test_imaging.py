@@ -16,7 +16,7 @@ from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
                               indicator_if, indicator_mif, indicator_single,
                               map_distance, observation_directions)
 from crackdsm.scene import Crack, Scene
-from paper import argmax_point, direct_steered_sum, loop_local_maxima
+from paper import argmax_point, direct_steered_sum, grid_points, loop_local_maxima
 
 
 def _tensor_order1(scene, k, angles, n_obs=30):
@@ -35,7 +35,7 @@ def test_grid_layout():
     assert grid.shape == (3, 5)
     assert np.allclose(grid.x_coords(), [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert np.allclose(grid.y_coords(), [0.0, 0.25, 0.5])
-    pts = grid.points()
+    pts = grid_points(grid)
     assert pts.shape == (15, 2)
     assert np.allclose(pts[0], [-1.0, 0.0])     # x varies fastest
     assert np.allclose(pts[1], [-0.5, 0.0])
@@ -178,7 +178,7 @@ def test_aif_sharpens_toward_j0_squared(k):
     tensor = _tensor_order1(sc, k, [2 * math.pi * l / L for l in range(1, L + 1)],
                             n_obs=64)
     imap = indicator_aif(tensor, 0, grid)
-    r = np.linalg.norm(grid.points(), axis=1).reshape(grid.shape)
+    r = np.linalg.norm(grid_points(grid), axis=1).reshape(grid.shape)
     ref = j0(k * r) ** 2
     assert np.max(np.abs(imap.values - ref / ref.max())) < 5e-3
 
@@ -380,7 +380,7 @@ def _brute_corr(row, k, grid, d=(0.0, 0.0), turn=0.0):
     Evaluated at the grid points turned by ``turn`` radians about the origin.
     """
     c, s = math.cos(turn), math.sin(turn)
-    pts = grid.points() @ np.array([[c, s], [-s, c]])
+    pts = grid_points(grid) @ np.array([[c, s], [-s, c]])
     theta = observation_directions(row.size)
     out = np.zeros(pts.shape[0], dtype=complex)
     for n in range(row.size):

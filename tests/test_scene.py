@@ -73,6 +73,35 @@ def test_validate_scene_separation_violation():
     assert out[0].startswith("[error] separation for crack(s) 0/1: value 0.5 ")
 
 
+def test_validate_scene_separation_does_not_overflow_far_apart_centres():
+    # |c_i - c_j|^2 overflows at 0.2e300 apart; k (|cx| + |cy| + h) is only
+    # 2.5, so the scene is in range and its separation k d is 1.0
+    sc = Scene((Crack((0.0, 0.0), 0.3e300, 0.0), Crack((0.0, 0.2e300), 0.3e300, 0.0)))
+    assert validate_scene(sc, 5e-300) == []
+    assert validate_scene(sc, 3.5e-300)[0].startswith(
+        "[error] separation for crack(s) 0/1: value 0.7 ")
+
+
+def _checks(scene, k):
+    """(check, crack indices) of each message of validate_scene."""
+    return [tuple(m.partition(": ")[0].split(" for crack(s) ")) for m in validate_scene(scene, k)]
+
+
+@pytest.mark.parametrize("scene, k", [
+    (sample_scene(), 2 * math.pi / 0.3),
+    (Scene((Crack((0, 0), 0.01, 0.0), Crack((0.05, 0), 0.01, 0.3))), 10.0),   # separation
+    (Scene((Crack((0, 0), 0.25, 0.0), Crack((0.125, 0), 0.25, math.pi / 2))), 4.0),  # crossing
+])
+@pytest.mark.parametrize("scale", [1e280, 1e-280])
+def test_validate_scene_is_unchanged_by_scaling_lengths_against_k(scene, k, scale):
+    # the checks read k times lengths only; scaling every length by s and k
+    # by 1/s keeps them, far beyond where the lengths squared overflow or
+    # underflow
+    scaled = Scene(tuple(Crack((c.center[0] * scale, c.center[1] * scale),
+                               c.half_length * scale, c.rotation) for c in scene.cracks))
+    assert _checks(scaled, k / scale) == _checks(scene, k)
+
+
 def test_validate_scene_size_error():
     k = 10.0
     assert validate_scene(Scene((Crack((0, 0), 0.07, 0.0),)), k) == []  # k*l = 0.7
