@@ -12,13 +12,16 @@ identities
 which makes the scheme spectrally accurate.  On a self block
 z = kh|sigma_i - sigma_j| and ln z - ln(kh) = ln|sigma_i - sigma_j|, so the
 block needs no per-k logarithm: the quadrature matrix and the table of node
-log-gaps depend on n alone and are built once per n (read-only), and a block
-depends only on k, h and n, so cracks of equal half-length share one.  The
-nodes are symmetric, sigma_{n+1-i} = -sigma_i, and n is even, so a self block
-is centrosymmetric: J D J = D, J the reversal.  Its top n/2 rows are built and
-the rest reflected, and it is factored as the two n/2 blocks A + CJ and A - CJ
-it is orthogonally similar to (A, C its top-left and top-right quarters; the
-even/odd reduction of Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+gaps and their k-free factors depend on n alone and are built once per n
+(read-only), and a block depends only on k, h and n, so cracks of equal
+half-length share one.  The nodes are symmetric, sigma_{n+1-i} = -sigma_i,
+and n is even, so a self block is centrosymmetric: J D J = D, J the reversal.
+It is factored as the two n/2 blocks A + CJ and A - CJ it is orthogonally
+similar to (A, C its top-left and top-right quarters; the even/odd reduction
+of Cantoni and Butler, Linear Algebra Appl. 13, 1976).  The kernel and W are
+symmetric in the two nodes, so A and CJ are complex-symmetric, with gaps
+sigma_i - sigma_j and sigma_i + sigma_j over the top n/2 nodes: the Hankel
+kernel is evaluated once per node pair, n^2/4 values, and mirrored.
 
 Cross-crack blocks use plain Gauss-Chebyshev quadrature.  Their kernel is
 smooth on separated cracks, so block (p, q) is U_p M_pq U_q^T to round-off:
@@ -69,7 +72,7 @@ _TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off sta
 _LOG_WAVE_TOL = -53.0 * math.log(2.0)   # log of the plane-wave interpolation error allowed
 _SAFE_MIN = np.finfo(float).tiny
 # Most nodes per crack.  At 1024 a self block is 16 MiB, `_log_quadrature_matrix`
-# and `_node_gaps` cache 8 MiB per table for each n used, and the capacitance
+# caches 8 MiB and `_node_gaps` 12 MiB for each n used, and the capacitance
 # matrix of m cracks is at most (m n)^2 complex values, 16 m^2 MiB.
 _MAX_NODES = 1024
 
@@ -113,12 +116,32 @@ def _log_quadrature_matrix(n):
 
 @functools.lru_cache(maxsize=None)
 def _node_gaps(n):
-    """|sigma_i - sigma_j| and ln|sigma_i - sigma_j|, 0 on the diagonal (read-only)."""
-    sigma, _ = _chebyshev_nodes(n)
-    gaps = np.abs(sigma[:, None] - sigma[None, :])
-    log_gaps = np.log(gaps + np.eye(n))
-    gaps.flags.writeable = log_gaps.flags.writeable = False
-    return gaps, log_gaps
+    """(gaps, factor, index), the self-block tables of n nodes (read-only).
+
+    With h = n/2, ``gaps`` holds the n^2/4 distinct node gaps of the quarters
+    A and CJ: sigma_i - sigma_j for i < j < h, then sigma_i + sigma_j for
+    i <= j < h.  ``factor`` is ln(gap)/2n - W/2pi per gap, W taken from its
+    upper triangle.  ``index`` (n, n) places them in the block: entry (i, j)
+    of A or CJ and its transpose read the same slot, the diagonal of A reads
+    slot n^2/4 + i, and the bottom rows mirror the top ones.
+    """
+    h = n // 2
+    sigma = _chebyshev_nodes(n)[0][:h]
+    w = _log_quadrature_matrix(n)
+    ia, ja = np.triu_indices(h, 1)
+    ic, jc = np.triu_indices(h)
+    gaps = np.concatenate([sigma[ia] - sigma[ja], sigma[ic] + sigma[jc]])
+    factor = (np.log(gaps) / (2.0 * n)
+              - np.concatenate([w[ia, ja], w[ic, n - 1 - jc]]) / (2.0 * math.pi))
+    index = np.empty((n, n), dtype=np.intp)
+    a, cj = index[:h, :h], index[:h, h:][:, ::-1]
+    a[ia, ja] = a[ja, ia] = np.arange(len(ia))
+    np.fill_diagonal(a, h * h + np.arange(h))
+    cj[ic, jc] = cj[jc, ic] = len(ia) + np.arange(len(ic))
+    index[h:] = index[:h][::-1, ::-1]
+    for table in (gaps, factor, index):
+        table.flags.writeable = False
+    return gaps, factor, index
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,10 +222,14 @@ def _real_left(u, z):
 
 def _split_factor(block):
     """LUs of A + CJ and A - CJ for a centrosymmetric block [[A, C], [JCJ, JAJ]]
-    of even size."""
+    of even size whose quarters A and CJ are symmetric (`_self_block`).
+
+    Each half is its own transpose, which is in LAPACK's column order, so
+    lu_factor factors it in place instead of copying it into that order."""
     h = len(block) // 2
     a, cj = block[:h, :h], block[:h, h:][:, ::-1]
-    return lu_factor(a + cj, check_finite=False), lu_factor(a - cj, check_finite=False)
+    return (lu_factor((a + cj).T, overwrite_a=True, check_finite=False),
+            lu_factor((a - cj).T, overwrite_a=True, check_finite=False))
 
 
 def _split_solve(lus, b):
@@ -281,25 +308,26 @@ class CrackSystem:
         """h [(ln-gap/2n - W/2pi) J0(z) - (pi/4n) Y0(z) + i (pi/4n) J0(z)].
 
         This is the product quadrature of (i/4) H0(z), z = kh|sigma_i - sigma_j|,
-        with its ln z J0(z)/2pi part taken against W.  Y0 is -inf on the
-        diagonal, which is overwritten with the z -> 0 limit
+        with its ln z J0(z)/2pi part taken against W.  On the diagonal, where
+        z = 0 and Y0 is -inf, it is the z -> 0 limit
         h [-W_ii/2pi - (ln(kh/2) + gamma)/2n + i pi/4n].
 
-        The node gaps and W are unchanged by reversing rows and columns
-        together, so the block is centrosymmetric: only its top n/2 rows are
-        evaluated, and the bottom ones are their reflection, exactly.
+        The kernel is evaluated at the n^2/4 distinct gaps of `_node_gaps`
+        alone and placed by its index, so the block is centrosymmetric and its
+        quarters A and CJ are symmetric, exactly.
         """
         k, n, half = self.k, self.n, crack.half_length
         h = n // 2
-        gaps, log_gaps = (table[:h] for table in _node_gaps(n))
+        gaps, factor, index = _node_gaps(n)
         c = math.pi / (4.0 * n)
-        top = _i_hankel0((k * half) * gaps)
-        top.real = (log_gaps / (2.0 * n) - logmat[:h] / (2.0 * math.pi)) * top.imag + c * top.real
-        top.imag *= c
-        np.fill_diagonal(top, np.diag(logmat)[:h] / (-2.0 * math.pi)
-                         - (math.log(k * half / 2.0) + _EULER_GAMMA) / (2.0 * n) + 1j * c)
-        top *= half
-        return np.concatenate([top, top[::-1, ::-1]])
+        values = np.empty(h * h + h, dtype=complex)
+        pairs = _i_hankel0((k * half) * gaps)
+        values[:h * h].real = factor * pairs.imag + c * pairs.real
+        values[:h * h].imag = c * pairs.imag
+        values[h * h:] = (np.diag(logmat)[:h] / (-2.0 * math.pi)
+                          - (math.log(k * half / 2.0) + _EULER_GAMMA) / (2.0 * n) + 1j * c)
+        values *= half
+        return values[index]
 
     def _basis_sizes(self):
         """Basis size m_p per crack: the largest its pairs need, and at least

@@ -37,18 +37,18 @@ def _fmt(x):
 def _records(path):
     """(lines, file_line): the file's data lines, stripped, without blank lines
     and # comments, and a function giving the 1-based file line of lines[i],
-    which scans the lines again and so serves error messages only; OSError or
+    which splits the text again and so serves error messages only; OSError or
     undecodable bytes -> CrackDsmError.  Lines end at "\n" only: read_text
     turns "\r\n" and "\r" into it, and no other character ends a line."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CrackDsmError(f"cannot read {path}: {exc}") from None
-    lines = [raw.strip() for raw in text.split("\n")]
-    kept = [line for line in lines if line and not line.startswith("#")]
+    kept = [line for raw in text.split("\n") if (line := raw.strip()) and line[0] != "#"]
 
     def file_line(i):
-        return [n for n, line in enumerate(lines, 1) if line and not line.startswith("#")][i]
+        return [n for n, raw in enumerate(text.split("\n"), 1)
+                if (line := raw.strip()) and line[0] != "#"][i]
     return kept, file_line
 
 
