@@ -18,10 +18,10 @@ half-length share one.  The nodes are symmetric, sigma_{n+1-i} = -sigma_i,
 and n is even, so a self block is centrosymmetric: J D J = D, J the reversal.
 It is factored as the two n/2 blocks A + CJ and A - CJ it is orthogonally
 similar to (A, C its top-left and top-right quarters; the even/odd reduction
-of Cantoni and Butler, Linear Algebra Appl. 13, 1976).  The kernel and W are
-symmetric in the two nodes, so A and CJ are complex-symmetric, with gaps
-sigma_i - sigma_j and sigma_i + sigma_j over the top n/2 nodes: the Hankel
-kernel is evaluated once per node pair, n^2/4 values, and mirrored.
+of Cantoni and Butler, Linear Algebra Appl. 13, 1976); only A and CJ are
+built, never D.  The kernel and W are symmetric in the two nodes, so A and CJ
+are complex-symmetric, with gaps sigma_i - sigma_j and sigma_i + sigma_j over
+the top n/2 nodes: the kernel is evaluated once per node pair, n^2/4 values.
 
 Cross-crack blocks use plain Gauss-Chebyshev quadrature.  Their kernel is
 smooth on separated cracks, so block (p, q) is U_p M_pq U_q^T to round-off:
@@ -71,9 +71,10 @@ _FIRST_RANK = 16         # first coarse size tried per crack
 _TAIL_TOL = 1e-13        # Chebyshev tail that counts as resolved; round-off stalls near 2e-15
 _LOG_WAVE_TOL = -53.0 * math.log(2.0)   # log of the plane-wave interpolation error allowed
 _SAFE_MIN = np.finfo(float).tiny
-# Most nodes per crack.  At 1024 a self block is 16 MiB, `_log_quadrature_matrix`
-# caches 8 MiB and `_node_gaps` 12 MiB for each n used, and the capacitance
-# matrix of m cracks is at most (m n)^2 complex values, 16 m^2 MiB.
+# Most nodes per crack.  At 1024 a self block's quarters A and CJ are 8 MiB,
+# `_log_quadrature_matrix` caches 8 MiB and `_node_gaps` 8 MiB (4 of index, 4 of
+# gaps and factors) for each n used, and the capacitance matrix of m cracks is
+# at most (m n)^2 complex values, 16 m^2 MiB.
 _MAX_NODES = 1024
 
 
@@ -121,9 +122,9 @@ def _node_gaps(n):
     With h = n/2, ``gaps`` holds the n^2/4 distinct node gaps of the quarters
     A and CJ: sigma_i - sigma_j for i < j < h, then sigma_i + sigma_j for
     i <= j < h.  ``factor`` is ln(gap)/2n - W/2pi per gap, W taken from its
-    upper triangle.  ``index`` (n, n) places them in the block: entry (i, j)
-    of A or CJ and its transpose read the same slot, the diagonal of A reads
-    slot n^2/4 + i, and the bottom rows mirror the top ones.
+    upper triangle.  ``index`` (2, h, h) places them in A and CJ: entry
+    (i, j) of a quarter and its transpose read the same slot, and the diagonal
+    of A reads slot n^2/4 + i.
     """
     h = n // 2
     sigma = _chebyshev_nodes(n)[0][:h]
@@ -133,12 +134,11 @@ def _node_gaps(n):
     gaps = np.concatenate([sigma[ia] - sigma[ja], sigma[ic] + sigma[jc]])
     factor = (np.log(gaps) / (2.0 * n)
               - np.concatenate([w[ia, ja], w[ic, n - 1 - jc]]) / (2.0 * math.pi))
-    index = np.empty((n, n), dtype=np.intp)
-    a, cj = index[:h, :h], index[:h, h:][:, ::-1]
+    index = np.empty((2, h, h), dtype=np.intp)
+    a, cj = index
     a[ia, ja] = a[ja, ia] = np.arange(len(ia))
     np.fill_diagonal(a, h * h + np.arange(h))
     cj[ic, jc] = cj[jc, ic] = len(ia) + np.arange(len(ic))
-    index[h:] = index[:h][::-1, ::-1]
     for table in (gaps, factor, index):
         table.flags.writeable = False
     return gaps, factor, index
@@ -220,14 +220,12 @@ def _real_left(u, z):
     return (u @ z.view(float).reshape(len(z), -1)).view(complex)
 
 
-def _split_factor(block):
-    """LUs of A + CJ and A - CJ for a centrosymmetric block [[A, C], [JCJ, JAJ]]
-    of even size whose quarters A and CJ are symmetric (`_self_block`).
+def _split_factor(a, cj):
+    """LUs of A + CJ and A - CJ for the centrosymmetric block [[A, C], [JCJ, JAJ]]
+    given by its symmetric quarters A and CJ (`_self_block`).
 
     Each half is its own transpose, which is in LAPACK's column order, so
     lu_factor factors it in place instead of copying it into that order."""
-    h = len(block) // 2
-    a, cj = block[:h, :h], block[:h, h:][:, ::-1]
     return (lu_factor((a + cj).T, overwrite_a=True, check_finite=False),
             lu_factor((a - cj).T, overwrite_a=True, check_finite=False))
 
@@ -305,7 +303,8 @@ class CrackSystem:
         self._factor(_log_quadrature_matrix(self.n))
 
     def _self_block(self, crack, logmat):
-        """h [(ln-gap/2n - W/2pi) J0(z) - (pi/4n) Y0(z) + i (pi/4n) J0(z)].
+        """The quarters (A, CJ) of the self block D, never formed whole,
+        h [(ln-gap/2n - W/2pi) J0(z) - (pi/4n) Y0(z) + i (pi/4n) J0(z)].
 
         This is the product quadrature of (i/4) H0(z), z = kh|sigma_i - sigma_j|,
         with its ln z J0(z)/2pi part taken against W.  On the diagonal, where
@@ -313,8 +312,7 @@ class CrackSystem:
         h [-W_ii/2pi - (ln(kh/2) + gamma)/2n + i pi/4n].
 
         The kernel is evaluated at the n^2/4 distinct gaps of `_node_gaps`
-        alone and placed by its index, so the block is centrosymmetric and its
-        quarters A and CJ are symmetric, exactly.
+        alone and placed by its index, so A and CJ are exactly symmetric.
         """
         k, n, half = self.k, self.n, crack.half_length
         h = n // 2
@@ -385,10 +383,10 @@ class CrackSystem:
         for p, crack in enumerate(cracks):
             half, m = crack.half_length, sizes[p]
             if half not in lus:
-                block = self._self_block(crack, logmat)
-                lus[half] = _split_factor(block)
-                top = np.abs(block[:n // 2]).sum(axis=0)                 # D_p = [top; J top J]
-                norm_d = max(norm_d, (top + top[::-1]).max())
+                a, cj = self._self_block(crack, logmat)
+                lus[half] = _split_factor(a, cj)
+                # column j of D_p and its reflection n-1-j share |A| + |CJ|'s column sum
+                norm_d = max(norm_d, (np.abs(a).sum(axis=0) + np.abs(cj).sum(axis=0)).max())
                 norm_dinv = max(norm_dinv, sum(
                     _hager_higham(functools.partial(lu_solve, half_lu, check_finite=False),
                                   functools.partial(lu_solve, half_lu, trans=1, check_finite=False),
@@ -470,8 +468,8 @@ def reciprocity_residual(scene, k, config: AcquisitionConfig, quad=QuadratureSpe
     """max |psi_inf(theta_n, d_l) - psi_inf(-d_l, -theta_n)|.
 
     Requires the incident set to equal the observation set (L = N, d_l =
-    theta_l); measures discretization error since reciprocity is exact in the
-    continuum.
+    theta_l).  The discrete scheme is reciprocal at every node count, so this
+    checks its symmetry to round-off; it does not measure discretization error.
     """
     if config.n_incident != config.n_obs:
         raise InputMismatchError("reciprocity check needs L = N")
