@@ -2,12 +2,15 @@
 the direct-sampling indicator functions.  Numpy only: the commands that image
 and read maps never load scipy.
 
-The four indicators share one kernel, `_steered_sum`: far-field rows
+The four indicators share one kernel, `_steered_sums`: far-field rows
 correlated with the steering vectors e^{-ik theta_n . x}, optionally
 compensated by e^{-ik d . x}.  On the tensor-product grid each phase splits
-into x and y factors, so a map is one product By diag(u) Ax^T.  Each grid axis
-is uniform, so `_axis_phases` builds the n phases of a column from about
-2 sqrt(n) exponentials, a coarse and a fine table, and one complex product.
+into x and y factors, so a map is one product By diag(u) Ax^T.  The `if` map
+takes its exponentials once and makes one By diag(u_l) Ax^T product per
+incident direction l.  Each grid axis is uniform, so `_axis_tables` takes
+about 2 sqrt(n) exponentials per column, a coarse and a fine table, and
+`_axis_phases` builds the n phases of a column from them with one complex
+product.
 Maps have max 1 (zero maps are flagged, not divided).
 """
 
@@ -170,33 +173,50 @@ class FarFieldTensor:
             raise InputMismatchError("tensor entries must be finite")
 
 
-def _axis_phases(coords, w, u=1.0):
-    """(n, W) phases u e^{i w x_j} on the uniform axis x_j = coords[j].
+def _axis_tables(coords, w):
+    """The coarse and fine tables whose products are e^{i w x_j} on the
+    uniform axis x_j = coords[j]: the module's only exponentials.
 
     With j = a b + c and b = ceil(sqrt(n)), e^{i w x_j} = e^{i w x_{ab}} e^{i w c h}:
-    a coarse table (with u folded in) times a fine one, about 2 sqrt(n)
+    a (ceil(n/b), W) coarse table and a (b, W) fine one, about 2 sqrt(n)
     exponentials per column instead of n.
     """
     n = len(coords)
     b = math.isqrt(n - 1) + 1
     h = (coords[-1] - coords[0]) / (n - 1)
-    coarse = u * np.exp(1j * np.outer(coords[::b], w))      # (ceil(n/b), W)
-    fine = np.exp(1j * np.outer(h * np.arange(b), w))       # (b, W)
-    return (coarse[:, None, :] * fine).reshape(-1, len(w))[:n]
+    coarse = np.exp(1j * np.outer(coords[::b], w))
+    fine = np.exp(1j * np.outer(h * np.arange(b), w))
+    return coarse, fine
+
+
+def _axis_phases(tables, n, u=1.0):
+    """(n, W) phases u e^{i w x_j} from `_axis_tables`: u folded into the
+    coarse table, then one complex product with the fine one."""
+    coarse, fine = tables
+    return ((u * coarse)[:, None, :] * fine).reshape(-1, coarse.shape[1])[:n]
+
+
+def _steered_sums(ks, groups, comp, grid):
+    """Yield, for each group of rows, the (ny, nx) map
+    sum_t sum_n rows[t, n] e^{i ks[t] (theta_n - comp[t]) . x}.
+
+    The groups share ks and comp, so the tables are taken once for all of
+    them: By once, then one By diag(u) Ax^T product per group.  ks and comp
+    hold one entry per row of a group or one for all; comp (0, 0) means no
+    compensation.
+    """
+    theta = observation_directions(groups.shape[-1])
+    wave = np.reshape(ks, (-1, 1, 1)) * (theta - np.reshape(comp, (-1, 1, 2)))  # (T, N, 2)
+    x_tables = _axis_tables(grid.x_coords(), wave[..., 0].ravel())
+    by = _axis_phases(_axis_tables(grid.y_coords(), wave[..., 1].ravel()), grid.ny)  # (ny, T*N)
+    for rows in groups:
+        ax = _axis_phases(x_tables, grid.nx, rows.ravel())                          # (nx, T*N)
+        yield by @ ax.T
 
 
 def _steered_sum(ks, rows, comp, grid):
-    """(ny, nx) map of sum_t sum_n rows[t, n] e^{i ks[t] (theta_n - comp[t]) . x}.
-
-    ks and comp hold one entry per row or one for all; comp (0, 0) means no
-    compensation.
-    """
-    rows = np.asarray(rows)
-    theta = observation_directions(rows.shape[1])
-    wave = np.reshape(ks, (-1, 1, 1)) * (theta - np.reshape(comp, (-1, 1, 2)))  # (T, N, 2)
-    ax = _axis_phases(grid.x_coords(), wave[..., 0].ravel(), rows.ravel())   # (nx, T*N)
-    by = _axis_phases(grid.y_coords(), wave[..., 1].ravel())                 # (ny, T*N)
-    return by @ ax.T
+    """The map of `_steered_sums` for one group of rows."""
+    return next(_steered_sums(ks, np.asarray(rows)[None], comp, grid))
 
 
 def _check_indices(tensor, f_index, l_index=None):
@@ -207,24 +227,26 @@ def _check_indices(tensor, f_index, l_index=None):
         raise InputMismatchError(f"incident index {l_index} out of range (L={L})")
 
 
-def _single(row, k, grid):
-    return IndicatorMap.from_raw(grid, np.abs(_steered_sum(k, [row], (0.0, 0.0), grid)))
-
-
 def indicator_single(tensor, f_index, l_index, grid):
     """Classical single-direction indicator: normalized steering correlation."""
     _check_indices(tensor, f_index, l_index)
-    return _single(tensor.values[f_index, l_index],
-                   tensor.config.wavenumbers[f_index], grid)
+    raw = _steered_sum(tensor.config.wavenumbers[f_index], [tensor.values[f_index, l_index]],
+                       (0.0, 0.0), grid)
+    return IndicatorMap.from_raw(grid, np.abs(raw))
 
 
 def indicator_if(tensor, f_index, grid):
-    """Pointwise maximum of the per-direction indicators, renormalized."""
+    """Pointwise maximum of the per-direction indicators, renormalized.
+
+    The steering exponentials are taken once for the map, not once per
+    incident direction; each direction l adds one By diag(u_l) Ax^T product,
+    normalized as in `indicator_single`.
+    """
     _check_indices(tensor, f_index)
-    k = tensor.config.wavenumbers[f_index]
     peak = np.zeros(grid.shape)
-    for row in tensor.values[f_index]:
-        np.maximum(peak, _single(row, k, grid).values, out=peak)
+    for raw in _steered_sums(tensor.config.wavenumbers[f_index],
+                             tensor.values[f_index][:, None, :], (0.0, 0.0), grid):
+        np.maximum(peak, IndicatorMap.from_raw(grid, np.abs(raw)).values, out=peak)
     return IndicatorMap.from_raw(grid, peak)
 
 

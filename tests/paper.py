@@ -161,15 +161,11 @@ def aligned_max_gap(reference, approx):
     return float(np.max(np.abs(reference - alpha * approx)) / ref_scale)
 
 
-def direct_steered_sum(ks, rows, comp, grid):
-    """`imaging._steered_sum` with one complex exponential per grid coordinate
-    and column, as it was before the coarse/fine phase tables."""
-    rows = np.asarray(rows)
-    theta = observation_directions(rows.shape[1])
-    wave = np.reshape(ks, (-1, 1, 1)) * (theta - np.reshape(comp, (-1, 1, 2)))
-    ax = np.exp(1j * np.outer(grid.x_coords(), wave[..., 0]))
-    by = np.exp(1j * np.outer(grid.y_coords(), wave[..., 1]))
-    return by @ (ax * rows.ravel()).T
+def direct_axis_tables(coords, w):
+    """`imaging._axis_tables` as one complex exponential per axis coordinate
+    and column, as it was before the coarse/fine tables: the whole (n, W)
+    table as the coarse one and a row of ones as the fine one."""
+    return np.exp(1j * np.outer(coords, w)), np.ones((1, len(w)), dtype=complex)
 
 
 def loop_local_maxima(imap, min_separation, floor=0.0, scene=None):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
-from crackdsm import asymptotic, imaging
+from crackdsm import imaging
 from crackdsm.errors import DomainError, InputMismatchError
 from crackdsm.asymptotic import (farfield_order1, predict_aif, predict_mif,
                                  predict_structure1, predict_structure2)
@@ -16,7 +16,7 @@ from crackdsm.imaging import (AcquisitionConfig, FarFieldTensor, ImagingGrid,
                               indicator_if, indicator_mif, indicator_single,
                               map_distance, observation_directions)
 from crackdsm.scene import Crack, Scene
-from paper import argmax_point, direct_steered_sum, grid_points, loop_local_maxima
+from paper import argmax_point, direct_axis_tables, grid_points, loop_local_maxima
 
 
 def _tensor_order1(scene, k, angles, n_obs=30):
@@ -169,6 +169,62 @@ def test_if_is_pointwise_max(k, three_cracks):
     want /= want.max()
     got = indicator_if(tensor, 0, grid)
     assert np.max(np.abs(got.values - want)) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["order1", "one zero row", "all zero"])
+def test_if_is_bitwise_the_max_of_the_single_maps(k, three_cracks, case):
+    # the if map takes its tables once for all rows, yet each row's map is
+    # the single-direction map to the bit
+    grid = ImagingGrid(-1.0, 1.2, -0.8, 1.0, 41, 33)
+    angles = [2 * math.pi * l / 8 for l in range(1, 9)]
+    tensor = _tensor_order1(three_cracks, k, angles)
+    if case != "order1":
+        values = tensor.values.copy()
+        values[0, 2 if case == "one zero row" else slice(None)] = 0.0
+        tensor = FarFieldTensor(values, tensor.config)
+    singles = [indicator_single(tensor, 0, l, grid).values for l in range(len(angles))]
+    want = IndicatorMap.from_raw(grid, np.maximum.reduce(singles))
+    got = indicator_if(tensor, 0, grid)
+    assert np.array_equal(got.values, want.values)
+    assert got.zero_map == want.zero_map == (case == "all zero")
+
+
+def test_if_refuses_a_row_that_overflows(k, three_cracks):
+    grid = ImagingGrid(-1, 1, -1, 1, 21, 21)
+    tensor = _tensor_order1(three_cracks, k, [0.7, 1.9, 3.3])
+    values = tensor.values.copy()
+    values[0, 1] = 1e308
+    tensor = FarFieldTensor(values, tensor.config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            indicator_single(tensor, 0, 1, grid)
+        with pytest.raises(DomainError, match="not finite"):
+            indicator_if(tensor, 0, grid)
+
+
+def test_if_takes_its_exponentials_once_per_map(monkeypatch, k):
+    # the steering tables depend on k, the observation directions and the
+    # grid, not on the incident direction
+    grid = ImagingGrid(-1, 1, -1, 1, 31, 31)
+    axis_tables = imaging._axis_tables
+    taken = []
+
+    def counting(coords, w):
+        tables = axis_tables(coords, w)
+        taken.append(sum(table.size for table in tables))
+        return tables
+
+    monkeypatch.setattr(imaging, "_axis_tables", counting)
+    counts = {}
+    for n_inc in (1, 8, 30):
+        rng = np.random.default_rng(n_inc)
+        data = rng.standard_normal((1, n_inc, 30)) + 1j * rng.standard_normal((1, n_inc, 30))
+        angles = tuple(2 * math.pi * l / n_inc for l in range(n_inc))
+        taken.clear()
+        indicator_if(FarFieldTensor(data, AcquisitionConfig((k,), 30, angles)), 0, grid)
+        counts[n_inc] = (len(taken), sum(taken))
+    assert counts[1] == counts[8] == counts[30], counts
+    assert counts[1][0] == 2  # one call per grid axis
 
 
 def test_aif_sharpens_toward_j0_squared(k):
@@ -404,7 +460,7 @@ def test_axis_phases_match_the_direct_exponential(n):
         wmax = 2e3 / max(abs(lo), abs(hi))
         w = np.concatenate([rng.uniform(-wmax, wmax, 200), [wmax, -wmax, 0.0]])
         u = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-        got = imaging._axis_phases(x, w, u)
+        got = imaging._axis_phases(imaging._axis_tables(x, w), n, u)
         assert got.shape == (n, w.size)
         err = np.abs(got - u * np.exp(1j * np.outer(x, w))) / np.abs(u)
         assert np.all(err <= 4.0 * eps * np.maximum(1.0, np.abs(w) * np.abs(x).max()))
@@ -430,8 +486,9 @@ def test_every_map_matches_the_direct_exponential_kernel(monkeypatch, k, three_c
         "predict mif": lambda: predict_mif(three_cracks, ks, math.pi / 2, grid),
     }
     got = {name: make().values for name, make in maps.items()}
-    monkeypatch.setattr(imaging, "_steered_sum", direct_steered_sum)
-    monkeypatch.setattr(asymptotic, "_steered_sum", direct_steered_sum)
+    # every map, the predictors' through imaging._steered_sum, takes its
+    # exponentials from imaging._axis_tables alone
+    monkeypatch.setattr(imaging, "_axis_tables", direct_axis_tables)
     for name, make in maps.items():
         assert np.max(np.abs(got[name] - make().values)) <= 1e-13, name
 

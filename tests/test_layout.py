@@ -10,13 +10,15 @@ function, class and constant and every private method of ``src/crackdsm``
 (dunders such as ``__version__`` and ``__post_init__`` excepted), and each of
 its modules must use every name it imports.
 
-Five more checks keep one implementation each: `forward` uses ``sp_j0`` and
-``sp_y0`` (the solver's Hankel kernel) in one function only, ``.17g``
-appears in `io` only, whose encoder writes every map and tensor row,
-``np.loadtxt`` is called in one function of `io` only, which parses every
-scene row and every map and tensor data row, `forward` calls ``lu_factor``
-on a self block only through its two half-size blocks, and `forward` reads
-``_RCOND_FLOOR`` in one function only, where only ``self.rcond`` meets it.
+Six more checks keep one implementation each: `forward` uses ``sp_j0`` and
+``sp_y0`` (the solver's Hankel kernel) in one function only, `imaging` calls
+``np.exp`` in one function only, which takes every map's steering
+exponentials, ``.17g`` appears in `io` only, whose encoder writes every map
+and tensor row, ``np.loadtxt`` is called in one function of `io` only, which
+parses every scene row and every map and tensor data row, `forward` calls
+``lu_factor`` on a self block only through its two half-size blocks, and
+`forward` reads ``_RCOND_FLOOR`` in one function only, where only
+``self.rcond`` meets it.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -157,6 +159,16 @@ def test_forward_evaluates_the_hankel_kernel_in_one_function():
     users = {label for label, unit in _units(tree) for node in ast.walk(unit)
              if isinstance(node, ast.Name) and node.id in ("sp_j0", "sp_y0")}
     assert len(users) == 1, f"sp_j0/sp_y0 used in more than one place of forward: {sorted(users)}"
+
+
+def test_imaging_takes_exponentials_in_one_function():
+    # every map's steering phases are built from one pair of coarse and fine
+    # tables; a second place that calls np.exp is a second copy of the kernel
+    tree = _pipeline()[0][PACKAGE / "imaging.py"]
+    users = {label for label, unit in _units(tree) for node in ast.walk(unit)
+             if isinstance(node, ast.Attribute) and node.attr == "exp"
+             and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert len(users) == 1, f"np.exp called in more than one place of imaging: {sorted(users)}"
 
 
 def test_forward_factors_self_blocks_only_as_two_halves():
