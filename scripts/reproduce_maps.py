@@ -8,9 +8,11 @@ Produces, under the chosen output directory:
   - map_band.{csv,pgm}       multi-frequency indicator over lambda in [0.3, 0.7]
   - map_predicted.{csv,pgm}  closed-form single-direction map shape
 plus one .manifest.json per output.  Replaying any stored argv with the same
-BLAS builds and OPENBLAS_NUM_THREADS reproduces the file byte-for-byte; under
-another thread count maps and tensors move by up to 7.4e-16 of their largest
-value, and the PGMs stay identical.
+BLAS builds, the same OPENBLAS_NUM_THREADS and the same OpenBLAS kernel, which
+OpenBLAS picks per CPU (OPENBLAS_CORETYPE sets it), reproduces the file
+byte-for-byte; under another thread count maps and tensors move by up to
+7.4e-16 of their largest value, and the PGMs stay identical.  Another kernel
+also moves maps and tensors at round-off.
 """
 
 import argparse

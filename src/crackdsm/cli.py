@@ -3,10 +3,13 @@
 Every command that writes files also writes a <out>.manifest.json recording
 the resolved parameters and argv.  All generators are deterministic and noise
 is seeded, so replaying the stored argv with the same numpy and scipy BLAS
-builds and the same OPENBLAS_NUM_THREADS reproduces the outputs byte-for-byte.
-Another thread count sums in another order: between 1 and 2 threads, map
-values and tensor entries move by up to 7.4e-16 of the largest, while the PGMs
-stay identical.
+builds, the same OPENBLAS_NUM_THREADS and the same OpenBLAS kernel, which
+OpenBLAS picks per CPU (OPENBLAS_CORETYPE sets it), reproduces the outputs
+byte-for-byte.  Another thread count sums in another order: between 1 and 2
+threads, map values and tensor entries move by up to 7.4e-16 of the largest,
+while the PGMs stay identical.  Another kernel rounds the sums another way and
+moves tensors and maps at round-off too.  `peaks` calls no BLAS, so what it
+prints depends on neither.
 
 The commands only parse, call and report.  `_READS` alone says which flags each
 --generator, --method and --predictor reads, for refusals, nulls and --help.

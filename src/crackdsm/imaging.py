@@ -270,35 +270,11 @@ def indicator_mif(tensor, grid):
     return IndicatorMap.from_raw(grid, np.abs(total))
 
 
-def _clear_of(p, taken, min_separation):
-    """all(np.linalg.norm(p - q) >= min_separation for q in taken), in one pass.
-
-    The pass rounds a distance differently from `norm`, whose `dot` may fuse
-    a multiply-add, by at most a few ulps; distances that close to
-    min_separation are re-decided by the scalar expression.
-    """
+def _distances(p, taken):
+    """sqrt(dx dx + dy dy) from p to each row of taken: numpy ufuncs, each step
+    IEEE-rounded and none a BLAS call, so every CPU gives the same bits."""
     diff = p - taken
-    dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
-    slack = 8.0 * np.finfo(float).eps * min_separation
-    if np.any(dist < min_separation - slack):
-        return False
-    return all(np.linalg.norm(diff[j]) >= min_separation
-               for j in np.flatnonzero(dist <= min_separation + slack))
-
-
-def _nearest(c, taken):
-    """(j, norm) for the first row j of taken with the least
-    np.linalg.norm(c - taken[j]), in one pass.
-
-    As in `_clear_of`, the pass rounds a distance a few ulps away from `norm`;
-    the rows that close to the least distance are re-measured by `norm`.
-    """
-    diff = c - taken
-    dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
-    near = np.flatnonzero(dist <= dist.min() * (1.0 + 16.0 * np.finfo(float).eps))
-    exact = [float(np.linalg.norm(diff[j])) for j in near]
-    i = int(np.argmin(exact))
-    return int(near[i]), exact[i]
+    return np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
 
 
 def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
@@ -328,15 +304,16 @@ def find_local_maxima(imap, min_separation, floor=0.0, scene=None):
     taken = np.empty_like(cand)
     kept = []
     for p, gy, gx in zip(cand, iy, ix):
-        if _clear_of(p, taken[:len(kept)], min_separation):
+        if np.all(_distances(p, taken[:len(kept)]) >= min_separation):
             taken[len(kept)] = p
             kept.append(Peak((float(p[0]), float(p[1])), float(v[gy, gx])))
     report = PeakReport(peaks=kept)
     if scene is not None:
         for crack in scene.cracks:
             if kept:
-                j, dist = _nearest(np.asarray(crack.center), taken[:len(kept)])
-                report.crack_matches.append((crack.center, dist, kept[j].value))
+                dist = _distances(np.asarray(crack.center), taken[:len(kept)])
+                j = int(np.argmin(dist))
+                report.crack_matches.append((crack.center, float(dist[j]), kept[j].value))
             else:
                 report.crack_matches.append((crack.center, math.inf, 0.0))
     return report

@@ -143,22 +143,23 @@ def mif_radial_envelope(k1, kF, r):
     return np.abs(kF * lambda_envelope(kF * r) - k1 * lambda_envelope(k1 * r)) / (kF - k1)
 
 
-def aligned_max_gap(reference, approx):
-    """Relative max-norm gap after removing one fitted complex constant.
+def leading_far_field(crack, k, d, n_obs):
+    """The small-crack leading term of the far field at the N observation
+    directions theta_n, for a crack of half-length h centred at c:
 
-    Fits alpha minimizing ||reference - alpha*approx||_2 and returns
-    max|reference - alpha*approx| / max|reference|.  Used for trend checks
-    against the full solver, whose global far-field constant differs from the
-    expansion's.
+        (1+i)/(4 sqrt(pi k)) * 2 pi/(ln(kh/4) + gamma - i pi/2) * e^{ik (d - theta_n).c}.
+
+    (1+i)/(4 sqrt(pi k)) = e^{i pi/4}/sqrt(8 pi k) is the solver's far-field
+    prefactor, which the optical-theorem test pins.  The weight is -1 over
+    the small-argument Green's function (i/4) H0(kr) ~ i/4 - (ln(kr/2) +
+    gamma)/(2 pi) at the segment's capacity radius r = h/2; the paper's
+    order1 weight 2 pi/ln(h/2) keeps only ln(h/2) of it.
     """
-    reference = np.asarray(reference, dtype=complex)
-    approx = np.asarray(approx, dtype=complex)
-    denom = np.vdot(approx, approx)
-    alpha = np.vdot(approx, reference) / denom if abs(denom) > 0 else 0.0
-    ref_scale = np.max(np.abs(reference))
-    if ref_scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(reference - alpha * approx)) / ref_scale)
+    c = np.asarray(crack.center)
+    theta = observation_directions(n_obs)
+    weight = 2.0 * math.pi / (math.log(k * crack.half_length / 4.0) + np.euler_gamma
+                              - 0.5j * math.pi)
+    return (1 + 1j) / (4.0 * math.sqrt(math.pi * k)) * weight * np.exp(1j * k * (d - theta) @ c)
 
 
 def direct_axis_tables(coords, w):
@@ -168,9 +169,14 @@ def direct_axis_tables(coords, w):
     return np.exp(1j * np.outer(coords, w)), np.ones((1, len(w)), dtype=complex)
 
 
+def _distance(p, q):
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def loop_local_maxima(imap, min_separation, floor=0.0, scene=None):
-    """`imaging.find_local_maxima` with its pruning as one scalar
-    `np.linalg.norm` per (candidate, kept peak) pair, as it was first written."""
+    """`imaging.find_local_maxima` with its pruning as one scalar distance
+    math.sqrt(dx * dx + dy * dy) per (candidate, kept peak) pair."""
     v = imap.values
     ny, nx = v.shape
     padded = np.full((ny + 2, nx + 2), -np.inf)
@@ -186,17 +192,16 @@ def loop_local_maxima(imap, min_separation, floor=0.0, scene=None):
     cand = sorted(zip(iy.tolist(), ix.tolist()), key=lambda p: (-v[p[0], p[1]], p[0], p[1]))
     kept = []
     for gy, gx in cand:
-        p = np.array([xs[gx], ys[gy]])
-        if all(np.linalg.norm(p - np.asarray(q.position)) >= min_separation for q in kept):
-            kept.append(Peak((float(p[0]), float(p[1])), float(v[gy, gx])))
+        p = (float(xs[gx]), float(ys[gy]))
+        if all(_distance(p, q.position) >= min_separation for q in kept):
+            kept.append(Peak(p, float(v[gy, gx])))
     report = PeakReport(peaks=kept)
     if scene is not None:
         for crack in scene.cracks:
-            c = np.asarray(crack.center)
             if kept:
-                dists = [np.linalg.norm(c - np.asarray(q.position)) for q in kept]
+                dists = [_distance(crack.center, q.position) for q in kept]
                 j = int(np.argmin(dists))
-                report.crack_matches.append((crack.center, float(dists[j]), kept[j].value))
+                report.crack_matches.append((crack.center, dists[j], kept[j].value))
             else:
                 report.crack_matches.append((crack.center, math.inf, 0.0))
     return report

@@ -368,26 +368,39 @@ def test_pruning_decides_exact_ties_at_the_separation():
     assert values == [1.0, 0.9, 0.8, 0.7]
 
 
-def test_pruning_follows_the_scalar_norm_where_roundings_differ():
-    # np.linalg.norm may round a distance one ulp away from sqrt(dx^2 + dy^2);
-    # with the separation set to one of the two, the scalar one decides
-    grid = ImagingGrid(-1, 1, -1, 1, 101, 101)
-    xs = grid.x_coords()
-    rng = np.random.default_rng(0)
-    cases = {}
-    for a, b, c, d in rng.integers(0, 101, size=(4000, 4)):
+def _distance_cases(xs):
+    """Pairs (a, b, c, d) of grid indices: (87, 1, 12, 87), whose np.linalg.norm
+    distance OpenBLAS's SkylakeX kernel rounds one ulp above
+    sqrt(dx*dx + dy*dy) and its Prescott kernel does not, then, one per sign,
+    the first random pairs whose norm this host rounds away from it."""
+    cases = {None: (87, 1, 12, 87)}
+    for a, b, c, d in np.random.default_rng(0).integers(0, len(xs), size=(4000, 4)).tolist():
         if abs(a - c) < 2 or abs(b - d) < 2:
             continue
         diff = np.array([xs[c] - xs[a], xs[d] - xs[b]])
-        scalar = np.linalg.norm(diff)
-        vector = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
-        if scalar != vector:
-            cases.setdefault(scalar > vector, ((a, b, c, d), max(scalar, vector)))
-    for (a, b, c, d), sep in cases.values():
+        gap = np.linalg.norm(diff) - np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
+        if gap != 0.0:
+            cases.setdefault(gap > 0.0, (a, b, c, d))
+    return list(cases.values())
+
+
+def test_pruning_and_matches_measure_one_distance():
+    # the peaks at (a, b) and (c, d) lie dist = sqrt(dx*dx + dy*dy) apart,
+    # whatever np.linalg.norm gives: at separation dist both are kept, one ulp
+    # above it the lower is pruned, and a crack at (c, d) matches (a, b) at dist
+    grid = ImagingGrid(-1, 1, -1, 1, 101, 101)
+    xs = grid.x_coords().tolist()  # and the y coordinates
+    for a, b, c, d in _distance_cases(xs):
+        dx, dy = xs[c] - xs[a], xs[d] - xs[b]
+        dist = math.sqrt(dx * dx + dy * dy)
         v = np.zeros(grid.shape)
         v[b, a], v[d, c] = 1.0, 0.9
         imap = _map_from(grid, v)
-        assert find_local_maxima(imap, sep) == loop_local_maxima(imap, sep)
+        assert [p.value for p in find_local_maxima(imap, dist).peaks] == [1.0, 0.9]
+        scene = Scene((Crack((xs[c], xs[d]), 0.05, 0.0),))
+        report = find_local_maxima(imap, np.nextafter(dist, math.inf), scene=scene)
+        assert [p.value for p in report.peaks] == [1.0]
+        assert report.crack_matches == [((xs[c], xs[d]), dist, 1.0)], (a, b, c, d)
 
 
 def test_crack_matches_take_the_first_of_equally_near_peaks():

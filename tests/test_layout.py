@@ -10,15 +10,16 @@ function, class and constant and every private method of ``src/crackdsm``
 (dunders such as ``__version__`` and ``__post_init__`` excepted), and each of
 its modules must use every name it imports.
 
-Six more checks keep one implementation each: `forward` uses ``sp_j0`` and
+Seven more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, `imaging` calls
 ``np.exp`` in one function only, which takes every map's steering
-exponentials, ``.17g`` appears in `io` only, whose encoder writes every map
-and tensor row, ``np.loadtxt`` is called in one function of `io` only, which
-parses every scene row and every map and tensor data row, `forward` calls
-``lu_factor`` on a self block only through its two half-size blocks, and
-`forward` reads ``_RCOND_FLOOR`` in one function only, where only
-``self.rcond`` meets it.
+exponentials, `imaging` measures every peak distance in ``_distances`` and
+never calls ``np.linalg``, ``.17g`` appears in `io` only, whose encoder
+writes every map and tensor row, ``np.loadtxt`` is called in one function
+of `io` only, which parses every scene row and every map and tensor data row,
+`forward` calls ``lu_factor`` on a self block only through its two half-size
+blocks, and `forward` reads ``_RCOND_FLOOR`` in one function only, where
+only ``self.rcond`` meets it.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -169,6 +170,23 @@ def test_imaging_takes_exponentials_in_one_function():
              if isinstance(node, ast.Attribute) and node.attr == "exp"
              and isinstance(node.value, ast.Name) and node.value.id == "np"}
     assert len(users) == 1, f"np.exp called in more than one place of imaging: {sorted(users)}"
+
+
+def test_imaging_measures_peak_distances_in_one_function():
+    # pruning and crack matches take sqrt(dx*dx + dy*dy) from _distances;
+    # np.linalg (whose norm rounds as the CPU's BLAS kernel does), np.hypot
+    # or math.dist would be a second way
+    tree = _pipeline()[0][PACKAGE / "imaging.py"]
+    others = sorted(f"{label}: {node.attr}" for label, unit in _units(tree)
+                    for node in ast.walk(unit) if isinstance(node, ast.Attribute)
+                    and node.attr in ("linalg", "hypot", "dist"))
+    assert others == [], f"imaging measures distances another way: {others}"
+    roots = sorted(label for label, unit in _units(tree) for node in ast.walk(unit)
+                   if isinstance(node, ast.Attribute) and node.attr == "sqrt")
+    assert roots == ["_distances", "map_distance"], f"np.sqrt called in {roots}"
+    callers = sorted(label for label, unit in _units(tree) for node in ast.walk(unit)
+                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_distances")
+    assert callers == ["find_local_maxima"] * 2, f"_distances called from {callers}"
 
 
 def test_forward_factors_self_blocks_only_as_two_halves():
