@@ -6,7 +6,9 @@ rows are encoded without a formatter call per value.  For 1e-4 <= |v| < 1e16,
 which %.17g writes in fixed form, the 17 digits are |v| * 10**(16 - e) with e
 in [-4, 15], or one off from log10, so the factor <= 1e21 is exact; Dekker's
 two-product keeps the product exact until it is rounded half to even, as %.17g
-rounds.  Exponent forms, rare in maps, are written by %.17g itself.
+rounds.  Exponent forms, rare in maps, are written by %.17g itself.  A tensor
+row's three index columns come from a table of digit words and only its two
+values from that encoder, with the bytes "%d %d %d %.17g %.17g" gives.
 
 Scene rows, map and tensor data rows, the numbers of the map and tensor
 headers and the CLI's numeric flags are read by np.loadtxt (`_table`), whose
@@ -224,9 +226,9 @@ def _digit_words(m):
     return first, d[0] | d[1] << 32, d[2] | d[3] << 32, trailing
 
 
-def _encode_block(v, sep, ends):
-    """The %.17g texts of the values v, each followed by sep, or by a newline
-    at the indices ends, as bytes."""
+def _value_words(v):
+    """(y, other): the slots of the values v as (3, v.size) uint64 words, their
+    byte 23 NUL, and the indices of the values laid out as one 0x01 byte."""
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e16)
     zero = a == 0.0
@@ -250,10 +252,13 @@ def _encode_block(v, sep, ends):
     y |= _POINT[np.where(shown > before, t, 0)]
     other = np.flatnonzero(~fast & ~zero)
     y[0, other], y[1, other], y[2, other] = 1 << 8, 0, 0
-    slots = np.ascontiguousarray(y.T).view(np.uint8)
-    slots[:, 23] = ord(sep)
-    slots[ends, 23] = 10
-    body = slots.tobytes().translate(None, b"\0")
+    return y, other
+
+
+def _text(laid_out, v, other):
+    """The bytes of the laid-out array without its NULs, its 0x01 bytes
+    replaced by the %.17g texts of v[other] in turn."""
+    body = laid_out.tobytes().translate(None, b"\0")
     if other.size == 0:
         return body
     texts = [_fmt(x).encode() for x in v[other].tolist()] + [b""]
@@ -267,8 +272,41 @@ def _encode_rows(values, sep):
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]
-        ends = np.arange((ncols - 1 - start) % ncols, block.size, ncols)  # row ends
-        yield _encode_block(block, sep, ends)
+        y, other = _value_words(block)
+        slots = np.ascontiguousarray(y.T).view(np.uint8)
+        slots[:, 23] = ord(sep)
+        slots[(ncols - 1 - start) % ncols::ncols, 23] = 10  # row ends
+        yield _text(slots, block, other)
+
+
+def _index_words(count):
+    """For each i < count <= 10**4, the text of i and a space as uint64, the
+    text in the low five bytes with NULs in place of _DIGITS4's leading zeros."""
+    i = np.arange(count)
+    lead = 3 - (i >= 10) - (i >= 100) - (i >= 1000)  # zeros before i's first digit
+    return _DIGITS4[i] & _FROM[16 + lead] | _U(32) << 32
+
+
+def _encode_tensor(values):
+    r"""Yield the bytes of "%d %d %d %.17g %.17g\n" % (f, l, n, v.real, v.imag)
+    for the entries v of an (F, L, N) complex array, n fastest, in blocks of
+    _BLOCK values.  Each row is eight words: the three index texts in the
+    first two, the slots of v.real and v.imag in the other six."""
+    words = [_index_words(count) for count in values.shape]
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    for start in range(0, flat.size, _BLOCK // 2):
+        v = flat[start:start + _BLOCK // 2].view(float)  # re, im, re, im, ...
+        f, l, n = (w[i] for w, i in zip(words, np.unravel_index(
+            np.arange(start, start + v.size // 2), values.shape)))
+        y, other = _value_words(v)
+        rows = np.empty((v.size // 2, 8), _U)
+        rows[:, 0] = f | l << 40
+        rows[:, 1] = l >> 24 | n << 16
+        rows[:, 2:] = y.T.reshape(-1, 6)
+        text = rows.view(np.uint8)
+        text[:, 39] = 32  # byte 23 of the v.real slot
+        text[:, 63] = 10
+        yield _text(text, v, other)
 
 
 # ---------------------------------------------------------------- scene files
@@ -314,12 +352,8 @@ def write_tensor(path, tensor):
         "wavenumbers " + " ".join(map(_fmt, cfg.wavenumbers)) + "\n",
         "incident_angles " + " ".join(map(_fmt, cfg.incident_angles)) + "\n",
         "data f l n re im\n"])
-    values = tensor.values.reshape(-1)
-    # one "f l n re im" row per entry, n varying fastest; %.17g prints
-    # the integer indices as str does
-    rows = np.column_stack([*np.indices(tensor.values.shape).reshape(3, -1),
-                            values.real, values.imag])
-    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_rows(rows, " ")))
+    # imaging bounds F, L and N by 1024, so an index has at most four digits
+    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_tensor(tensor.values)))
 
 
 def read_tensor(path):

@@ -11,8 +11,8 @@ from crackdsm.asymptotic import (_gauss_legendre_panels, _grid_reach,
                                  predict_structure2)
 from crackdsm.imaging import AcquisitionConfig, ImagingGrid, unit_vectors
 from crackdsm.scene import Crack, Scene
-from paper import (argmax_point, grid_points, j0_plane_wave_sum, mif_radial_envelope,
-                   sample_scene, structure_fields, uniform_direction_sum,
+from paper import (argmax_point, grid_points, j0_plane_wave_sum, leading_far_field,
+                   mif_radial_envelope, sample_scene, structure_fields, uniform_direction_sum,
                    weighted_direction_sum)
 
 
@@ -70,6 +70,45 @@ def test_order1_rejects_oversized_cracks(k, config30, d_up):
                         AcquisitionConfig((40.0,), 30, (0.0,)))
     with pytest.raises(SceneError):
         farfield_order1(Scene((Crack((0, 0), 1.5, 0.0),)), k, d_up, config30)
+
+
+# The paper's order1 weight 2 pi/ln(h/2) has no k, where the explicit leading
+# term `paper.leading_far_field` weights by 2 pi/(ln(kh/4) + gamma - i pi/2)
+# and scales by 1/sqrt(k).  So order1 data weight frequencies and unequal
+# lengths otherwise than the leading term; the generator stays as the paper
+# gives it, and these two tests pin the gap.
+
+def _order1_and_leading(half, k, d_up):
+    crack = Crack((0.0, 0.0), half, 0.0)
+    config = AcquisitionConfig((k,), 30, (math.pi / 2,))
+    return (farfield_order1(Scene((crack,)), k, d_up, config),
+            leading_far_field(crack, k, d_up, 30))
+
+
+def test_order1_weights_every_wavenumber_alike_unlike_the_leading_term(d_up):
+    # h = 0.05 across lambda = 0.7 to 0.3: order1's origin-crack field stays
+    # one number, the leading term's grows 1.186-fold in magnitude (1/1.186
+    # from lambda = 0.3 to 0.7) and turns by 19.8 degrees
+    short, lead_short = _order1_and_leading(0.05, 2 * math.pi / 0.3, d_up)
+    long_, lead_long = _order1_and_leading(0.05, 2 * math.pi / 0.7, d_up)
+    assert np.array_equal(short, long_)
+    ratio = lead_long / lead_short
+    assert np.allclose(ratio, ratio[0], rtol=1e-14, atol=0)
+    assert abs(ratio[0]) == pytest.approx(1.186, abs=5e-4)
+    assert math.degrees(np.angle(ratio[0])) == pytest.approx(19.80, abs=0.01)
+
+
+def test_order1_weights_unequal_lengths_unlike_the_leading_term(d_up):
+    # at k = 4 pi the h = 0.09 crack over the h = 0.05 one: 1.180 at -15.45
+    # degrees for the leading term, 1.190 at 0 degrees for order1
+    k = 4 * math.pi
+    (order1, lead), (order1_ref, lead_ref) = (_order1_and_leading(h, k, d_up)
+                                              for h in (0.09, 0.05))
+    ratio = lead[0] / lead_ref[0]
+    assert abs(ratio) == pytest.approx(1.180, abs=5e-4)
+    assert math.degrees(np.angle(ratio)) == pytest.approx(-15.45, abs=0.01)
+    assert order1[0] / order1_ref[0] == pytest.approx(1.190, abs=5e-4)
+    assert np.angle(order1[0] / order1_ref[0]) == 0.0
 
 
 def test_order2_reduces_to_order1_when_orthogonal(k, config30):

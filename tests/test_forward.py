@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.special import hankel1, j0 as scipy_j0
 
 from crackdsm import forward
@@ -582,6 +583,52 @@ def test_far_field_solves_once_with_the_capacitance_lu(monkeypatch, k, three_cra
     assert system.far_field(dirs, 30).shape == (30, 30)
     assert len(calls) == 1
     assert calls[0] == (len(system._coarse), 30)
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", (32, 128))
+@pytest.mark.parametrize("shape", ((), (1,), (16,)))
+@pytest.mark.parametrize("trans", (0, 1))
+def test_lu_wrappers_are_scipys_bit_for_bit(n, shape, trans):
+    # forward's lu_factor and lu_solve call ZGETRF and ZGETRS directly; the
+    # factors, pivots and solutions are scipy.linalg's to the bit
+    rng = np.random.default_rng(n + len(shape) + 2 * trans)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((n, *shape)) + 1j * rng.standard_normal((n, *shape))
+    want = scipy.linalg.lu_factor(a)
+    got = forward.lu_factor(a)
+    assert all(map(_same_bits, got, want))
+    assert _same_bits(forward.lu_solve(got, b, trans=trans),
+                      scipy.linalg.lu_solve(want, b, trans=trans))
+    # F-ordered input is factored in place, as scipy does it
+    ours, theirs = np.asfortranarray(a), np.asfortranarray(a)
+    got = forward.lu_factor(ours, overwrite_a=True, check_finite=False)
+    want = scipy.linalg.lu_factor(theirs, overwrite_a=True, check_finite=False)
+    assert np.shares_memory(got[0], ours) and np.shares_memory(want[0], theirs)
+    assert all(map(_same_bits, got, want))
+    assert _same_bits(forward.lu_solve(got, b, trans=trans, check_finite=False),
+                      scipy.linalg.lu_solve(want, b, trans=trans, check_finite=False))
+
+
+def test_lu_factor_warns_on_an_exactly_singular_matrix():
+    a = np.ones((8, 8), dtype=complex)
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+        forward.lu_factor(a)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0.0, -np.inf)))
+def test_lu_solve_refuses_non_finite_data_when_checking(bad):
+    lu = forward.lu_factor(np.eye(4, dtype=complex) * 2.0)
+    b = np.ones(4, dtype=complex)
+    b[2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        forward.lu_solve(lu, b)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        forward.lu_factor(np.diag(b))
+    assert not np.isfinite(forward.lu_solve(lu, b, check_finite=False)[2])
 
 
 def test_coarse_nodes_are_held_crack_by_crack_in_scene_order(k):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crackdsm import io as cio
+from crackdsm import imaging
 from crackdsm.imaging import AcquisitionConfig, FarFieldTensor
 from paper import format_rows
 
@@ -116,15 +117,35 @@ def test_encoder_five_columns_with_special_values_at_block_edges(sep):
     _assert_rows_match(values.reshape(-1, 5), sep)
 
 
-def test_write_tensor_rows_are_the_value_by_value_format(tmp_path):
-    cfg = AcquisitionConfig((1.0, 2.5), 12, (0.0, 1.0, 2.0))
+# (2, 3, 12) gives one- and two-digit indices; (12, 1, 1024) and (1, 1024, 8)
+# one to four digits in the first and last columns and in the middle one; the
+# 3 * 7 * 400 rows cross two of write_tensor's blocks of _B // 2 rows
+@pytest.mark.parametrize("shape", [(2, 3, 12), (12, 1, 1024), (1, 1024, 8), (3, 7, 400)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_write_tensor_rows_are_the_value_by_value_format(tmp_path, shape):
+    f_count, l_count, n_count = shape
+    cfg = AcquisitionConfig(tuple(1.0 + 1.5 * np.arange(f_count)), n_count,
+                            tuple(np.arange(l_count, dtype=float)))
     rng = np.random.default_rng(4)
-    values = (rng.standard_normal((2, 3, 12)) + 1j * rng.standard_normal((2, 3, 12))) * 1e-3
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 1e-3
     values.flat[:6] = [0.0, -0.0, 1e-9, complex(-1e-300, 5e-324), 1e20, -1e-6]
+    # the same values and 1.5e-5 in both columns, on both sides of each block edge
+    specials = [0.0, -0.0, 1e-9, -1e-300, 5e-324, 1e20, -1e-6, 1.5e-5]
+    edges = [r for e in range(_B // 2, values.size, _B // 2) for r in (e - 1, e)]
+    for i, row in enumerate(edges):
+        values.flat[row] = complex(specials[i % 8], specials[(i + 3) % 8])
     path = tmp_path / "t.txt"
     cio.write_tensor(path, FarFieldTensor(values, cfg))
-    header = ("# far-field tensor v1\nF 2\nL 3\nN 12\nwavenumbers 1 2.5\n"
-              "incident_angles 0 1 2\ndata f l n re im\n")
+    header = "".join([f"# far-field tensor v1\nF {f_count}\nL {l_count}\nN {n_count}\n",
+                      "wavenumbers ", " ".join(f"{k:.17g}" for k in cfg.wavenumbers),
+                      "\nincident_angles ", " ".join(f"{a:.17g}" for a in cfg.incident_angles),
+                      "\ndata f l n re im\n"])
     rows = "".join(f"{f} {l} {n} {v.real:.17g} {v.imag:.17g}\n"
                    for (f, l, n), v in np.ndenumerate(values))
     assert path.read_bytes() == (header + rows).encode()
+
+
+def test_tensor_indices_fit_the_digit_table():
+    # write_tensor writes each index from a table of four-digit words, so
+    # the counts imaging allows must stay at or below 10**4
+    assert max(imaging._MAX_COUNT.values()) <= 10**4

@@ -10,7 +10,7 @@ function, class and constant and every private method of ``src/crackdsm``
 (dunders such as ``__version__`` and ``__post_init__`` excepted), and each of
 its modules must use every name it imports.
 
-Seven more checks keep one implementation each: `forward` uses ``sp_j0`` and
+Eight more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, `imaging` calls
 ``np.exp`` in one function only, which takes every map's steering
 exponentials, `imaging` measures every peak distance in ``_distances`` and
@@ -18,8 +18,11 @@ never calls ``np.linalg``, ``.17g`` appears in `io` only, whose encoder
 writes every map and tensor row, ``np.loadtxt`` is called in one function
 of `io` only, which parses every scene row and every map and tensor data row,
 `forward` calls ``lu_factor`` on a self block only through its two half-size
-blocks, and `forward` reads ``_RCOND_FLOOR`` in one function only, where
-only ``self.rcond`` meets it.
+blocks, `forward` reads ``_RCOND_FLOOR`` in one function only, where
+only ``self.rcond`` meets it, and `forward` calls LAPACK's getrf and getrs
+only in its own ``lu_factor`` and ``lu_solve`` and imports neither name from
+scipy.  One more check keeps every cached table of `forward`, the Chebyshev
+nodes among them, read-only.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -214,6 +217,36 @@ def test_forward_gates_conditioning_on_one_figure():
                 and "_RCOND_FLOOR" in ast.unparse(node)
                 for operand in (node.left, *node.comparators)]
     assert sorted(compared) == ["_RCOND_FLOOR", "self.rcond"], f"the floor meets {compared}"
+
+
+def test_forward_calls_lapack_lu_only_in_its_two_wrappers():
+    # every LU factor and solve goes through forward.lu_factor and lu_solve,
+    # which call ZGETRF and ZGETRS looked up once; scipy.linalg's functions of
+    # those names add their per-call wrapping around the same routines
+    tree = _pipeline()[0][PACKAGE / "forward.py"]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in ("lu_factor", "lu_solve")]
+    assert imported == [], f"forward imports {imported}"
+    users = {name: sorted({label for label, unit in _units(tree) for node in ast.walk(unit)
+                           if isinstance(node, ast.Name) and node.id == name
+                           and isinstance(node.ctx, ast.Load)})
+             for name in ("_GETRF", "_GETRS", "get_lapack_funcs")}
+    assert users == {"_GETRF": ["lu_factor"], "_GETRS": ["lu_solve"],
+                     "get_lapack_funcs": ["<module>"]}, f"LAPACK LU routines used in {users}"
+
+
+def test_forward_caches_its_tables_read_only():
+    # a cached table is shared by every caller, so each is marked read-only
+    # before it is first returned
+    tree = _pipeline()[0][PACKAGE / "forward.py"]
+    cached = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)}
+    assert {"_chebyshev_nodes", "_node_gaps"} <= cached.keys(), f"cached: {sorted(cached)}"
+    writable = sorted(name for name, node in cached.items() if not any(
+        isinstance(target, ast.Attribute) and target.attr == "writeable"
+        and isinstance(stmt.value, ast.Constant) and stmt.value.value is False
+        for stmt in ast.walk(node) if isinstance(stmt, ast.Assign) for target in stmt.targets))
+    assert writable == [], f"cached tables left writeable: {writable}"
 
 
 def test_only_io_formats_floats_at_17_digits():
