@@ -18,9 +18,9 @@ Numeric flags are read as the files' numbers are (`io._numbers`).  Bad input
 unread flag or a command line argparse refuses) exits 1 with "error: ..." and
 writes nothing.
 
-`simulate` and `predict` import the solver (`forward`) and the closed-form
-generators and predictors (`asymptotic`) when they run.  Only `forward` loads
-scipy, so every command but `simulate --generator full` runs without it.
+Only `simulate --generator full` imports the solver (`forward`), when it
+runs.  `forward` is the one module that loads scipy, so every other command
+runs without it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import sys
 import numpy as np
 
 from . import __version__
+from .asymptotic import (farfield_order1, farfield_order2, predict_aif, predict_mif,
+                         predict_structure1, predict_structure2)
 from .errors import CrackDsmError
 from .imaging import (AcquisitionConfig, FarFieldTensor, check_count, find_local_maxima,
                       indicator_aif, indicator_if, indicator_mif, indicator_single,
@@ -80,11 +82,18 @@ def _flag_type(read):
     return parse
 
 
+def _path(text):
+    """An argparse type: a file path, refused when empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return text
+
+
 def _wavenumbers(args):
     """Resolve k list from --lambda or --lambda-range/--n-freq."""
-    if args.lambda_range and args.wavelength is not None:
+    if args.lambda_range is not None and args.wavelength is not None:
         raise CrackDsmError("give --lambda or --lambda-range, not both")
-    if args.lambda_range:
+    if args.lambda_range is not None:
         try:
             lo, hi = cio._numbers(args.lambda_range, ",")
         except ValueError:
@@ -120,11 +129,11 @@ def _incident_angles(args):
     return (args.incident_angle,)
 
 
-def _write_manifest(args, command, inputs, params, outputs):
+def _write_manifest(args, inputs, params, outputs):
     """<outputs[0]>.manifest.json: the command, its argv, inputs, resolved
     parameters and outputs."""
     cio.write_manifest(outputs[0] + ".manifest.json", {
-        "command": command, "argv": list(args._argv), "inputs": inputs, "params": params,
+        "command": args.command, "argv": list(args._argv), "inputs": inputs, "params": params,
         "outputs": outputs, "tool_version": __version__})
 
 
@@ -160,7 +169,6 @@ def cmd_simulate(args):
         quad_nodes = quad.nodes_per_crack
         tensor = far_field_tensor(scene, config, quad)
     else:
-        from .asymptotic import farfield_order1, farfield_order2
         gen = farfield_order1 if args.generator == "order1" else farfield_order2
         dirs = config.incident_directions()
         tensor = FarFieldTensor([gen(scene, k, dirs, config) for k in config.wavenumbers],
@@ -169,8 +177,7 @@ def cmd_simulate(args):
         seed = 0 if args.seed is None else args.seed
         tensor = _add_noise(tensor, args.noise_snr, seed)
     cio.write_tensor(args.out, tensor)
-    _write_manifest(args, "simulate",
-                    inputs={"scene": args.scene},
+    _write_manifest(args, inputs={"scene": args.scene},
                     params={"wavenumbers": list(ks), "n_obs": args.n_obs,
                             "incident_angles": list(config.incident_angles),
                             "generator": args.generator, "quad_nodes": quad_nodes,
@@ -179,12 +186,12 @@ def cmd_simulate(args):
     return 0
 
 
-def _write_map(args, command, imap, inputs, params):
+def _write_map(args, imap, inputs, params):
     csv_path = args.out if args.out.endswith(".csv") else args.out + ".csv"
     pgm_path = csv_path[:-4] + ".pgm"
     cio.write_map_csv(csv_path, imap)
     cio.write_map_pgm(pgm_path, imap)
-    _write_manifest(args, command, inputs, params, outputs=[csv_path, pgm_path])
+    _write_manifest(args, inputs, params, outputs=[csv_path, pgm_path])
     if imap.zero_map:
         print("warning: all-zero map", file=sys.stderr)
     return 0
@@ -198,15 +205,13 @@ def cmd_image(args):
                  "mif": indicator_mif}[args.method]
     indices = {flag: getattr(args, flag) or 0 for flag in _READS["method"][args.method]}
     imap = indicator(tensor, *indices.values(), grid)
-    return _write_map(args, "image", imap,
+    return _write_map(args, imap,
                       inputs={"tensor": args.tensor},
                       params={"method": args.method, "f_index": None, "l_index": None,
                               **indices, "grid": cio.format_grid(grid)})
 
 
 def cmd_predict(args):
-    from .asymptotic import (predict_aif, predict_mif, predict_structure1,
-                             predict_structure2)
     grid = cio.parse_grid(args.grid)
     scene = cio.read_scene(args.scene)
     ks = _wavenumbers(args)
@@ -222,7 +227,7 @@ def cmd_predict(args):
         imap = predict_aif(scene, ks[0], angles, grid)
     else:
         imap = predict_mif(scene, ks, angles[0], grid)
-    return _write_map(args, "predict", imap,
+    return _write_map(args, imap,
                       inputs={"scene": args.scene},
                       params={"predictor": predictor, "wavenumbers": list(ks),
                               "incident_angles": angles, "grid": cio.format_grid(grid)})
@@ -239,7 +244,7 @@ def cmd_compare(args):
 
 def cmd_peaks(args):
     imap = cio.read_map_csv(args.map)
-    scene = cio.read_scene(args.scene) if args.scene else None
+    scene = cio.read_scene(args.scene) if args.scene is not None else None
     report = find_local_maxima(imap, min_separation=args.separation,
                                floor=args.floor, scene=scene)
     print(f"peaks {len(report.peaks)}")
@@ -286,7 +291,7 @@ def build_parser():
                                   " (default pi/2)"))
 
     p = sub.add_parser("simulate", help="generate a far-field tensor file")
-    p.add_argument("--scene", required=True)
+    p.add_argument("--scene", required=True, type=_path)
     add_acquisition(p)
     p.add_argument("--n-obs", type=count, default=30, help="observation count N")
     p.add_argument("--generator", choices=list(_READS["generator"]), default="full")
@@ -295,36 +300,36 @@ def build_parser():
     p.add_argument("--noise-snr", type=number,
                    help="add complex white noise at this SNR (dB)")
     p.add_argument("--seed", type=count, help="noise seed for --noise-snr (default 0)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("image", help="apply an indicator to a tensor file")
-    p.add_argument("--tensor", required=True)
+    p.add_argument("--tensor", required=True, type=_path)
     p.add_argument("--method", choices=list(_READS["method"]), required=True)
     p.add_argument("--f-index", type=count, help="frequency index for "
                    f"{_readers('method', 'f_index')} (default 0)")
     p.add_argument("--l-index", type=count, help="incident-direction index for "
                    f"{_readers('method', 'l_index')} (default 0)")
     p.add_argument("--grid", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("predict", help="closed-form map predictor")
-    p.add_argument("--scene", required=True)
+    p.add_argument("--scene", required=True, type=_path)
     p.add_argument("--predictor", choices=list(_READS["predictor"]), required=True)
     add_acquisition(p, "predictor")
     p.add_argument("--grid", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("compare", help="linf/l2 distance between two maps")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", required=True, type=_path)
+    p.add_argument("--b", required=True, type=_path)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("peaks", help="extract local maxima from a map")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scene")
+    p.add_argument("--map", required=True, type=_path)
+    p.add_argument("--scene", type=_path)
     p.add_argument("--floor", type=number, default=0.5)
     p.add_argument("--separation", type=number, default=0.2)
     p.set_defaults(func=cmd_peaks)

@@ -51,8 +51,9 @@ figure is an estimate, not a guarantee.
 
 Every LU factor and solve calls LAPACK's ZGETRF and ZGETRS (Anderson et al.,
 LAPACK Users' Guide, 3rd ed., SIAM 1999) directly, through scipy's builds
-looked up once (`lu_factor`, `lu_solve`), with the results, warnings and
-errors of scipy.linalg's functions of those names.
+looked up once, in this module's own `lu_factor` and `lu_solve`.  They give
+scipy.linalg's results, warnings and errors to the bit but take no options:
+they never check finiteness, and a factor overwrites an F-ordered matrix.
 """
 
 from __future__ import annotations
@@ -105,12 +106,11 @@ class QuadratureSpec:
 _GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
-def lu_factor(a, overwrite_a=False, check_finite=True):
-    """(lu, piv) of the complex square matrix a by ZGETRF, as scipy.linalg.lu_factor
+def lu_factor(a):
+    """(lu, piv) of the complex square matrix a by ZGETRF, in place if a is
+    F-ordered, as scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     gives them: a factor with an exactly zero pivot warns LinAlgWarning."""
-    if check_finite and not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = _GETRF(a, overwrite_a=overwrite_a)
+    lu, piv, info = _GETRF(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
     if info > 0:
@@ -119,12 +119,10 @@ def lu_factor(a, overwrite_a=False, check_finite=True):
     return lu, piv
 
 
-def lu_solve(lu_and_piv, b, trans=0, check_finite=True):
+def lu_solve(lu_and_piv, b, trans=0):
     """x with a x = b (trans 0) or a^T x = b (trans 1) by ZGETRS on the
-    factors of `lu_factor`, as scipy.linalg.lu_solve gives it; check_finite
-    checks b, as scipy's does."""
-    if check_finite and not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
+    factors of `lu_factor`, as scipy.linalg.lu_solve(..., check_finite=False)
+    gives it."""
     x, info = _GETRS(*lu_and_piv, b, trans=trans)
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrs (lu_solve)")
@@ -270,8 +268,7 @@ def _split_factor(a, cj):
 
     Each half is its own transpose, which is in LAPACK's column order, so
     lu_factor factors it in place instead of copying it into that order."""
-    return (lu_factor((a + cj).T, overwrite_a=True, check_finite=False),
-            lu_factor((a - cj).T, overwrite_a=True, check_finite=False))
+    return lu_factor((a + cj).T), lu_factor((a - cj).T)
 
 
 def _split_solve(lus, b):
@@ -346,9 +343,9 @@ class CrackSystem:
         self.rcond = 1.0
         if self.m_cracks == 0:
             return
-        self._factor(_log_quadrature_matrix(self.n))
+        self._factor()
 
-    def _self_block(self, crack, logmat):
+    def _self_block(self, crack):
         """The quarters (A, CJ) of the self block D, never formed whole,
         h [(ln-gap/2n - W/2pi) J0(z) - (pi/4n) Y0(z) + i (pi/4n) J0(z)].
 
@@ -368,7 +365,7 @@ class CrackSystem:
         pairs = _i_hankel0((k * half) * gaps)
         values[:h * h].real = factor * pairs.imag + c * pairs.real
         values[:h * h].imag = c * pairs.imag
-        values[h * h:] = (np.diag(logmat)[:h] / (-2.0 * math.pi)
+        values[h * h:] = (np.diag(_log_quadrature_matrix(n))[:h] / (-2.0 * math.pi)
                           - (math.log(k * half / 2.0) + _EULER_GAMMA) / (2.0 * n) + 1j * c)
         values *= half
         return values[index]
@@ -399,7 +396,7 @@ class CrackSystem:
             sizes[p], sizes[q] = max(sizes[p], min(m, n)), max(sizes[q], min(m, n))
         return sizes
 
-    def _factor(self, logmat):
+    def _factor(self):
         n, mc, cracks = self.n, self.m_cracks, self.scene.cracks
         sizes = self._basis_sizes()
         # Crack p owns the coarse unknowns rows[p], in scene order.
@@ -429,14 +426,13 @@ class CrackSystem:
         for p, crack in enumerate(cracks):
             half, m = crack.half_length, sizes[p]
             if half not in lus:
-                a, cj = self._self_block(crack, logmat)
+                a, cj = self._self_block(crack)
                 lus[half] = _split_factor(a, cj)
                 # column j of D_p and its reflection n-1-j share |A| + |CJ|'s column sum
                 norm_d = max(norm_d, (np.abs(a).sum(axis=0) + np.abs(cj).sum(axis=0)).max())
                 norm_dinv = max(norm_dinv, sum(
-                    _hager_higham(functools.partial(lu_solve, half_lu, check_finite=False),
-                                  functools.partial(lu_solve, half_lu, trans=1, check_finite=False),
-                                  n // 2)
+                    _hager_higham(functools.partial(lu_solve, half_lu),
+                                  functools.partial(lu_solve, half_lu, trans=1), n // 2)
                     for half_lu in lus[half]))
             if (half, m) not in shared:
                 basis = _interpolation_matrix(n, m)
@@ -447,7 +443,7 @@ class CrackSystem:
             v, b = shared[half, m]
             cap[rows[p]] += b @ m_all[rows[p]]
             self._bases.append((rows[p], v, b))
-        self._cap = lu_factor(cap, overwrite_a=True, check_finite=False)
+        self._cap = lu_factor(cap)
 
         def v_apply(z):                                                      # V z
             return np.concatenate([v @ z[r] for r, v, _ in self._bases])
@@ -458,9 +454,8 @@ class CrackSystem:
 
         # W x = V M C^-1 V^T x and W^T x = V C^-T M^T V^T x
         norm_w = _hager_higham(
-            lambda x: v_apply(m_all @ lu_solve(self._cap, v_transpose(x), check_finite=False)),
-            lambda x: v_apply(lu_solve(self._cap, m_all.T @ v_transpose(x), trans=1,
-                                       check_finite=False)),
+            lambda x: v_apply(m_all @ lu_solve(self._cap, v_transpose(x))),
+            lambda x: v_apply(lu_solve(self._cap, m_all.T @ v_transpose(x), trans=1)),
             mc * n)
         norm_a = norm_d + norm_u1 * np.abs(m_all).sum(axis=0).max() * norm_uinf
         self.rcond = float(1.0 / (norm_a * (norm_dinv + norm_w)))

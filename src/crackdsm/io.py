@@ -121,10 +121,6 @@ def atomic_write_chunks(path, chunks):
             os.unlink(tmp)
 
 
-def atomic_write_text(path, text):
-    atomic_write_chunks(path, [text.encode("utf-8")])
-
-
 # ------------------------------------------------------------ %.17g encoder
 #
 # Each value gets a slot of 24 bytes, three little-endian uint64 words, which
@@ -265,8 +261,8 @@ def _text(laid_out, v, other):
     return b"".join(itertools.chain.from_iterable(zip(body.split(b"\x01"), texts)))
 
 
-def _encode_rows(values, sep):
-    r"""Yield the bytes of sep.join("%.17g" % v for v in row) + "\n" for the
+def _encode_rows(values):
+    r"""Yield the bytes of ",".join("%.17g" % v for v in row) + "\n" for the
     rows of a 2-D float array, in blocks of at most _BLOCK values."""
     ncols = values.shape[1]
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
@@ -274,7 +270,7 @@ def _encode_rows(values, sep):
         block = flat[start:start + _BLOCK]
         y, other = _value_words(block)
         slots = np.ascontiguousarray(y.T).view(np.uint8)
-        slots[:, 23] = ord(sep)
+        slots[:, 23] = ord(",")
         slots[(ncols - 1 - start) % ncols::ncols, 23] = 10  # row ends
         yield _text(slots, block, other)
 
@@ -327,7 +323,7 @@ def write_scene(path, scene):
     for c in scene.cracks:
         lines.append(f"{_fmt(c.center[0])} {_fmt(c.center[1])} "
                      f"{_fmt(c.half_length)} {_fmt(c.rotation)}\n")
-    atomic_write_text(path, "".join(lines))
+    atomic_write_chunks(path, ["".join(lines).encode()])
 
 
 def read_scene(path):
@@ -439,7 +435,7 @@ def write_map_csv(path, imap):
     header = ("# indicator-map-csv v1\n# x_min,x_max,y_min,y_max,nx,ny\n"
               + format_grid(imap.grid) + "\n")
     # y ascending, row-major
-    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_rows(imap.values, ",")))
+    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_rows(imap.values)))
 
 
 def read_map_csv(path):
@@ -470,4 +466,4 @@ def write_map_pgm(path, imap):
 
 
 def write_manifest(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_chunks(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])

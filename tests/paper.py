@@ -207,8 +207,8 @@ def loop_local_maxima(imap, min_separation, floor=0.0, scene=None):
     return report
 
 
-def format_rows(values, sep):
-    r"""The bytes of sep.join("%.17g" % v for v in row) + "\n" for each row of a
+def format_rows(values):
+    r"""The bytes of ",".join("%.17g" % v for v in row) + "\n" for each row of a
     2-D float array, one value at a time, as map files were first written."""
     rows = np.asarray(values, dtype=float).tolist()
-    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in rows).encode()
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()

@@ -608,6 +608,55 @@ def test_cli_rejects_conflicting_wavelength_flags(tmp_path, scene_file, capsys,
     assert not list(tmp_path.glob("out*"))
 
 
+# a flag given as the empty string is given, not absent: an empty --lambda-range
+# is read and refused, and an empty path names no file, so it is refused by flag
+_EMPTY_FLAGS = {
+    "lambda_range_with_lambda": (["simulate", "--scene", "{scene}", "--lambda", "0.5",
+                                  "--lambda-range", "", "--generator", "order1",
+                                  "--out", "{out}"],
+                                 "error: give --lambda or --lambda-range, not both"),
+    "lambda_range": (["simulate", "--scene", "{scene}", "--lambda-range", "", "--n-freq", "3",
+                      "--generator", "order1", "--out", "{out}"],
+                     "error: --lambda-range must be two numbers"),
+    "simulate_scene": (["simulate", "--scene", "", "--lambda", "0.5", "--out", "{out}"],
+                       "error: argument --scene: "),
+    "simulate_out": (["simulate", "--scene", "{scene}", "--lambda", "0.5",
+                      "--generator", "order1", "--out", ""], "error: argument --out: "),
+    "image_tensor": (["image", "--tensor", "", "--method", "single", "--grid=-1,1,-1,1,5,5",
+                      "--out", "{out}"], "error: argument --tensor: "),
+    "image_out": (["image", "--tensor", "{tensor}", "--method", "single",
+                   "--grid=-1,1,-1,1,5,5", "--out", ""], "error: argument --out: "),
+    "predict_scene": (["predict", "--scene", "", "--predictor", "s1", "--lambda", "0.5",
+                       "--grid=-1,1,-1,1,5,5", "--out", "{out}"], "error: argument --scene: "),
+    "predict_out": (["predict", "--scene", "{scene}", "--predictor", "s1", "--lambda", "0.5",
+                     "--grid=-1,1,-1,1,5,5", "--out", ""], "error: argument --out: "),
+    "compare_a": (["compare", "--a", "", "--b", "{map}"], "error: argument --a: "),
+    "compare_b": (["compare", "--a", "{map}", "--b", ""], "error: argument --b: "),
+    "peaks_map": (["peaks", "--map", ""], "error: argument --map: "),
+    "peaks_scene": (["peaks", "--map", "{map}", "--scene", ""], "error: argument --scene: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_FLAGS))
+def test_cli_refuses_a_flag_given_as_the_empty_string(tmp_path, scene_file, monkeypatch,
+                                                      capsys, case):
+    tensor, imap = str(tmp_path / "data.txt"), str(tmp_path / "map.csv")
+    cio.write_tensor(tensor, FarFieldTensor(np.ones((1, 1, 8)),
+                                            AcquisitionConfig((4 * math.pi,), 8, (0.0,))))
+    cio.write_map_csv(imap, IndicatorMap.from_raw(ImagingGrid(-1, 1, -1, 1, 5, 5),
+                                                  np.arange(25.0)))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # where an empty --out would write
+    argv, message = _EMPTY_FLAGS[case]
+    rc = main([a.format(scene=scene_file, tensor=tensor, map=imap, out=work / "out")
+               for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 1, err
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("predictor, flags", [
     ("s1", ["--lambda", "0.5"]),
     ("s2", ["--lambda", "0.5"]),

@@ -22,7 +22,9 @@ blocks, `forward` reads ``_RCOND_FLOOR`` in one function only, where
 only ``self.rcond`` meets it, and `forward` calls LAPACK's getrf and getrs
 only in its own ``lu_factor`` and ``lu_solve`` and imports neither name from
 scipy.  One more check keeps every cached table of `forward`, the Chebyshev
-nodes among them, read-only.
+nodes among them, read-only, and another keeps ``from .forward import`` the
+only import `cli` defers to a function: `forward` is the one module that loads
+scipy, and the commands call every other name through `cli`'s own globals.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -262,3 +264,14 @@ def test_one_io_function_parses_data_rows_with_loadtxt():
                     for label, unit in _units(trees[path])
                     for name, _ in _identifier_uses(unit) if name == "loadtxt"})
     assert users == ["io._table"], f"np.loadtxt called outside io._table: {users}"
+
+
+def test_cli_defers_only_the_solver_import():
+    # simulate --generator full alone needs forward, and with it scipy; every
+    # other module cli uses loads without scipy and is imported at start-up
+    tree = _pipeline()[0][PACKAGE / "cli.py"]
+    deferred = [ast.unparse(node) for unit in tree.body
+                if isinstance(unit, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(unit) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [text.partition(" import ")[0] for text in deferred] == ["from .forward"], (
+        f"cli imports inside functions: {deferred}")
