@@ -40,9 +40,17 @@ def _equal_half_length(scene):
         raise InputMismatchError("operation requires all cracks to share one half-length")
 
 
+def _finite(what, values):
+    """values as a float array; DomainError naming what unless all are finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} must be finite, got {values.tolist()}")
+    return values
+
+
 def _order1_rows(scene, k, d, n_obs):
     """Order-1 far field at ``n_obs`` directions, with no scene check."""
-    d = np.asarray(d, dtype=float)
+    d = _finite("incident direction", d)
     theta = observation_directions(n_obs)
     out = np.zeros(d.shape[:-1] + (n_obs,), dtype=complex)
     for crack in scene.cracks:
@@ -133,7 +141,7 @@ def predict_aif(scene, k, incident_angles, grid):
     at P observation directions; their direction sum gives the J0 factor.
     """
     check_scaled_scene(scene, k)
-    incident_angles = np.asarray(incident_angles, dtype=float)
+    incident_angles = _finite("incident angles", incident_angles)
     if incident_angles.size < 1:
         raise DomainError("need at least one incident angle")
     dirs = unit_vectors(incident_angles)
@@ -164,7 +172,7 @@ def predict_mif(scene, k_list, incident_angle, grid):
         raise DomainError("wavenumbers must be finite, positive and strictly increasing")
     k1, kF = float(k_list[0]), float(k_list[-1])
     check_scaled_scene(scene, kF)
-    d = unit_vectors([incident_angle])
+    d = unit_vectors(_finite("incident angle", [incident_angle]))
     rmax = _grid_reach(scene, grid)
     _n_directions(kF, rmax)  # refuses a far geometry before the panels are sized
     n_panels = max(1, int(math.ceil((kF - k1) * rmax / (2.0 * math.pi))))

@@ -1,14 +1,15 @@
 """Text file formats (scene, far-field tensor, indicator map) and manifests.
 
-All writers are atomic (temp file + rename) and deterministic: floats use
-%.17g so write -> read -> write round-trips byte-identically.  Map and tensor
-rows are encoded without a formatter call per value.  For 1e-4 <= |v| < 1e16,
-which %.17g writes in fixed form, the 17 digits are |v| * 10**(16 - e) with e
-in [-4, 15], or one off from log10, so the factor <= 1e21 is exact; Dekker's
-two-product keeps the product exact until it is rounded half to even, as %.17g
-rounds.  Exponent forms, rare in maps, are written by %.17g itself.  A tensor
-row's three index columns come from a table of digit words and only its two
-values from that encoder, with the bytes "%d %d %d %.17g %.17g" gives.
+All writers are atomic (temp file + rename) and deterministic: floats use %.17g
+so write -> read -> write round-trips byte-identically.  Scene, map and tensor
+data rows share one encoder (`_encode`), which takes blocks of whole rows and
+makes no formatter call per value.  For 1e-4 <= |v| < 1e16, which %.17g writes
+in fixed form, the 17 digits are |v| * 10**(16 - e) with e in [-4, 15], or one
+off from log10, so the factor <= 1e21 is exact; Dekker's two-product keeps the
+product exact until it is rounded half to even, as %.17g rounds.  Exponent
+forms, rare in maps, are written by %.17g itself.  A tensor row's three index
+columns come from a table of digit words and only its two values from that
+encoder, with the bytes "%d %d %d %.17g %.17g" gives.
 
 Scene rows, map and tensor data rows, the numbers of the map and tensor
 headers and the CLI's numeric flags are read by np.loadtxt (`_table`), whose
@@ -138,10 +139,11 @@ def atomic_write_chunks(path, chunks):
 # paper's maps hold at seed 0).  The NUL bytes of a block are removed in one
 # pass.
 
-# Values per block.  The fixed cost of each of a block's numpy calls weighs on
-# small blocks, and large blocks' temporaries outgrow the core's cache.  Per 201^2 map (medians of 15 interleaved in-process runs, 2-core
-# x86-64 VM with 2 MiB of L2 per core): 7.6-8.1 ms at 2048 values, 6.4-6.7 at
-# 4096, 5.7-6.1 at 8192, 7.2-7.5 at 16384 and 9.2-9.6 at 32768.
+# The most values a block of whole rows holds.  The fixed cost of each of a
+# block's numpy calls weighs on small blocks, and large blocks' temporaries
+# outgrow the core's cache.  Per 201^2 map (medians of 15 interleaved runs in
+# one process, 2-core x86-64 VM, 2 MiB of L2 per core): 7.6-8.1 ms at 2048
+# values, 6.4-6.7 at 4096, 5.7-6.1 at 8192, 7.2-7.5 at 16384, 9.2-9.6 at 32768.
 _BLOCK = 8192
 _U = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -261,18 +263,23 @@ def _text(laid_out, v, other):
     return b"".join(itertools.chain.from_iterable(zip(body.split(b"\x01"), texts)))
 
 
-def _encode_rows(values):
-    r"""Yield the bytes of ",".join("%.17g" % v for v in row) + "\n" for the
-    rows of a 2-D float array, in blocks of at most _BLOCK values."""
-    ncols = values.shape[1]
-    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
+def _encode(values, sep, prefix=None):
+    r"""Yield the bytes of sep.join("%.17g" % v for v in row) + "\n" for the
+    rows of a 2-D float array, each led by the uint64 words prefix(a, b) gives
+    for rows a to b, if given, in blocks of whole rows of at most _BLOCK
+    values (a wider row is a block of its own)."""
+    nrows, ncols = values.shape
+    step = max(_BLOCK // ncols, 1)
+    for a in range(0, nrows, step):
+        block = np.ascontiguousarray(values[a:a + step], dtype=float).reshape(-1)
         y, other = _value_words(block)
-        slots = np.ascontiguousarray(y.T).view(np.uint8)
-        slots[:, 23] = ord(",")
-        slots[(ncols - 1 - start) % ncols::ncols, 23] = 10  # row ends
-        yield _text(slots, block, other)
+        rows = np.ascontiguousarray(y.T).reshape(-1, 3 * ncols)
+        if prefix is not None:
+            rows = np.hstack([prefix(a, a + len(rows)), rows])
+        text = rows.view(np.uint8)
+        text[:, 23 - 24 * ncols::24] = ord(sep)  # byte 23 of each value slot
+        text[:, -1] = 10
+        yield _text(text, block, other)
 
 
 def _index_words(count):
@@ -281,28 +288,6 @@ def _index_words(count):
     i = np.arange(count)
     lead = 3 - (i >= 10) - (i >= 100) - (i >= 1000)  # zeros before i's first digit
     return _DIGITS4[i] & _FROM[16 + lead] | _U(32) << 32
-
-
-def _encode_tensor(values):
-    r"""Yield the bytes of "%d %d %d %.17g %.17g\n" % (f, l, n, v.real, v.imag)
-    for the entries v of an (F, L, N) complex array, n fastest, in blocks of
-    _BLOCK values.  Each row is eight words: the three index texts in the
-    first two, the slots of v.real and v.imag in the other six."""
-    words = [_index_words(count) for count in values.shape]
-    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
-    for start in range(0, flat.size, _BLOCK // 2):
-        v = flat[start:start + _BLOCK // 2].view(float)  # re, im, re, im, ...
-        f, l, n = (w[i] for w, i in zip(words, np.unravel_index(
-            np.arange(start, start + v.size // 2), values.shape)))
-        y, other = _value_words(v)
-        rows = np.empty((v.size // 2, 8), _U)
-        rows[:, 0] = f | l << 40
-        rows[:, 1] = l >> 24 | n << 16
-        rows[:, 2:] = y.T.reshape(-1, 6)
-        text = rows.view(np.uint8)
-        text[:, 39] = 32  # byte 23 of the v.real slot
-        text[:, 63] = 10
-        yield _text(text, v, other)
 
 
 # ---------------------------------------------------------------- scene files
@@ -319,11 +304,8 @@ _SCENE_HEADER = """\
 
 
 def write_scene(path, scene):
-    lines = [_SCENE_HEADER]
-    for c in scene.cracks:
-        lines.append(f"{_fmt(c.center[0])} {_fmt(c.center[1])} "
-                     f"{_fmt(c.half_length)} {_fmt(c.rotation)}\n")
-    atomic_write_chunks(path, ["".join(lines).encode()])
+    rows = np.array([(*c.center, c.half_length, c.rotation) for c in scene.cracks], float)
+    atomic_write_chunks(path, [_SCENE_HEADER.encode(), *_encode(rows.reshape(-1, 4), " ")])
 
 
 def read_scene(path):
@@ -349,7 +331,14 @@ def write_tensor(path, tensor):
         "incident_angles " + " ".join(map(_fmt, cfg.incident_angles)) + "\n",
         "data f l n re im\n"])
     # imaging bounds F, L and N by 1024, so an index has at most four digits
-    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_tensor(tensor.values)))
+    shape = tensor.values.shape
+    words = [_index_words(count) for count in shape]
+
+    def indices(a, b):  # "f l n " of rows a to b as two NUL-padded words
+        f, l, n = (w[i] for w, i in zip(words, np.unravel_index(np.arange(a, b), shape)))
+        return np.column_stack([f | l << 40, l >> 24 | n << 16])
+    rows = np.ascontiguousarray(tensor.values, dtype=complex).reshape(-1, 1).view(float)
+    atomic_write_chunks(path, itertools.chain([header.encode()], _encode(rows, " ", indices)))
 
 
 def read_tensor(path):
@@ -435,7 +424,7 @@ def write_map_csv(path, imap):
     header = ("# indicator-map-csv v1\n# x_min,x_max,y_min,y_max,nx,ny\n"
               + format_grid(imap.grid) + "\n")
     # y ascending, row-major
-    atomic_write_chunks(path, itertools.chain([header.encode()], _encode_rows(imap.values)))
+    atomic_write_chunks(path, itertools.chain([header.encode()], _encode(imap.values, ",")))
 
 
 def read_map_csv(path):

@@ -431,6 +431,24 @@ def test_predictors_reject_bad_wavenumber(k, bad):
         predict_mif(sc, [k, k + bad], 0.0, grid)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", ["order1", "order2", "s2", "aif", "mif"])
+def test_predictors_and_generators_reject_non_finite_incidence(k, config30, call, bad):
+    # refused before any trigonometry: no RuntimeWarning, no NaN rows and no
+    # "not finite" map error that names the wrong input
+    grid = ImagingGrid(-0.4, 0.4, -0.4, 0.4, 11, 11)
+    sc = _origin_crack()
+    calls = {
+        "order1": lambda: farfield_order1(sc, k, [bad, 0.0], config30),
+        "order2": lambda: farfield_order2(sc, k, [[0.0, 1.0], [bad, 0.0]], config30),
+        "s2": lambda: predict_structure2(sc, k, [bad, 1.0], grid),
+        "aif": lambda: predict_aif(sc, k, [0.0, bad], grid),
+        "mif": lambda: predict_mif(sc, [k, 1.5 * k], bad, grid),
+    }
+    with pytest.raises(DomainError, match=r"^incident (angles?|direction) must be finite"):
+        calls[call]()
+
+
 def test_predictors_give_zero_map_for_empty_scene(k):
     grid = ImagingGrid(-0.4, 0.4, -0.4, 0.4, 11, 11)
     assert predict_structure1(Scene(()), k, grid).zero_map

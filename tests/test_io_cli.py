@@ -45,6 +45,18 @@ def test_scene_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("cracks", [
+    (),
+    ((0.123456789012345, -0.4, 0.05, 1.7), (0.6, 0.2, 0.03, 0.0)),
+    ((1e-5, -0.0, 0.05, 1e20), (-1e-5, 0.1, 1e-5, -0.0), (0.0, 3.0, 0.25, -1.2345678e-7)),
+], ids=["empty", "fixed", "exponent_and_signed_zero"])
+def test_scene_rows_are_the_value_by_value_format(tmp_path, cracks):
+    path = tmp_path / "scene.txt"
+    cio.write_scene(path, Scene(tuple(Crack((cx, cy), half, rot) for cx, cy, half, rot in cracks)))
+    rows = "".join("%.17g %.17g %.17g %.17g\n" % crack for crack in cracks)
+    assert path.read_bytes() == (cio._SCENE_HEADER + rows).encode()
+
+
 def test_tensor_round_trip(tmp_path, k):
     cfg = AcquisitionConfig((k, 1.3 * k), 12, (0.4, 2.0, 5.1))
     rng = np.random.default_rng(7)

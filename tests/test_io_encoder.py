@@ -1,6 +1,6 @@
-"""The map and tensor writers' %.17g encoder against "%.17g" value by value.
+"""The scene, map and tensor writers' %.17g encoder against "%.17g" value by value.
 
-`io._encode_rows` must give the bytes of `paper.format_rows` exactly, on any
+`io._encode` must give the bytes of `paper.format_rows` exactly, on any
 float64, including the ones where a shortcut would round differently: values
 next to powers of ten, exact ties at the 17th digit, the ends of its fast
 range, zeros, subnormals and non-finite values.
@@ -21,7 +21,7 @@ from paper import format_rows
 
 def _assert_rows_match(values):
     values = np.asarray(values, dtype=float)
-    assert b"".join(cio._encode_rows(values)) == format_rows(values)
+    assert b"".join(cio._encode(values, ",")) == format_rows(values)
 
 
 def _from_bits(sign, exponent, fraction):
@@ -88,20 +88,23 @@ def test_encoder_zeros_limits_and_non_finite_values():
 _B = cio._BLOCK
 
 
-# the last three: rows that end at a block end, rows across a block end, and
-# one row over three blocks
+# a block holds the most whole rows that fit in _B values, or one wider row:
+# (4, _B // 2) two rows per block, (3, _B // 2 + 1) one row per block, and
+# (1, 2 * _B + 3) and (3, 20000) rows wider than a block; (100, 300) 27 rows
+# per block, 300 not dividing _B, and (3, _B) rows of exactly _B values
 @pytest.mark.parametrize("shape", [(1, 1), (3, 20000), (50, 211), (211, 50),
-                                   (4, _B // 2), (3, _B // 2 + 1), (1, 2 * _B + 3)])
+                                   (4, _B // 2), (3, _B // 2 + 1), (1, 2 * _B + 3),
+                                   (100, 300), (3, _B)])
 def test_encoder_rows_across_blocks(shape):
-    # rows that start, end or lie across the encoder's blocks of values
+    # one block, several blocks of whole rows, and a last block partly filled
     values = np.random.default_rng(shape[1]).random(shape) ** 3
     _assert_rows_match(values)
 
 
 def test_encoder_five_columns_with_special_values_at_block_edges():
-    # five-value rows, as write_tensor writes them, over three blocks; values
-    # outside 1e-4 <= |v| < 1e16 at the first and last value of each block,
-    # inside it and in a run across a row end
+    # five-value rows over three blocks; values outside 1e-4 <= |v| < 1e16 at
+    # and just before each multiple of _B, inside a block and in a run across
+    # a row end
     values = np.random.default_rng(23).standard_normal(5 * (3 * _B // 5 + 1)) * 1e3
     specials = [1e-300, 1e300, np.inf, -np.inf, np.nan, 5e-324]
     for k, start in enumerate(range(0, 3 * _B, _B)):
@@ -109,6 +112,18 @@ def test_encoder_five_columns_with_special_values_at_block_edges():
         values[at] = [specials[(k + i) % len(specials)] for i in range(len(at))]
     values[_B + 7:_B + 13] = specials
     _assert_rows_match(values.reshape(-1, 5))
+
+
+@pytest.mark.parametrize("ncols", [5, 300])
+def test_encoder_special_values_at_block_ends(ncols):
+    # values outside 1e-4 <= |v| < 1e16 at the first and last value of each
+    # block of _B // ncols whole rows
+    size = _B // ncols * ncols
+    values = np.random.default_rng(ncols).standard_normal(3 * size + ncols) * 1e3
+    specials = [1e-300, 1e300, np.inf, -np.inf, np.nan, 5e-324]
+    ends = [0, *(i for start in range(size, values.size, size) for i in (start - 1, start)), -1]
+    values[ends] = [specials[i % len(specials)] for i in range(len(ends))]
+    _assert_rows_match(values.reshape(-1, ncols))
 
 
 # (2, 3, 12) gives one- and two-digit indices; (12, 1, 1024) and (1, 1024, 8)

@@ -10,21 +10,23 @@ function, class and constant and every private method of ``src/crackdsm``
 (dunders such as ``__version__`` and ``__post_init__`` excepted), and each of
 its modules must use every name it imports.
 
-Eight more checks keep one implementation each: `forward` uses ``sp_j0`` and
+Nine more checks keep one implementation each: `forward` uses ``sp_j0`` and
 ``sp_y0`` (the solver's Hankel kernel) in one function only, `imaging` calls
 ``np.exp`` in one function only, which takes every map's steering
 exponentials, `imaging` measures every peak distance in ``_distances`` and
-never calls ``np.linalg``, ``.17g`` appears in `io` only, whose encoder
-writes every map and tensor row, ``np.loadtxt`` is called in one function
-of `io` only, which parses every scene row and every map and tensor data row,
-`forward` calls ``lu_factor`` on a self block only through its two half-size
-blocks, `forward` reads ``_RCOND_FLOOR`` in one function only, where
-only ``self.rcond`` meets it, and `forward` calls LAPACK's getrf and getrs
-only in its own ``lu_factor`` and ``lu_solve`` and imports neither name from
-scipy.  One more check keeps every cached table of `forward`, the Chebyshev
-nodes among them, read-only, and another keeps ``from .forward import`` the
-only import `cli` defers to a function: `forward` is the one module that loads
-scipy, and the commands call every other name through `cli`'s own globals.
+never calls ``np.linalg``, ``.17g`` appears in `io` only, ``io._value_words``
+is used in ``io._encode`` only, and ``_encode`` in the scene, map and tensor
+writers only, so that one encoder writes every data row, ``np.loadtxt`` is
+called in one function of `io` only, which parses every scene row and every
+map and tensor data row, `forward` calls ``lu_factor`` on a self block only
+through its two half-size blocks, `forward` reads ``_RCOND_FLOOR`` in one
+function only, where only ``self.rcond`` meets it, and `forward` calls
+LAPACK's getrf and getrs only in its own ``lu_factor`` and ``lu_solve`` and
+imports neither name from scipy.  One more check keeps every cached table of
+`forward`, the Chebyshev nodes among them, read-only, and another keeps
+``from .forward import`` the only import `cli` defers to a function: `forward`
+is the one module that loads scipy, and the commands call every other name
+through `cli`'s own globals.
 
 The checks read identifiers from the syntax tree, so comments, docstrings and
 strings do not count.  They cannot see a name that only other dead code calls,
@@ -264,6 +266,18 @@ def test_one_io_function_parses_data_rows_with_loadtxt():
                     for label, unit in _units(trees[path])
                     for name, _ in _identifier_uses(unit) if name == "loadtxt"})
     assert users == ["io._table"], f"np.loadtxt called outside io._table: {users}"
+
+
+def test_one_io_function_encodes_data_rows():
+    # the scene, map and tensor writers share one encoder for their data rows
+    trees = _pipeline()[0]
+    users = {name: sorted({f"{path.stem}.{label}" for path in sorted(PACKAGE.glob("*.py"))
+                           for label, unit in _units(trees[path])
+                           for used, _ in _identifier_uses(unit) if used == name})
+             for name in ("_value_words", "_encode")}
+    assert users == {"_value_words": ["io._encode"],
+                     "_encode": ["io.write_map_csv", "io.write_scene", "io.write_tensor"]}, (
+        f"encoder used in {users}")
 
 
 def test_cli_defers_only_the_solver_import():
